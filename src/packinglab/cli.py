@@ -69,15 +69,6 @@ def _labels_arg(text):
     return labels
 
 
-def _split_cluster(config, labels):
-    positions = [config.position(label) for label in labels]
-    taken = set(positions)
-    rest = [i for i in range(len(config.rows)) if i not in taken]
-    cluster = [config.rows[i] for i in positions]
-    cocluster = [config.rows[i] for i in rest]
-    return cluster, cocluster, positions, rest
-
-
 def _limits(args):
     max_bend = args.max_bend
     if max_bend is not None and max_bend < 0:
@@ -170,23 +161,23 @@ def _cmd_clusters(args):
 
 def _cmd_pack(args):
     config = _load_config(args.config)
-    cluster, cocluster, _, _ = _split_cluster(config, args.cluster)
-    orbit = generate_packing(cluster, cocluster, _limits(args), threads=args.threads)
+    cluster, cocluster, _, _ = config.split(args.cluster)
+    orbit = generate_packing(cluster, cocluster, _limits(args))
     _emit(export_tsv(orbit), args.out)
     return 0
 
 
 def _cmd_super(args):
     config = _load_config(args.config)
-    cluster, cocluster, _, _ = _split_cluster(config, args.cluster)
-    orbit = generate_superpacking(cluster, cocluster, _limits(args), threads=args.threads)
+    cluster, cocluster, _, _ = config.split(args.cluster)
+    orbit = generate_superpacking(cluster, cocluster, _limits(args))
     _emit(export_tsv(orbit), args.out)
     return 0
 
 
 def _cmd_check_integrality(args):
     config = _load_config(args.config)
-    _, cocluster, positions, rest = _split_cluster(config, args.cluster)
+    _, cocluster, positions, rest = config.split(args.cluster)
     cert = prove_integral(
         config.rows,
         [p + 1 for p in positions],
@@ -314,7 +305,7 @@ def _cmd_convert(args):
     elif args.no_patches:
         patches = {}
     items = convert.read_root_file(args.infile, patches)
-    rows = convert.convert_all(items, threads=args.threads)
+    rows = convert.convert_all(items)
     lines = ["(%s)" % ",".join(str(q) for q in row) for row in rows]
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
@@ -342,13 +333,7 @@ def _cmd_render(args):
         if not args.cluster:
             raise ValueError("--config rendering needs --cluster")
         config = _load_config(args.config)
-        limits = OrbitLimits(
-            max_generation=args.generations,
-            max_bend=None if args.max_bend is not None and args.max_bend < 0 else args.max_bend,
-        )
-        circles, cocluster_words = supercluster_circles(
-            config, args.cluster, limits, threads=args.threads
-        )
+        circles, cocluster_words = supercluster_circles(config, args.cluster, _limits(args))
     opts = RenderOptions(
         viewport=args.viewport,
         labels=args.labels,
@@ -395,7 +380,6 @@ def _add_orbit_args(p):
     p.add_argument("--cluster", required=True, type=_labels_arg, help="comma-separated row labels")
     p.add_argument("--generations", type=int, default=6)
     p.add_argument("--max-bend", type=int, default=10_000, help="negative disables the bound")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _build_parser():
@@ -486,7 +470,6 @@ def _build_parser():
     p.add_argument("--in", dest="infile", required=True, help="JSON root file")
     p.add_argument("--patch-table", help="corrections table (default: shipped)")
     p.add_argument("--no-patches", action="store_true", help="apply no corrections")
-    p.add_argument("--threads", type=int, default=1)
     _add_out(p)
     p.set_defaults(func=_cmd_convert)
 
@@ -496,7 +479,6 @@ def _build_parser():
     p.add_argument("--cluster", type=_labels_arg, help="cluster labels for --config mode")
     p.add_argument("--generations", type=int, default=4)
     p.add_argument("--max-bend", type=int, default=10_000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--labels", choices=("none", "bends", "labels"), default="none")
     p.add_argument("--viewport", type=_viewport_arg, help="xlo,xhi,ylo,yhi (rationals)")
     p.add_argument("--max-circles", type=int)
@@ -530,7 +512,7 @@ def run(argv=None):
             return 2
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, AssertionError) as e:
+    except (ValueError, KeyError, OSError) as e:
         message = e.args[0] if isinstance(e, KeyError) and e.args else str(e)
         sys.stderr.write(
             json.dumps({"kind": type(e).__name__, "error": str(message)}) + "\n"

@@ -21,7 +21,6 @@ by the source table and vector name.
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 
@@ -84,7 +83,8 @@ class VinbergVector:
 
 def _unit_scale(value: Fraction) -> QNum:
     # 1/sqrt(value) for a positive rational, kept exact
-    assert value > 0
+    if value <= 0:
+        raise ValueError("scale needs a positive rational, got %s" % value)
     return sqrt(value.numerator * value.denominator) * Fraction(1, value.numerator)
 
 
@@ -96,7 +96,8 @@ def from_mcleod_bianchi(root: BianchiRoot) -> tuple:
         row = (x1, x2, x3 + x4 * Fraction(1, 2), x4 * sqrt(root.m) * Fraction(1, 2))
     else:
         row = (x1, x2, x3, x4 * sqrt(root.m))
-    assert geometry.norm(row) == QNum(-1)
+    if not geometry.is_wall(row):
+        raise ValueError("converted row does not have norm -1")
     return row
 
 
@@ -106,7 +107,8 @@ def from_vinberg_form(v: VinbergVector) -> tuple:
     hat = [c * scale for c in v.x]
     lead = hat[0] * sqrt(v.d)
     row = (lead + hat[1], lead - hat[1]) + tuple(hat[2:])
-    assert geometry.norm(row) == QNum(-1)
+    if not geometry.is_wall(row):
+        raise ValueError("converted row does not have norm -1")
     return row
 
 
@@ -118,12 +120,8 @@ def convert_root(item) -> tuple:
     raise TypeError("expected a BianchiRoot or VinbergVector, got %r" % type(item).__name__)
 
 
-def convert_all(items, threads: int = 1) -> tuple:
-    """Convert a list of roots, preserving order; pure, so safe to fan out."""
-    items = list(items)
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(convert_root, items))
+def convert_all(items) -> tuple:
+    """Convert a list of roots, preserving order."""
     return tuple(convert_root(i) for i in items)
 
 

@@ -109,17 +109,22 @@ def classify_entry(g: QNum, max_order: int = 12):
                 return Angle(order=n, sign=s)
         else:
             candidates.append(n)
-    # nothing matched exactly; rule the remaining orders out rigorously
+    # nothing matched exactly; rule the remaining orders out rigorously.
+    # mpmath's interval context has no workprec, so restore by hand.
+    saved_prec = iv.prec
     prec = 64
-    while candidates:
-        iv.prec = prec
-        target = _iv_value(a)
-        candidates = [
-            n for n in candidates if 0 in target - iv.cos(iv.pi / n)
-        ]
-        if prec >= _MAX_SEPARATION_PREC:
-            break
-        prec *= 2
+    try:
+        while candidates:
+            iv.prec = prec
+            target = _iv_value(a)
+            candidates = [
+                n for n in candidates if 0 in target - iv.cos(iv.pi / n)
+            ]
+            if prec >= _MAX_SEPARATION_PREC:
+                break
+            prec *= 2
+    finally:
+        iv.prec = saved_prec
     if candidates:
         raise ValueError(
             f"entry {g} is indistinguishable from cos(pi/n) for n in "

@@ -185,6 +185,16 @@ class Configuration:
     def row(self, label: str) -> tuple:
         return self.rows[self.position(label)]
 
+    def split(self, labels):
+        """(cluster rows, cocluster rows, cluster positions, cocluster
+        positions) for a cluster given by labels; positions are 0-based."""
+        positions = [self.position(label) for label in labels]
+        taken = set(positions)
+        rest = [i for i in range(len(self.rows)) if i not in taken]
+        cluster = [self.rows[i] for i in positions]
+        cocluster = [self.rows[i] for i in rest]
+        return cluster, cocluster, positions, rest
+
     def gram(self):
         return geometry.gram(self.rows)
 

@@ -27,9 +27,9 @@ from fractions import Fraction
 
 from ._matrix import as_matrix, identity, mat_inverse, mat_mul, rref
 from .exactnum import QNum, sqrt
-from .geometry import as_vector, bend_matrix, is_wall, reflection_matrix
+from .geometry import as_vector, bend_matrix, reflection_matrix
 from .groupwords import Configuration
-from .orbit import splitmix64
+from .orbit import _checked_rows, splitmix64
 
 VERDICTS = ("integral-proven", "nonintegral-proven", "growth-evidence", "inconclusive")
 
@@ -40,14 +40,6 @@ class IntegralityCertificate:
     rescale_factor: QNum | None
     witnesses: tuple
     detail: str
-
-
-def _walls(rows, what):
-    out = tuple(as_vector(r) for r in rows)
-    for i, r in enumerate(out):
-        if not is_wall(r):
-            raise ValueError("%s row %d does not have norm -1" % (what, i + 1))
-    return out
 
 
 def rescale(config, factor):
@@ -109,7 +101,7 @@ def prove_integral(basis, cluster_rows, mirror_rows):
     every mirror bend matrix be integral and every cluster bend an
     integer; the bend matrices are the replayable witnesses.
     """
-    rows = _walls(basis, "basis")
+    rows = _checked_rows(basis, "basis")
     if len(rows) != len(rows[0]):
         raise ValueError("basis must be square")
     for idx in list(cluster_rows) + list(mirror_rows):
@@ -166,7 +158,7 @@ def prove_nonintegral(rows):
     reduced form; an irrational entry there proves the packing admits no
     integral rescaling.  An all-rational canonical basis is inconclusive.
     """
-    rows = _walls(rows, "matrix")
+    rows = _checked_rows(rows, "matrix")
     m = len(rows)
     width = len(rows[0])
     if m <= width:
@@ -282,13 +274,13 @@ def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
     Random seeded words verify the bound empirically; the identity word
     is always included.
     """
-    rows = _walls(basis, "basis")
+    rows = _checked_rows(basis, "basis")
     if len(rows) != len(rows[0]):
         raise ValueError("basis must be square")
     v = as_matrix(rows)
     v_inv = mat_inverse(v)
     reflections = []
-    for k, m in enumerate(_walls(mirrors, "mirror")):
+    for k, m in enumerate(_checked_rows(mirrors, "mirror")):
         r = reflection_matrix(m)
         if not _integral_matrix(r):
             raise ValueError("mirror %d has a non-integral reflection matrix" % (k + 1))

@@ -26,8 +26,7 @@ import math
 import warnings
 from fractions import Fraction
 
-import numpy as np
-from scipy.integrate import quad
+import mpmath
 
 # Beyond this the truncated expansion is no longer a good substitute
 # for the series (the neglected tail is of practical size).
@@ -78,22 +77,23 @@ def lobachevsky(theta: float, tol: float = 1e-9) -> float:
     if math.pi - r < _SERIES_SWITCH:
         return -lobachevsky_asymptotic(math.pi - r, terms=12)
     count = series_terms(r, tol)
-    n = np.arange(1, count + 1, dtype=np.float64)
-    return 0.5 * float(np.sum(np.sin(2.0 * r * n) / (n * n)))
+    return 0.5 * sum(math.sin(2.0 * r * n) / (n * n) for n in range(1, count + 1))
 
 
 def lobachevsky_quadrature(theta: float, tol: float = 1e-9) -> float:
     """Evaluate L by adaptive quadrature on the defining integral.
 
     The integrand log|2 sin u| has an integrable log singularity at 0.
-    Rather than leaning on QAGS extrapolation (which stalls at tight
-    tolerances), split off the singular part in closed form,
+    Rather than leaning on the quadrature rule to absorb it, split off
+    the singular part in closed form,
 
         int_0^r log(2 sin u) du = r (log(2r) - 1) + int_0^r log(sin u / u) du,
 
     so the remaining integrand extends continuously by 0 at u = 0.  The
     reflection L(pi - r) = -L(r) keeps the range inside [0, pi/2], clear
-    of the other zero of sin.
+    of the other zero of sin.  The smooth part goes to mpmath's
+    tanh-sinh rule at the current mpmath precision; ValueError if its
+    error estimate exceeds tol.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -104,15 +104,14 @@ def lobachevsky_quadrature(theta: float, tol: float = 1e-9) -> float:
         sign = -1.0
     if r == 0.0:
         return 0.0
-    smooth, _ = quad(
-        lambda u: math.log(math.sin(u) / u) if u > 0.0 else 0.0,
-        0.0,
-        r,
-        epsabs=tol,
-        epsrel=1e-12,
-        limit=200,
+    smooth, error = mpmath.quad(
+        lambda u: mpmath.log(mpmath.sin(u) / u) if u else 0, [0, r], error=True
     )
-    return -sign * (r * (math.log(2.0 * r) - 1.0) + smooth)
+    if error > tol:
+        raise ValueError(
+            f"quadrature error estimate {float(error):g} exceeds tolerance {tol!r}"
+        )
+    return -sign * (r * (math.log(2.0 * r) - 1.0) + float(smooth))
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,8 +4,7 @@ A packing orbit starts from the cluster circles (generation 0) and
 repeatedly reflects every frontier circle in every mirror.  For a
 packing the mirrors are the cocluster walls; for a superpacking they
 are cluster and cocluster together.  Circles are deduplicated by their
-exact coordinate tuple (bends alone collide), so two runs with any
-thread count produce the same circle sequence.
+exact coordinate tuple (bends alone collide).
 
 A circle is never reflected in a mirror equal to itself or to its
 negation: the image would be the same wall with reversed orientation,
@@ -22,7 +21,6 @@ canonical exact form.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,19 +93,7 @@ def _checked_rows(rows, what):
     return out
 
 
-def _expand(chunk, mirrors):
-    # mirrors: list of (1-based index, vector, negated vector)
-    out = []
-    for circ in chunk:
-        v = circ.vector
-        for idx, m, neg_m in mirrors:
-            if m == v or neg_m == v:
-                continue
-            out.append((reflect(v, m), "%d.%s" % (idx, circ.word)))
-    return out
-
-
-def _generate(cluster, cocluster, limits, mirrors, mode, threads):
+def _generate(cluster, limits, mirrors, mode):
     if limits is None:
         limits = OrbitLimits()
     if not cluster:
@@ -117,36 +103,33 @@ def _generate(cluster, cocluster, limits, mirrors, mode, threads):
         OrbitCircle(v, 0, str(i + 1)) for i, v in enumerate(cluster)
     ]
     seen = set(c.vector for c in circles)
+    # (1-based index, vector, negated vector)
     mirror_data = [(idx, m, tuple(-c for c in m)) for idx, m in mirrors]
 
     frontier = circles[:]
     generation = 0
     while frontier and generation < limits.max_generation:
-        if threads > 1 and len(frontier) > 1:
-            step = (len(frontier) + threads - 1) // threads
-            chunks = [frontier[i : i + step] for i in range(0, len(frontier), step)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(_expand, chunks, [mirror_data] * len(chunks)))
-            candidates = [c for part in parts for c in part]
-        else:
-            candidates = _expand(frontier, mirror_data)
-
         generation += 1
-        frontier = []
-        for vec, word in candidates:
-            if vec in seen:
-                continue
-            if limits.max_bend is not None and abs(vec[1]) > limits.max_bend:
-                continue
-            seen.add(vec)
-            circ = OrbitCircle(vec, generation, word)
-            circles.append(circ)
-            frontier.append(circ)
+        parents, frontier = frontier, []
+        for parent in parents:
+            v = parent.vector
+            for idx, m, neg_m in mirror_data:
+                if m == v or neg_m == v:
+                    continue
+                vec = reflect(v, m)
+                if vec in seen:
+                    continue
+                if limits.max_bend is not None and abs(vec[1]) > limits.max_bend:
+                    continue
+                seen.add(vec)
+                circ = OrbitCircle(vec, generation, "%d.%s" % (idx, parent.word))
+                circles.append(circ)
+                frontier.append(circ)
 
     return PackingOrbit(tuple(circles), limits, mode)
 
 
-def _assert_disjoint_sample(orbit, pairs=32):
+def _check_disjoint_sample(orbit, pairs=32):
     # tangent or disjoint interiors: <v,w> = 1 or > 1, checked exactly
     circles = orbit.circles
     n = len(circles)
@@ -159,30 +142,31 @@ def _assert_disjoint_sample(orbit, pairs=32):
         if i == j:
             continue
         p = inner(circles[i].vector, circles[j].vector)
-        assert (p - 1).sign() >= 0, (
-            "orbit circles %s and %s have overlapping interiors"
-            % (circles[i].word, circles[j].word)
-        )
+        if (p - 1).sign() < 0:
+            raise ValueError(
+                "orbit circles %s and %s have overlapping interiors"
+                % (circles[i].word, circles[j].word)
+            )
 
 
-def generate_packing(cluster, cocluster, limits=None, threads=1):
+def generate_packing(cluster, cocluster, limits=None):
     """Orbit of the cluster under reflections in the cocluster walls."""
     cluster = _checked_rows(cluster, "cluster")
     cocluster = _checked_rows(cocluster, "cocluster")
     offset = len(cluster)
     mirrors = [(offset + k + 1, m) for k, m in enumerate(cocluster)]
-    orbit = _generate(cluster, cocluster, limits, mirrors, "packing", threads)
-    _assert_disjoint_sample(orbit)
+    orbit = _generate(cluster, limits, mirrors, "packing")
+    _check_disjoint_sample(orbit)
     return orbit
 
 
-def generate_superpacking(cluster, cocluster, limits=None, threads=1):
+def generate_superpacking(cluster, cocluster, limits=None):
     """Orbit of the cluster under reflections in all walls (interiors
     of the result may overlap)."""
     cluster = _checked_rows(cluster, "cluster")
     cocluster = _checked_rows(cocluster, "cocluster")
     mirrors = [(k + 1, m) for k, m in enumerate(cluster + cocluster)]
-    return _generate(cluster, cocluster, limits, mirrors, "superpacking", threads)
+    return _generate(cluster, limits, mirrors, "superpacking")
 
 
 def bends(orbit):

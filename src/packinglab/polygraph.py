@@ -265,7 +265,8 @@ def glue_face(a, fa, b, fb, matching, require_equivalent=True):
     vertices = list(a.vertices) + [
         rename[v] for v in b.vertices if rename[v] not in set(a.vertices)
     ]
-    assert len(vertices) == len(a.vertices) + len(b.vertices) - len(matching)
+    if len(vertices) != len(a.vertices) + len(b.vertices) - len(matching):
+        raise ValueError("glued vertex count does not match the matching")
     return PlanarPolyhedron(
         "%s+%s" % (a.name, b.name), tuple(vertices), tuple(faces)
     )
@@ -334,9 +335,11 @@ def count_after_glue(kind, a_counts, b_counts, n):
         out = (va + vb - 2, ea + eb - n, fa + fb - n)
     else:
         raise ValueError("kind must be 'face' or 'vertex'")
-    assert all(o > x for o, x in zip(out, a_counts)) and all(
-        o > x for o, x in zip(out, b_counts)
-    ), "gluing must strictly grow all three counts"
+    if not (
+        all(o > x for o, x in zip(out, a_counts))
+        and all(o > x for o, x in zip(out, b_counts))
+    ):
+        raise ValueError("gluing must strictly grow all three counts")
     return out
 
 

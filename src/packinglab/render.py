@@ -274,7 +274,7 @@ def render_svg(source, opts=None):
     return "\n".join(lines) + "\n"
 
 
-def supercluster_circles(config, cluster_labels, limits=None, threads=1):
+def supercluster_circles(config, cluster_labels, limits=None):
     """Cluster orbit plus the cocluster rows themselves, for figures
     showing both color classes.
 
@@ -282,12 +282,8 @@ def supercluster_circles(config, cluster_labels, limits=None, threads=1):
     RenderOptions so the cocluster rows pick up the second color.
     Cocluster words are "co-<label>" to keep them clear of orbit words.
     """
-    positions = [config.position(label) for label in cluster_labels]
-    taken = set(positions)
-    rest = [i for i in range(len(config.rows)) if i not in taken]
-    cluster = [config.rows[i] for i in positions]
-    cocluster = [config.rows[i] for i in rest]
-    orbit = generate_packing(cluster, cocluster, limits=limits, threads=threads)
+    cluster, cocluster, _, rest = config.split(cluster_labels)
+    orbit = generate_packing(cluster, cocluster, limits=limits)
     extra = tuple(
         OrbitCircle(config.rows[i], 0, "co-" + config.labels[i]) for i in rest
     )

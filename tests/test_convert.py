@@ -8,6 +8,7 @@ from packinglab import geometry
 from packinglab.convert import (
     BianchiRoot,
     VinbergVector,
+    _unit_scale,
     convert_all,
     convert_root,
     from_mcleod_bianchi,
@@ -143,21 +144,23 @@ def test_bianchi_inner_products_track_polarization(pair):
     rx, ry = BianchiRoot(m, x), BianchiRoot(m, y)
     got = geometry.inner(from_mcleod_bianchi(rx), from_mcleod_bianchi(ry))
     # compare against the source bilinear form, normalization folded in
-    from packinglab.convert import _unit_scale
-
     want = -HALF * _polarization(m, rx.x, ry.x) \
         * _unit_scale(rx.form_value() / 2) * _unit_scale(ry.form_value() / 2)
     assert got == want
 
 
-def test_convert_all_dispatch_and_threads():
+def test_unit_scale_rejects_nonpositive():
+    with pytest.raises(ValueError, match="positive rational"):
+        _unit_scale(Fraction(-2))
+
+
+def test_convert_all_dispatch():
     items = [
         BianchiRoot(2, (2, 0, 0, -1)),
         VinbergVector(3, (0, 0, 0, 1)),
         BianchiRoot(1, (0, 0, 1, 0)),
     ]
     seq = convert_all(items)
-    assert seq == convert_all(items, threads=4)
     assert seq[0] == (R2, QNum(0), QNum(0), QNum(-1))
     assert seq[1] == (QNum(0), QNum(0), QNum(0), QNum(1))
     with pytest.raises(TypeError, match="BianchiRoot or VinbergVector"):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import iv
 
 from packinglab import coxeter
 from packinglab.coxeter import Angle, Disjoint, Orthogonal, Tangent
@@ -40,6 +41,17 @@ def test_classify_unmatched_raises():
     # ~cos(pi/8) to 5 digits; interval separation must still reject it
     with pytest.raises(ValueError, match="unclassifiable"):
         coxeter.classify_entry(QNum("92388/100000"))
+
+
+def test_classify_restores_interval_precision():
+    saved = iv.prec
+    iv.prec = 53
+    try:
+        with pytest.raises(ValueError, match="unclassifiable"):
+            coxeter.classify_entry(sqrt(2) / 3)
+        assert iv.prec == 53
+    finally:
+        iv.prec = saved
 
 
 def test_classify_respects_max_order():

@@ -121,14 +121,11 @@ def test_disjoint_interiors_exact():
             assert p == 1 or (p - 1).sign() > 0
 
 
-def test_thread_determinism():
-    limits = OrbitLimits(max_generation=4, max_bend=100)
-    one = generate_packing(BI1_CLUSTER, BI1_COCLUSTER, limits, threads=1)
-    eight = generate_packing(BI1_CLUSTER, BI1_COCLUSTER, limits, threads=8)
-    assert one.circles == eight.circles
-    s_one = generate_superpacking(BI1_CLUSTER, BI1_COCLUSTER, limits, threads=1)
-    s_eight = generate_superpacking(BI1_CLUSTER, BI1_COCLUSTER, limits, threads=8)
-    assert s_one.circles == s_eight.circles
+def test_disjoint_sample_check_raises():
+    same = tuple(orbit.OrbitCircle(BI1[2], 0, str(k)) for k in range(1, 5))
+    overlapping = orbit.PackingOrbit(same, OrbitLimits(), "packing")
+    with pytest.raises(ValueError, match="overlapping interiors"):
+        orbit._check_disjoint_sample(overlapping)
 
 
 def test_superpacking_contains_packing():

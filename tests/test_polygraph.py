@@ -265,5 +265,5 @@ def test_count_after_glue_validation():
         count_after_glue("face", (4, 6, 4), (4, 6, 4), 2)
     with pytest.raises(ValueError, match="kind"):
         count_after_glue("edge", (4, 6, 4), (4, 6, 4), 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="strictly grow"):
         count_after_glue("face", (4, 6, 4), (3, 3, 2), 3)

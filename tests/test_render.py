@@ -110,11 +110,9 @@ def test_errors():
         render_svg([wall_only], RenderOptions())
 
 
-def bi1_figure(threads=1):
+def bi1_figure():
     cfg = catalog.get_builtin("bi1-cluster3").configuration
-    circles, co_words = supercluster_circles(
-        cfg, ["3"], OrbitLimits(max_generation=4), threads=threads
-    )
+    circles, co_words = supercluster_circles(cfg, ["3"], OrbitLimits(max_generation=4))
     opts = RenderOptions(
         viewport=((-3, 3), (-1, 2)), labels="bends", cocluster_words=co_words
     )
@@ -132,9 +130,7 @@ def test_bi1_cluster3_figure_matches_expected_shape():
     assert shown and all(re.fullmatch(r"-?\d+", t) for t in shown)
 
 
-def test_bi1_figure_determinism_across_threads_and_tsv_roundtrip():
-    assert bi1_figure(threads=1) == bi1_figure(threads=8)
-
+def test_bi1_figure_tsv_roundtrip():
     cfg = catalog.get_builtin("bi1-cluster3").configuration
     orbit = generate_packing(
         [cfg.row("3")],
