@@ -5,6 +5,7 @@ scale: every matrix in the workflow is at most (n+2) x (n+2) with
 n <= 12, or a configuration with a couple dozen rows, so plain
 Gauss-Jordan with exact arithmetic is the right tool and pivoting is
 by first nonzero entry (exact, so there is no stability concern).
+`rref` is the one elimination: inversion is `rref` of [A | I].
 """
 
 from __future__ import annotations
@@ -58,23 +59,15 @@ def row_mat(v, a: Matrix):
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; ValueError on a singular input."""
+    """Exact inverse as the right half of rref([A | I]); ValueError on a
+    singular input."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("inverse needs a square matrix")
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    reduced, pivots = rref(tuple(tuple(row) + e for row, e in zip(a, identity(n))))
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(row[n:] for row in reduced)
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -29,17 +29,17 @@ SCHEMA_FIELDS = (
 )
 
 
-def _gram_mismatch(rows, stored):
-    """First differing cell between the computed and stored Gram, if any."""
-    computed = geometry.gram(rows)
+def _gram_mismatch(computed, stored):
+    """First cell (i, j) where the stored Gram differs from the computed
+    one, or None; j = -1 marks a shape mismatch."""
     if len(stored) != len(computed):
-        return (-1, -1, computed)
+        return (-1, -1)
     for i, row in enumerate(stored):
         if len(row) != len(computed):
-            return (i, -1, computed)
+            return (i, -1)
         for j, cell in enumerate(row):
             if computed[i][j] != cell:
-                return (i, j, computed)
+                return (i, j)
     return None
 
 
@@ -56,9 +56,10 @@ class CatalogEntry:
         if self.gram is not None:
             stored = tuple(tuple(QNum(c) for c in row) for row in self.gram)
             object.__setattr__(self, "gram", stored)
-            bad = _gram_mismatch(cfg.rows, stored)
+            computed = cfg.gram()
+            bad = _gram_mismatch(computed, stored)
             if bad is not None:
-                i, j, computed = bad
+                i, j = bad
                 if j < 0:
                     raise ValueError(
                         "gram matrix shape disagrees with %d rows" % len(cfg.rows)
@@ -222,15 +223,15 @@ def validate(entry: CatalogEntry) -> CatalogReport:
         checks.append(CatalogCheck(
             "row-norm", label, norm == QNum(-1), "norm %s" % norm,
         ))
+    computed = cfg.gram()
     if entry.gram is not None:
-        bad = _gram_mismatch(cfg.rows, entry.gram)
+        bad = _gram_mismatch(computed, entry.gram)
         if bad is None:
             detail = "%dx%d exact match" % (len(entry.gram), len(entry.gram))
         else:
-            detail = "mismatch at cell (%d, %d)" % bad[:2]
+            detail = "mismatch at cell (%d, %d)" % bad
         checks.append(CatalogCheck("gram", entry.id, bad is None, detail))
     if entry.clusters is not None:
-        computed = geometry.gram(cfg.rows)
         for cluster in entry.clusters:
             report = coxeter.validate_cluster(
                 computed, entry.cluster_indices(cluster)

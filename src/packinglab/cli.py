@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, convert, coxeter, lobachevsky, polygraph
-from .geometry import bend_matrix, reflect
+from .geometry import bend_matrix
 from .groupwords import double
 from .integrality import (
     certificate_to_json,
@@ -205,32 +205,18 @@ def _cmd_check_integrality(args):
     return 0
 
 
-def _supplement_rows(config, target, depth):
-    """Extend the wall list with reflected images, breadth-first, until
-    there are at least `target` rows (or the depth runs out)."""
-    rows = list(config.rows)
-    seen = set(rows)
-    frontier = list(config.rows)
-    for _ in range(depth):
-        if len(rows) >= target:
-            break
-        new = []
-        for v in frontier:
-            for mirror in config.rows:
-                if mirror == v:
-                    continue
-                w = reflect(v, mirror)
-                if w not in seen:
-                    seen.add(w)
-                    new.append(w)
-        rows.extend(new)
-        frontier = new
-    return rows
-
-
 def _cmd_prove_nonintegral(args):
     config = _load_config(args.config)
-    rows = _supplement_rows(config, config.dim_n + 4, args.depth)
+    # add reflected images of the walls, one generation deeper at a time,
+    # until there are two more rows than columns or the depth runs out;
+    # long wall lists (d3n13 has 22 rows) must not pay for --depth
+    # generations up front
+    rows = config.rows
+    depth = 0
+    while len(rows) < config.dim_n + 4 and depth < args.depth:
+        depth += 1
+        orbit = generate_superpacking(config.rows, (), OrbitLimits(depth, None))
+        rows = [c.vector for c in orbit.circles]
     cert = prove_nonintegral(rows)
     _emit(certificate_to_json(cert) + "\n", args.out)
     return 0
@@ -339,7 +325,6 @@ def _cmd_render(args):
         labels=args.labels,
         cocluster_words=cocluster_words,
         max_circles=args.max_circles,
-        max_bend=None,
     )
     _emit(render_svg(circles, opts), args.out)
     return 0

@@ -168,17 +168,12 @@ def _is_thick(g: QNum) -> bool:
     return (abs(g) - 1).sign() >= 0
 
 
-def enumerate_clusters(
-    gram,
-    exclude_orthogonal_within_cluster: bool = True,
-    max_size: int | None = None,
-):
+def enumerate_clusters(gram, max_size: int | None = None):
     """All vertex subsets satisfying the separation criterion.
 
     Returned as sorted tuples of 0-based indices, in lexicographic
-    order.  By default internal orthogonal pairs are excluded (they
-    are anyway by the pairwise |g| >= 1 rule); passing False relaxes
-    the internal condition to |g| >= 1 or g = 0.
+    order.  Internal orthogonal pairs are excluded by the pairwise
+    |g| >= 1 rule.
     """
     m = len(gram)
     if max_size is None:
@@ -197,9 +192,7 @@ def enumerate_clusters(
 
     def compatible(i: int, j: int) -> bool:
         g = gram[i][j]
-        if not g:
-            return not exclude_orthogonal_within_cluster
-        return _is_thick(g)
+        return bool(g) and _is_thick(g)
 
     out = []
 

@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
-from ._matrix import as_matrix, identity, mat_inverse, mat_mul, rref
+from ._matrix import as_matrix, identity, mat_inverse, mat_mul, rref, transpose
 from .exactnum import QNum, sqrt
 from .geometry import as_vector, bend_matrix, reflection_matrix
-from .groupwords import Configuration
 from .orbit import _checked_rows, splitmix64
 
 VERDICTS = ("integral-proven", "nonintegral-proven", "growth-evidence", "inconclusive")
@@ -42,19 +40,16 @@ class IntegralityCertificate:
     detail: str
 
 
-def rescale(config, factor):
+def rescale(rows, factor):
     """Conformal dilation: (co-bend, bend, centers) -> (f*co-bend, bend/f, centers).
 
     Norms and the whole Gram matrix are preserved; every bend is divided
-    by the factor.  Accepts a Configuration (returned as one) or a plain
-    row sequence.
+    by the factor.  Takes and returns a row sequence.
     """
     factor = QNum(factor)
     if factor.sign() <= 0:
         raise ValueError("rescale factor must be positive")
-    if isinstance(config, Configuration):
-        return replace(config, rows=rescale(config.rows, factor))
-    rows = tuple(as_vector(r) for r in config)
+    rows = tuple(as_vector(r) for r in rows)
     inv = factor.inverse()
     return tuple((r[0] * factor, r[1] * inv) + r[2:] for r in rows)
 
@@ -166,14 +161,14 @@ def prove_nonintegral(rows):
             "need more rows than columns (%d x %d); supplement from the orbit"
             % (m, width)
         )
-    transpose = tuple(tuple(r[j] for r in rows) for j in range(width))
-    _, pivots = rref(transpose)
+    columns = transpose(rows)
+    _, pivots = rref(columns)
     if len(pivots) < width:
         raise ValueError(
             "matrix rank %d < %d; supplement independent orbit rows"
             % (len(pivots), width)
         )
-    basis = _kernel_basis(transpose)
+    basis = _kernel_basis(columns)
     irrational = [
         (i, j)
         for i, vec in enumerate(basis)
@@ -192,29 +187,6 @@ def prove_nonintegral(rows):
     )
 
 
-def _fraction_matrix(m, what):
-    out = []
-    for row in m:
-        frow = []
-        for e in row:
-            q = QNum(e)
-            if not q.is_rational():
-                raise ValueError("%s entries must be rational" % what)
-            frow.append(q.as_fraction())
-        out.append(tuple(frow))
-    return tuple(out)
-
-
-def _fmat_mul(a, b):
-    if len(a[0]) != len(b):
-        raise ValueError("dimension mismatch: %dx%d by %dx%d"
-                         % (len(a), len(a[0]), len(b), len(b[0])))
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def denominator_growth_probe(bend_matrices, word, iterations=12):
     """Track entry denominators of P, P^2, ..., P^K for the word's product.
 
@@ -223,8 +195,10 @@ def denominator_growth_probe(bend_matrices, word, iterations=12):
     """
     if iterations < 2:
         raise ValueError("need at least 2 iterations")
-    mats = [_fraction_matrix(m, "bend matrix %d" % (k + 1))
-            for k, m in enumerate(bend_matrices)]
+    mats = [as_matrix(m) for m in bend_matrices]
+    for k, m in enumerate(mats):
+        if not all(e.is_rational() for row in m for e in row):
+            raise ValueError("bend matrix %d entries must be rational" % (k + 1))
     for m in mats:
         if len(m) != len(m[0]) or len(m) != len(mats[0]):
             raise ValueError("dimension mismatch among bend matrices")
@@ -236,13 +210,13 @@ def denominator_growth_probe(bend_matrices, word, iterations=12):
             raise ValueError("word index %d out of range" % idx)
     product = mats[word[0] - 1]
     for idx in word[1:]:
-        product = _fmat_mul(product, mats[idx - 1])
+        product = mat_mul(product, mats[idx - 1])
 
     trace = []
     power = product
     for _ in range(iterations):
         trace.append(max(e.denominator for row in power for e in row))
-        power = _fmat_mul(power, product)
+        power = mat_mul(power, product)
     tail = iterations // 2
     growing = all(trace[k - 1] < trace[k] for k in range(iterations - tail, iterations))
     return IntegralityCertificate(

@@ -47,7 +47,6 @@ class PlanarPolyhedron:
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
         known = set(vertices)
-        derived = {}
         for fi, f in enumerate(faces):
             if len(f) < 3:
                 raise ValueError("face %d has fewer than 3 vertices" % fi)
@@ -56,8 +55,7 @@ class PlanarPolyhedron:
             for v in f:
                 if v not in known:
                     raise ValueError("face %d uses unknown vertex %r" % (fi, v))
-            for i in range(len(f)):
-                derived.setdefault(_edge_key(f[i], f[(i + 1) % len(f)]), []).append(fi)
+        derived = self.edge_faces()
         if self.edges:
             given = set(_edge_key(str(x), str(y)) for x, y in self.edges)
             if given != set(derived):

@@ -7,9 +7,9 @@ emitted in a canonical order (generation, then the exact coordinate
 text) and every numeral is formatted the same way, so diffing two
 figures is meaningful.
 
-Keep/drop decisions (dedup, bend bound, viewport culling) happen in
-exact arithmetic; floats appear only in the final numerals, at 12
-significant digits.
+Keep/drop decisions (dedup, viewport culling) happen in exact
+arithmetic; floats appear only in the final numerals, at 12 significant
+digits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import ONE
-from .groupwords import Configuration
 from .orbit import OrbitCircle, PackingOrbit, generate_packing
 
 CLUSTER_COLOR = "#1f6fb2"
@@ -34,17 +33,14 @@ class RenderOptions:
 
     viewport is an exact rational box ((xlo, xhi), (ylo, yhi)); None
     means fit to the circles present.  cocluster_words routes circles
-    (matched by their full word) to the second color class.
+    (matched by their full word) to COCLUSTER_COLOR, every other circle
+    is CLUSTER_COLOR; strokes are width/400 of the viewport.
     """
 
     viewport: tuple | None = None
-    stroke_width: float | None = None
     labels: str = "none"
-    cluster_color: str = CLUSTER_COLOR
-    cocluster_color: str = COCLUSTER_COLOR
     cocluster_words: frozenset = frozenset()
     max_circles: int | None = None
-    max_bend: int | None = None
 
     def __post_init__(self):
         if self.labels not in LABEL_MODES:
@@ -87,11 +83,6 @@ def _coord_text(vector):
 def _as_circles(source):
     if isinstance(source, PackingOrbit):
         return source.circles
-    if isinstance(source, Configuration):
-        return tuple(
-            OrbitCircle(row, 0, label)
-            for label, row in zip(source.labels, source.rows)
-        )
     circles = tuple(source)
     for c in circles:
         if not isinstance(c, OrbitCircle):
@@ -174,8 +165,8 @@ def _shape(vector):
 
 
 def render_svg(source, opts=None):
-    """Render an orbit, a configuration, or a sequence of OrbitCircle
-    to an SVG 1.1 document (returned as text)."""
+    """Render an orbit or a sequence of OrbitCircle to an SVG 1.1
+    document (returned as text)."""
     if opts is None:
         opts = RenderOptions()
     circles = _as_circles(source)
@@ -194,8 +185,6 @@ def render_svg(source, opts=None):
         if c.vector in seen:
             continue
         seen.add(c.vector)
-        if opts.max_bend is not None and abs(c.vector[1]) > opts.max_bend:
-            continue
         kept.append((c, _shape(c.vector)))
 
     box = opts.viewport
@@ -217,16 +206,12 @@ def render_svg(source, opts=None):
     (xlo, xhi), (ylo, yhi) = box
     width = float(xhi - xlo)
     height = float(yhi - ylo)
-    stroke = opts.stroke_width
-    if stroke is None:
-        stroke = width / 400.0
+    stroke = width / 400.0
 
     shapes_out = []
     labels_out = []
     for c, shape in visible:
-        color = (
-            opts.cocluster_color if c.word in opts.cocluster_words else opts.cluster_color
-        )
+        color = COCLUSTER_COLOR if c.word in opts.cocluster_words else CLUSTER_COLOR
         kind = shape[0]
         if kind == "circle":
             center, radius = shape[1], shape[2]

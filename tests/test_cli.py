@@ -4,6 +4,8 @@ import math
 import pytest
 
 from packinglab import catalog, cli
+from packinglab.geometry import bend_matrix
+from packinglab.integrality import certificate_to_json, denominator_growth_probe
 from packinglab.orbit import (
     OrbitLimits,
     export_tsv,
@@ -72,3 +74,52 @@ def test_domain_error_is_one_json_line(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "ValueError"
+
+
+RATIONAL = "left nullspace is defined over the rationals"
+
+
+@pytest.mark.parametrize(
+    "entry, verdict, witnesses, detail",
+    [
+        ("bi1-cluster3", "inconclusive", 12, RATIONAL),
+        ("d1n3", "inconclusive", 7, RATIONAL),
+        (
+            "d1n3-base", "nonintegral-proven", 5,
+            "left-nullspace basis vector 2 has irrational entry sqrt(2) at row 3",
+        ),
+    ],
+)
+def test_prove_nonintegral_supplemented_rows(capsys, entry, verdict, witnesses, detail):
+    assert cli.run(["prove-nonintegral", "--config", "builtin:" + entry]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], len(doc["witnesses"]), doc["detail"]) == (
+        verdict, witnesses, detail,
+    )
+
+
+def test_growth_probe_matches_library(capsys):
+    argv = ["growth-probe", "--config", "builtin:bi1-cluster3", "--word", "2.1"]
+    assert cli.run(argv) == 0
+    rows = catalog.get_builtin("bi1-cluster3").configuration.rows
+    cert = denominator_growth_probe([bend_matrix(rows, m) for m in rows], [2, 1])
+    assert cert.witnesses == (1,) * 12
+    assert capsys.readouterr().out == certificate_to_json(cert) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["prove-nonintegral", "--config", "builtin:bi1-cluster3", "--depth", "0"],
+            "need more rows than columns (4 x 4)",
+        ),
+        (
+            ["growth-probe", "--config", "builtin:d1n3-base", "--word", "2.1"],
+            "bend matrix 2 entries must be rational",
+        ),
+    ],
+)
+def test_certificate_domain_errors(capsys, argv, message):
+    assert cli.run(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"].startswith(message)

@@ -103,10 +103,6 @@ def test_diagram_trivial():
 def test_clusters_pack13():
     got = coxeter.enumerate_clusters(as_gram(PACK13_GRAM))
     assert got == [(3,), (4,)]  # rows labeled 4 and 3.4
-    relaxed = coxeter.enumerate_clusters(
-        as_gram(PACK13_GRAM), exclude_orthogonal_within_cluster=False
-    )
-    assert relaxed == [(3,), (3, 4), (4,)]
 
 
 def test_clusters_max_size():

@@ -40,9 +40,10 @@ def test_inverse_round_trip():
 
 
 def test_inverse_singular():
-    a = _matrix.as_matrix([[1, 2], [2, 4]])
-    with pytest.raises(ValueError, match="singular"):
-        _matrix.mat_inverse(a)
+    # the second matrix's third row is the sum of the other two
+    for rows in ([[1, 2], [2, 4]], [[1, 2, 3], [0, 1, 4], [1, 3, 7]]):
+        with pytest.raises(ValueError, match="singular"):
+            _matrix.mat_inverse(_matrix.as_matrix(rows))
 
 
 def test_row_mat_matches_mat_mul():

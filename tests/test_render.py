@@ -66,9 +66,6 @@ def test_bend_and_count_bounds():
         OrbitCircle(circle_row(0, 2, 0, 2), 1, "a"),
         OrbitCircle(circle_row(-2, 5, 0, 5), 2, "b"),
     ]
-    opts = RenderOptions(viewport=((-3, 3), (-3, 3)), max_bend=4)
-    svg = render_svg(rows, opts)
-    assert svg.count("<circle") == 2
     capped = render_svg(rows, RenderOptions(viewport=((-3, 3), (-3, 3)), max_circles=1))
     assert capped.count("<circle") == 1
 
