@@ -4,11 +4,25 @@ A packing orbit starts from the cluster circles (generation 0) and
 repeatedly reflects every frontier circle in every mirror.  For a
 packing the mirrors are the cocluster walls; for a superpacking they
 are cluster and cocluster together.  Circles are deduplicated by their
-exact coordinate tuple (bends alone collide).
+exact coordinates (bends alone collide).
 
 A circle is never reflected in a mirror equal to itself or to its
 negation: the image would be the same wall with reversed orientation,
-which is not a new member of the orbit.
+which is not a new member of the orbit.  Nor is it reflected in the
+mirror that made it, whose image is its parent, already in the orbit.
+
+The loop runs on integers.  Each call first closes the radicands of
+its rows under products into a fixed multiquadratic basis ({1,2,5,10}
+for Bi(10), {1,2,3,6} for the d=3 entries), writes every row as its
+(n+2)*d integer basis coefficients over one positive common
+denominator reduced by the gcd, and uses that tuple as the exact dedup
+key.  Each mirror is compiled once into integer tables, so a
+reflection is an integer rank-one update and one gcd.  The bend bound
+is settled in floats only when the float bend clears it by more than
+an absolute bound on the rounding error, proportional to
+sum |x_a| sqrt(r_a); inside that band, or on float overflow, the bend
+is compared as an exact QNum, so no decision rests on a float alone.
+QNum vectors are decoded for kept circles only.
 
 Every circle carries a provenance word "m_k. ... .m_1.a" of 1-based
 indices into the concatenated cluster + cocluster row list: circle
@@ -21,11 +35,12 @@ canonical exact form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import QNum
-from .geometry import as_vector, inner, interior_contains, is_wall, reflect
+from .geometry import as_vector, inner, interior_contains, is_wall
 from .groupwords import Configuration
 
 _MASK64 = (1 << 64) - 1
@@ -93,38 +108,218 @@ def _checked_rows(rows, what):
     return out
 
 
+def _squarefree_product(a, b):
+    """sqrt(a) * sqrt(b) = g * sqrt(c) for squarefree a, b: return (c, g)."""
+    g = math.gcd(a, b)
+    return (a // g) * (b // g), g
+
+
+class _Field:
+    """The multiquadratic basis of an orbit, and rows encoded over it.
+
+    The radicands of the cluster and mirror rows, closed under products,
+    span a ring that every reflection maps into itself.  A row is encoded
+    as its (n+2)*d basis coefficients, coordinate by coordinate, over one
+    positive common denominator appended at the end, the whole tuple
+    reduced by its gcd; that tuple is canonical, so it is the exact dedup
+    key.
+    """
+
+    def __init__(self, rows):
+        basis = {1}
+        for row in rows:
+            for q in row:
+                for k, _ in q.terms:
+                    if k not in basis:
+                        basis |= {_squarefree_product(k, r)[0] for r in basis}
+        self.radicands = tuple(sorted(basis))
+        self.d = len(self.radicands)
+        self.roots = tuple(math.sqrt(k) for k in self.radicands)
+        self.position = {k: a for a, k in enumerate(self.radicands)}
+        # product[a][b] = (position of c, g) for sqrt(r_a)*sqrt(r_b) = g*sqrt(c)
+        self.product = tuple(
+            tuple(
+                (self.position[c], g)
+                for c, g in (_squarefree_product(ra, rb) for rb in self.radicands)
+            )
+            for ra in self.radicands
+        )
+        self._coordinates = {}
+
+    def encode(self, row):
+        # over the lcm of the denominators the tuple is already reduced
+        den = 1
+        for q in row:
+            den = den * q.denominator // math.gcd(den, q.denominator)
+        key = [0] * (len(row) * self.d) + [den]
+        for i, q in enumerate(row):
+            for k, c in q.terms:
+                key[i * self.d + self.position[k]] = c.numerator * (den // c.denominator)
+        return tuple(key)
+
+    def coordinate(self, key, i):
+        """Coordinate i of an encoded row, as an exact QNum."""
+        return self._qnum(key[i * self.d:(i + 1) * self.d], key[-1])
+
+    def decode(self, key):
+        d, den = self.d, key[-1]
+        return tuple(self._qnum(key[i:i + d], den) for i in range(0, len(key) - 1, d))
+
+    def _qnum(self, coeffs, den):
+        # orbit coordinates repeat a great deal, and QNums are immutable
+        q = self._coordinates.get((coeffs, den))
+        if q is None:
+            q = self._coordinates[coeffs, den] = QNum._make(tuple(
+                (k, Fraction(x, den)) for k, x in zip(self.radicands, coeffs) if x
+            ))
+        return q
+
+
+class _Mirror:
+    """Reflection in one mirror, compiled to integer tables.
+
+    With v = x / D and m = y / E over the field's basis, 2<v,m> is
+    sum_c t_c sqrt(r_c) / (D E), where each t_c is an integer linear
+    functional of x, and v + 2<v,m> m = (E^2 x + sum_c t_c P_c) / (D E^2),
+    where P_c holds the coefficients of sqrt(r_c) * y.  Both tables come
+    in closed form from y and the basis product table.
+    """
+
+    def __init__(self, field, index, mirror):
+        self.index = index
+        self.key = field.encode(mirror)
+        d, product = field.d, field.product
+        y, den = self.key[:-1], self.key[-1]
+        self.negated = tuple(-a for a in y) + (den,)
+        self.scale = den * den
+        functionals = [{} for _ in range(d)]
+        columns = [{} for _ in range(d)]
+        # 2<v,m> = v0 m1 + v1 m0 - 2 sum_{i>=2} vi mi: (v slot, m slot, weight)
+        pairs = [(0, 1, 1), (1, 0, 1)] + [(i, i, -2) for i in range(2, len(mirror))]
+        for i, j, weight in pairs:
+            for b in range(d):
+                for a in range(d):
+                    c, g = product[a][b]
+                    slot = i * d + a
+                    functionals[c][slot] = functionals[c].get(slot, 0) + weight * g * y[j * d + b]
+        for k in range(len(mirror)):
+            for b in range(d):
+                for c in range(d):
+                    e, g = product[c][b]
+                    slot = k * d + e
+                    columns[c][slot] = columns[c].get(slot, 0) + g * y[k * d + b]
+        terms = []
+        for functional, column in zip(functionals, columns):
+            functional = tuple((s, w) for s, w in functional.items() if w)
+            column = tuple((s, w) for s, w in column.items() if w)
+            if functional and column:
+                terms.append((functional, column))
+        self.terms = tuple(terms)
+
+    def reflect(self, key):
+        scale = self.scale
+        out = list(key) if scale == 1 else [a * scale for a in key]
+        for functional, column in self.terms:
+            t = sum([key[s] * w for s, w in functional])
+            if t:
+                for s, w in column:
+                    out[s] += t * w
+        if out[-1] != 1:
+            g = math.gcd(*out)
+            if g != 1:
+                out = [a // g for a in out]
+        return tuple(out)
+
+
+class _BendBound:
+    """Exact test of abs(bend) > max_bend on encoded rows.
+
+    The float value of the bend, sum_a x_a sqrt(r_a) / D, settles the
+    test when it clears the bound by more than an absolute error bound:
+    (d + 4) * 2**-51 * (sum_a |x_a| sqrt(r_a) + |bound * D|) is over
+    four times the rounding error of the d products, the d - 1 additions
+    and the scaled bound, and the bound's own conversion error is added.
+    Inside that margin, or when a value is too large for a float, the
+    bend is decoded and compared exactly.
+    """
+
+    def __init__(self, field, max_bend):
+        self.field = field
+        self.max_bend = max_bend
+        self.relative = (field.d + 4) * 2.0 ** -51
+        try:
+            lo, hi = QNum(max_bend)._bounds(64)
+            self.bound = float(lo)
+            self.bound_err = 2 * float(hi - lo) + abs(self.bound) * 2.0 ** -51
+        except OverflowError:
+            # every screen then returns None
+            self.bound = self.bound_err = math.inf
+
+    def screen(self, key):
+        """True or False when floats settle the test, None when they cannot."""
+        d = self.field.d
+        den = key[-1]
+        try:
+            approx = size = 0.0
+            for x, root in zip(key[d:2 * d], self.field.roots):
+                term = x * root
+                approx += term
+                size += abs(term)
+            limit = self.bound * den
+            margin = self.relative * (size + abs(limit)) + self.bound_err * den
+        except OverflowError:
+            return None
+        excess = abs(approx) - limit
+        if excess > margin:
+            return True
+        if excess < -margin:
+            return False
+        return None  # inside the margin, or NaN from an infinite value
+
+    def exceeds(self, key):
+        decided = self.screen(key)
+        if decided is None:
+            return abs(self.field.coordinate(key, 1)) > self.max_bend
+        return decided
+
+
 def _generate(cluster, limits, mirrors, mode):
     if limits is None:
         limits = OrbitLimits()
     if not cluster:
         raise ValueError("cluster must be nonempty")
 
+    field = _Field(cluster + tuple(m for _, m in mirrors))
+    plans = [_Mirror(field, idx, m) for idx, m in mirrors]
+    bound = None if limits.max_bend is None else _BendBound(field, limits.max_bend)
+
     circles = [
         OrbitCircle(v, 0, str(i + 1)) for i, v in enumerate(cluster)
     ]
-    seen = set(c.vector for c in circles)
-    # (1-based index, vector, negated vector)
-    mirror_data = [(idx, m, tuple(-c for c in m)) for idx, m in mirrors]
+    # (key, word, position of the mirror that made the circle)
+    frontier = [(field.encode(c.vector), c.word, -1) for c in circles]
+    seen = set(key for key, _, _ in frontier)
 
-    frontier = circles[:]
     generation = 0
     while frontier and generation < limits.max_generation:
         generation += 1
         parents, frontier = frontier, []
-        for parent in parents:
-            v = parent.vector
-            for idx, m, neg_m in mirror_data:
-                if m == v or neg_m == v:
+        for key, word, made_by in parents:
+            for j, plan in enumerate(plans):
+                # the image in the mirror that made the circle is its parent
+                if j == made_by or key == plan.key or key == plan.negated:
                     continue
-                vec = reflect(v, m)
-                if vec in seen:
+                image = plan.reflect(key)
+                if image in seen:
                     continue
-                if limits.max_bend is not None and abs(vec[1]) > limits.max_bend:
+                if bound is not None and bound.exceeds(image):
                     continue
-                seen.add(vec)
-                circ = OrbitCircle(vec, generation, "%d.%s" % (idx, parent.word))
-                circles.append(circ)
-                frontier.append(circ)
+                seen.add(image)
+                frontier.append((image, "%d.%s" % (plan.index, word), j))
+        circles.extend(
+            OrbitCircle(field.decode(key), generation, word)
+            for key, word, _ in frontier
+        )
 
     return PackingOrbit(tuple(circles), limits, mode)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ONE
 from .orbit import OrbitCircle, PackingOrbit, generate_packing
 
 CLUSTER_COLOR = "#1f6fb2"
@@ -158,8 +157,9 @@ def _auto_viewport(shapes):
 def _shape(vector):
     b = vector[1]
     if b.sign() != 0:
-        center = (vector[2] / b, vector[3] / b)
-        return ("circle", center, abs(ONE / b))
+        signed_radius = b.inverse()
+        center = (vector[2] * signed_radius, vector[3] * signed_radius)
+        return ("circle", center, abs(signed_radius))
     # wall with b = 0: the line {p : p . bz = b^/2}, bz a unit normal
     return ("line", vector[2:4], vector[0] / 2)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from packinglab import orbit
+from packinglab import catalog, orbit
 from packinglab.exactnum import QNum, sqrt
 from packinglab.geometry import hyperplane, inner, is_wall, reflect, sphere
 from packinglab.orbit import (
@@ -49,6 +49,13 @@ def test_single_step_images():
 def test_empty_cocluster():
     got = generate_packing(BI1_CLUSTER, (), OrbitLimits(max_generation=3))
     assert [c.vector for c in got.circles] == [BI1[2]]
+
+
+def test_mirror_equal_to_circle_or_its_negation_is_skipped():
+    flipped = tuple(-c for c in BI1[2])
+    for cluster in ((BI1[2],), (flipped,)):
+        got = generate_packing(cluster, (BI1[2],), OrbitLimits(max_generation=2))
+        assert [c.vector for c in got.circles] == [cluster[0]]
 
 
 def test_all_norms_exact():
@@ -110,6 +117,137 @@ def test_matches_fixpoint_closure():
         stats = orbit_stats(got)
         assert stats.circle_count == len(want)
         assert sum(stats.generation_counts) == len(want)
+
+
+def qnum_orbit(cluster, mirrors, limits, mode):
+    # the QNum loop the integer engine replaced, kept as its reference:
+    # reflect with geometry.reflect, dedup on QNum tuples, compare bends
+    # exactly, and try every mirror on every circle
+    circles = [orbit.OrbitCircle(v, 0, str(i + 1)) for i, v in enumerate(cluster)]
+    seen = set(c.vector for c in circles)
+    mirror_data = [(idx, m, tuple(-c for c in m)) for idx, m in mirrors]
+    frontier = circles[:]
+    generation = 0
+    while frontier and generation < limits.max_generation:
+        generation += 1
+        parents, frontier = frontier, []
+        for parent in parents:
+            v = parent.vector
+            for idx, m, neg_m in mirror_data:
+                if m == v or neg_m == v:
+                    continue
+                vec = reflect(v, m)
+                if vec in seen:
+                    continue
+                if limits.max_bend is not None and abs(vec[1]) > limits.max_bend:
+                    continue
+                seen.add(vec)
+                circ = orbit.OrbitCircle(vec, generation, "%d.%s" % (idx, parent.word))
+                circles.append(circ)
+                frontier.append(circ)
+    return orbit.PackingOrbit(tuple(circles), limits, mode)
+
+
+def listed_clusters():
+    for entry_id in catalog.list_builtin():
+        entry = catalog.get_builtin(entry_id)
+        for cluster in entry.clusters or ():
+            yield entry_id, cluster
+
+
+@pytest.mark.parametrize("mode", ["packing", "superpacking"])
+@pytest.mark.parametrize(
+    "entry_id,labels",
+    list(listed_clusters()),
+    ids=lambda x: ",".join(x) if isinstance(x, tuple) else x,
+)
+def test_engine_matches_qnum_oracle(entry_id, labels, mode):
+    config = catalog.get_builtin(entry_id).configuration
+    cluster, cocluster, _, _ = config.split(labels)
+    cluster, cocluster = tuple(cluster), tuple(cocluster)
+    if mode == "packing":
+        generate = generate_packing
+        mirrors = [(len(cluster) + k + 1, m) for k, m in enumerate(cocluster)]
+    else:
+        generate = generate_superpacking
+        mirrors = [(k + 1, m) for k, m in enumerate(cluster + cocluster)]
+    depth = 3 if config.dim_n <= 4 else 2
+    unbounded = OrbitLimits(max_generation=depth, max_bend=None)
+    want = qnum_orbit(cluster, mirrors, unbounded, mode)
+    assert generate(cluster, cocluster, unbounded) == want
+    # a bound the orbit reaches: the circles that meet it exactly are kept
+    reached = sorted((abs(b) for b in bends(want)), key=float)
+    bounded = OrbitLimits(max_generation=depth, max_bend=reached[len(reached) // 2])
+    want = qnum_orbit(cluster, mirrors, bounded, mode)
+    assert generate(cluster, cocluster, bounded) == want
+
+
+def test_compiled_reflection_matches_qnum():
+    # every row of every builtin entry, reflected in every other row
+    for entry_id in catalog.list_builtin():
+        rows = catalog.get_builtin(entry_id).configuration.rows
+        field = orbit._Field(rows)
+        for j, m in enumerate(rows):
+            plan = orbit._Mirror(field, j + 1, m)
+            for v in rows:
+                key = field.encode(v)
+                assert field.decode(key) == v
+                if v == m:
+                    assert key == plan.key
+                    continue
+                image = reflect(v, m)
+                assert plan.reflect(key) == field.encode(image)
+                assert field.decode(plan.reflect(key)) == image
+
+
+def bend_row(bend):
+    return (QNum(0), bend, QNum(0), QNum(0))
+
+
+def bend_test(bend, max_bend):
+    field = orbit._Field([bend_row(bend)])
+    bound = orbit._BendBound(field, max_bend)
+    key = field.encode(bend_row(bend))
+    return bound.screen(key), bound.exceeds(key)
+
+
+def test_bend_screen_clear_cases():
+    assert bend_test(QNum(20), 10) == (True, True)
+    assert bend_test(QNum(-20), 10) == (True, True)
+    assert bend_test(QNum(3), 10) == (False, False)
+    assert bend_test(3 * R2 + QNum(Fraction(1, 3)), 5) == (False, False)
+    assert bend_test(3 * R2 + QNum(Fraction(1, 3)), 4) == (True, True)
+    assert bend_test(-3 * R2, 4) == (True, True)
+
+
+def test_bend_screen_tie_takes_exact_path():
+    # abs(bend) == max_bend is not above the bound: the float screen
+    # cannot tell, so the exact comparison keeps the circle
+    assert bend_test(QNum(10), 10) == (None, False)
+    assert bend_test(QNum(-10), 10) == (None, False)
+    assert bend_test(QNum(Fraction(7, 3)), Fraction(7, 3)) == (None, False)
+    assert bend_test(3 * R2, 3 * R2) == (None, False)
+
+
+def test_bend_screen_near_tie_is_exact():
+    # (3 + 2 sqrt2)^12 = p + q sqrt2, so 0 < p - q sqrt2 = 1/(p + q sqrt2)
+    # ~ 3e-10: far below the float screen's margin at this size
+    tiny = QNum(1)
+    for _ in range(12):
+        tiny = tiny * (3 - 2 * R2)
+    assert tiny.sign() > 0 and float(tiny) < 1e-9
+    assert bend_test(5 + tiny, 5) == (None, True)
+    assert bend_test(5 - tiny, 5) == (None, False)
+    assert bend_test(-5 - tiny, 5) == (None, True)
+
+
+def test_bend_screen_overflow_takes_exact_path():
+    huge = QNum(2 ** 1100)
+    assert bend_test(huge, 10) == (None, True)
+    assert bend_test(huge * R2 - huge, 10) == (None, True)
+    # huge coefficients over a huge denominator: a small bend
+    assert bend_test(QNum(Fraction(2 ** 1100 + 1, 2 ** 1100)), 10) == (None, False)
+    assert bend_test(QNum(5), 10 ** 400) == (None, False)
 
 
 def test_disjoint_interiors_exact():
