@@ -82,6 +82,13 @@ class CatalogEntry:
     def cluster_indices(self, cluster) -> tuple:
         return tuple(self.configuration.position(label) for label in cluster)
 
+    def gram_matrix(self) -> tuple:
+        """The Gram matrix: the stored one, which __post_init__ has proved
+        equal to the computed one, or else computed."""
+        if self.gram is not None:
+            return self.gram
+        return self.configuration.gram()
+
 
 def _parse_rows(doc):
     rows = []
@@ -233,7 +240,7 @@ def validate(entry: CatalogEntry) -> CatalogReport:
             "gram", entry.id, True, "%dx%d exact match" % (size, size),
         ))
     if entry.clusters is not None:
-        gram = entry.gram if entry.gram is not None else cfg.gram()
+        gram = entry.gram_matrix()
         for cluster in entry.clusters:
             report = coxeter.validate_cluster(
                 gram, entry.cluster_indices(cluster)

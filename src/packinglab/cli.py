@@ -117,8 +117,7 @@ def _cmd_validate(args):
 
 
 def _cmd_gram(args):
-    config = _load_config(args.config)
-    g = config.gram()
+    g = _load_entry(args.config).gram_matrix()
     lines = ["\t".join(str(e) for e in row) for row in g]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -133,8 +132,9 @@ def _edge_text(kind):
 
 
 def _cmd_diagram(args):
-    config = _load_config(args.config)
-    diag = coxeter.diagram(config.gram(), max_order=args.max_order)
+    entry = _load_entry(args.config)
+    config = entry.configuration
+    diag = coxeter.diagram(entry.gram_matrix(), max_order=args.max_order)
     if args.dot:
         _emit(coxeter.export_dot(diag, labels=config.labels), args.out)
         return 0
@@ -150,8 +150,9 @@ def _cmd_diagram(args):
 
 
 def _cmd_clusters(args):
-    config = _load_config(args.config)
-    found = coxeter.enumerate_clusters(config.gram(), max_size=args.max_size)
+    entry = _load_entry(args.config)
+    config = entry.configuration
+    found = coxeter.enumerate_clusters(entry.gram_matrix(), max_size=args.max_size)
     lines = [
         "{%s}" % ",".join(config.labels[i] for i in subset) for subset in found
     ]

@@ -27,6 +27,7 @@ non-squarefree radicands (``sqrt(12)`` reduces to ``2*sqrt(3)``).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 __all__ = ["QNum", "sqrt", "ZERO", "ONE"]
@@ -53,6 +54,12 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
                 f *= d
         d += 1
     return s, f * n
+
+
+@lru_cache(maxsize=1024)
+def _isqrt_scaled(k: int, p: int) -> int:
+    """floor(sqrt(k) * 2**p)."""
+    return isqrt(k << (2 * p))
 
 
 def _least_prime_factor(n: int) -> int:
@@ -292,10 +299,28 @@ class QNum:
         return lo, hi
 
     def to_float(self, precision: int = 53) -> float:
-        """Approximate value within 2**-precision (before the final
-        double rounding; callers needing more use _bounds directly)."""
-        lo, hi = self._bounds(precision + 2)
-        return float((lo + hi) / 2)
+        """The midpoint of ``_bounds(precision + 2)``, correctly rounded.
+
+        With p = precision + 2 the midpoint is
+        ``c_1 + sum_k c_k * (2*isqrt(k << 2p) + 1) / 2**(p+1)``, within
+        ``sum_{k>1} |c_k| * 2**-(p+1)`` of the exact value; it is formed
+        as one integer ratio, and int true division rounds correctly, as
+        ``float(Fraction)`` does, so the result is that of
+        ``float(sum(self._bounds(p)) / 2)``, OverflowError included.
+        """
+        terms = self._terms
+        if len(terms) == 1 and terms[0][0] == 1:
+            c = terms[0][1]
+            return c.numerator / c.denominator
+        p = precision + 2
+        den = 1
+        for _, c in terms:
+            den = den * c.denominator // gcd(den, c.denominator)
+        num = 0
+        for k, c in terms:
+            odd = 2 << p if k == 1 else 2 * _isqrt_scaled(k, p) + 1
+            num += c.numerator * (den // c.denominator) * odd
+        return num / (den << (p + 1))
 
     def __float__(self) -> float:
         return self.to_float()

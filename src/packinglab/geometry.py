@@ -35,8 +35,9 @@ def dim_n(v) -> int:
 
 
 def as_vector(coords):
-    """Coerce a sequence of scalars/literals to an inversive row tuple."""
-    v = tuple(QNum(x) for x in coords)
+    """Coerce a sequence of scalars/literals to an inversive row tuple
+    (QNum entries are kept as they are: they are immutable)."""
+    v = tuple(x if isinstance(x, QNum) else QNum(x) for x in coords)
     if len(v) < 3:
         raise ValueError("an inversive vector needs at least 3 entries")
     return v

@@ -398,7 +398,12 @@ def export_tsv(orbit):
 
 
 def parse_tsv(text):
-    """Parse export_tsv output back into a tuple of OrbitCircle."""
+    """Parse export_tsv output back into a tuple of OrbitCircle.
+
+    Orbit coordinates repeat a great deal, so each distinct coordinate
+    text is parsed once per call and its (immutable) QNum shared.
+    """
+    parsed = {}
     circles = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -409,7 +414,12 @@ def parse_tsv(text):
         gen, word, coords = parts
         if not (coords.startswith("(") and coords.endswith(")")):
             raise ValueError("orbit line %d: malformed coordinate tuple" % lineno)
-        vec = tuple(QNum(part) for part in coords[1:-1].split(","))
+        vec = []
+        for part in coords[1:-1].split(","):
+            q = parsed.get(part)
+            if q is None:
+                q = parsed[part] = QNum(part)
+            vec.append(q)
         circles.append(OrbitCircle(as_vector(vec), int(gen), word))
     return tuple(circles)
 

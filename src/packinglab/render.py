@@ -7,13 +7,22 @@ emitted in a canonical order (generation, then the exact coordinate
 text) and every numeral is formatted the same way, so diffing two
 figures is meaningful.
 
-Keep/drop decisions (dedup, viewport culling) happen in exact
-arithmetic; floats appear only in the final numerals, at 12 significant
-digits.
+Dedup is exact.  The fitted viewport and the culling are screened in
+floats: each circle's center and radius are converted once, each with
+an absolute error bound (the midpoint error of QNum.to_float plus one
+rounding), and a float comparison decides only when it clears the sum
+of those bounds, the box edge's own error and the rounding of the
+comparison itself.  Inside that margin, or when a value is too large
+for a float, the comparison is made in exact arithmetic; for the fitted
+viewport, only the circles whose float interval reaches a float extreme
+are compared exactly.  So no decision rests on a float alone, and the
+figure is the one exact arithmetic gives.  The same floats become the
+numerals, at 12 significant digits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,12 +98,75 @@ def _as_circles(source):
     return circles
 
 
+# Relative slack for the few float operations of a screen (each rounds by
+# at most 2**-53 of its result), and an absolute one for subnormals.
+_SLACK = 2.0 ** -50
+_TINY = 2.0 ** -1060
+
+
+def _approx(q):
+    """q.to_float() and a bound on its absolute error.
+
+    The midpoint to_float rounds is within sum_{k>1} |c_k| * 2**-56 of
+    q, and the float within 2**-52 of its own size of the midpoint; the
+    bound doubles both, against the rounding of these float sums, and
+    adds an absolute term for subnormal results.
+    """
+    value = q.to_float()
+    size = 0.0
+    for k, c in q.terms:
+        if k != 1:
+            size += abs(c.numerator / c.denominator)
+    return value, size * 2.0 ** -55 + abs(value) * 2.0 ** -51 + _TINY
+
+
+def _screen(center, radius):
+    """(cx, cy, r, err) with err bounding the error of each of the three
+    floats, or None when they are out of float range."""
+    try:
+        (cx, ex), (cy, ey), (r, er) = _approx(center[0]), _approx(center[1]), _approx(radius)
+    except OverflowError:
+        return None
+    err = max(ex, ey, er)
+    if not math.isfinite(abs(cx) + abs(cy) + r + err):
+        return None
+    return cx, cy, r, err
+
+
 def _disk_outside(center, radius, box):
     (xlo, xhi), (ylo, yhi) = box
     for axis, (lo, hi) in ((0, (xlo, xhi)), (1, (ylo, yhi))):
         if center[axis] + radius < lo or center[axis] - radius > hi:
             return True
     return False
+
+
+def _float_box(box):
+    """Each box edge as (float, error bound), or None out of float range."""
+    try:
+        return tuple(
+            tuple((float(e), abs(float(e)) * 2.0 ** -52 + _TINY) for e in edges)
+            for edges in box
+        )
+    except OverflowError:
+        return None
+
+
+def _screened_outside(screen, fbox):
+    """True or False when floats settle _disk_outside, None otherwise."""
+    if screen is None or fbox is None:
+        return None
+    cx, cy, r, err = screen
+    settled = True
+    for c, ((lo, elo), (hi, ehi)) in ((cx, fbox[0]), (cy, fbox[1])):
+        # outside when c + r < lo or c - r > hi
+        for gap, edge, eedge in ((c + r - lo, lo, elo), (hi - (c - r), hi, ehi)):
+            margin = 2 * err + eedge + (abs(c) + r + abs(edge)) * _SLACK
+            if gap < -margin:
+                return True
+            if not gap > margin:
+                settled = False  # inside the margin, or not finite
+    return False if settled else None
 
 
 def _line_outside(normal, offset, box):
@@ -108,8 +180,9 @@ def _line_outside(normal, offset, box):
 
 
 def _clip_line(normal, offset, box):
-    # Liang-Barsky on p(t) = p0 + t*d, in floats (presentation only;
-    # the keep/drop decision was already made exactly)
+    # Liang-Barsky on p(t) = p0 + t*d, in floats with no error margin:
+    # this only places the ends of a line that _line_outside has already
+    # kept in exact arithmetic (lines are few; only circles are screened)
     nx, ny = float(normal[0]), float(normal[1])
     off = float(offset)
     norm2 = nx * nx + ny * ny
@@ -134,14 +207,40 @@ def _clip_line(normal, offset, box):
     )
 
 
+def _extreme(disks, axis, side):
+    """Exact min (side -1) of center - radius or max (side +1) of
+    center + radius along an axis.
+
+    Only the disks whose float interval reaches the float extreme can
+    attain it; they alone are compared exactly.
+    """
+    best = -math.inf  # the largest lower bound of side * (center +- radius)
+    bounds = []
+    for _, _, screen in disks:
+        if screen is None:
+            bounds.append(math.inf)
+            continue
+        cx, cy, r, err = screen
+        value = side * (cx, cy)[axis] + r
+        spread = 2 * err + abs(value) * _SLACK
+        best = max(best, value - spread)
+        bounds.append(value + spread)
+    values = [
+        center[axis] + radius if side > 0 else center[axis] - radius
+        for (center, radius, _), upper in zip(disks, bounds)
+        if upper >= best
+    ]
+    return max(values) if side > 0 else min(values)
+
+
 def _auto_viewport(shapes):
-    disks = [(c, r) for kind, c, r in shapes if kind == "circle"]
+    disks = [shape[1:] for shape in shapes if shape[0] == "circle"]
     if not disks:
         raise ValueError("a viewport is required when the input has no circles")
-    xlo = min(c[0] - r for c, r in disks)
-    xhi = max(c[0] + r for c, r in disks)
-    ylo = min(c[1] - r for c, r in disks)
-    yhi = max(c[1] + r for c, r in disks)
+    xlo = _extreme(disks, 0, -1)
+    xhi = _extreme(disks, 0, 1)
+    ylo = _extreme(disks, 1, -1)
+    yhi = _extreme(disks, 1, 1)
     pad_x = (xhi - xlo) * Fraction(1, 20)
     pad_y = (yhi - ylo) * Fraction(1, 20)
     if pad_x.sign() == 0:
@@ -154,12 +253,23 @@ def _auto_viewport(shapes):
     return tuple(box)
 
 
+def _outside(shape, fbox, box):
+    if shape[0] == "line":
+        return _line_outside(shape[1], shape[2], box)
+    _, center, radius, screen = shape
+    decided = _screened_outside(screen, fbox)
+    if decided is None:
+        return _disk_outside(center, radius, box)
+    return decided
+
+
 def _shape(vector):
     b = vector[1]
     if b.sign() != 0:
         signed_radius = b.inverse()
         center = (vector[2] * signed_radius, vector[3] * signed_radius)
-        return ("circle", center, abs(signed_radius))
+        radius = abs(signed_radius)
+        return ("circle", center, radius, _screen(center, radius))
     # wall with b = 0: the line {p : p . bz = b^/2}, bz a unit normal
     return ("line", vector[2:4], vector[0] / 2)
 
@@ -178,6 +288,18 @@ def render_svg(source, opts=None):
                 "rendering needs ambient dimension 2, got %d" % (len(c.vector) - 2,)
             )
 
+    kept = _kept(circles)
+    box = opts.viewport
+    if box is None:
+        box = _auto_viewport([shape for _, shape in kept])
+    visible = _visible(kept, box)
+    if opts.max_circles is not None:
+        visible = visible[: opts.max_circles]
+    return _document(visible, box, opts)
+
+
+def _kept(circles):
+    """(circle, shape) pairs in canonical order, one per distinct vector."""
     ordered = sorted(circles, key=lambda c: (c.generation, _coord_text(c.vector)))
     seen = set()
     kept = []
@@ -186,23 +308,16 @@ def render_svg(source, opts=None):
             continue
         seen.add(c.vector)
         kept.append((c, _shape(c.vector)))
+    return kept
 
-    box = opts.viewport
-    if box is None:
-        box = _auto_viewport([shape for _, shape in kept])
 
-    visible = []
-    for c, shape in kept:
-        kind = shape[0]
-        if kind == "circle":
-            if _disk_outside(shape[1], shape[2], box):
-                continue
-        elif _line_outside(shape[1], shape[2], box):
-            continue
-        visible.append((c, shape))
-    if opts.max_circles is not None:
-        visible = visible[: opts.max_circles]
+def _visible(kept, box):
+    fbox = _float_box(box)
+    return [(c, shape) for c, shape in kept if not _outside(shape, fbox, box)]
 
+
+def _document(visible, box, opts):
+    """The SVG text of the visible (circle, shape) pairs in this box."""
     (xlo, xhi), (ylo, yhi) = box
     width = float(xhi - xlo)
     height = float(yhi - ylo)
@@ -214,8 +329,11 @@ def render_svg(source, opts=None):
         color = COCLUSTER_COLOR if c.word in opts.cocluster_words else CLUSTER_COLOR
         kind = shape[0]
         if kind == "circle":
-            center, radius = shape[1], shape[2]
-            cx, cy, r = float(center[0]), float(center[1]), float(radius)
+            _, center, radius, screen = shape
+            if screen is None:  # out of the screen's range; float() may raise
+                cx, cy, r = float(center[0]), float(center[1]), float(radius)
+            else:
+                cx, cy, r, _ = screen
             shapes_out.append(
                 '<circle cx="%s" cy="%s" r="%s" stroke="%s"/>'
                 % (_fmt(cx), _fmt(-cy), _fmt(r), color)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from packinglab import catalog, cli
+from packinglab import catalog, cli, coxeter
 from packinglab.geometry import bend_matrix
 from packinglab.integrality import certificate_to_json, denominator_growth_probe
 from packinglab.orbit import (
@@ -39,6 +39,25 @@ def test_render_from_tsv_matches_library(capsys, tmp_path):
     path.write_text(tsv, encoding="utf-8")
     assert cli.run(["render", "--in", str(path)]) == 0
     assert capsys.readouterr().out == render_svg(parse_tsv(tsv))
+
+
+@pytest.mark.parametrize(
+    "options, opts",
+    [
+        (["--viewport=-1/2,3/2,-1,1"], RenderOptions(viewport=(("-1/2", "3/2"), (-1, 1)))),
+        (["--labels", "bends"], RenderOptions(labels="bends")),
+        (
+            ["--viewport", "0,1,0,1", "--labels", "labels", "--max-circles", "3"],
+            RenderOptions(viewport=((0, 1), (0, 1)), labels="labels", max_circles=3),
+        ),
+    ],
+)
+def test_render_options_match_library(capsys, tmp_path, options, opts):
+    tsv = export_tsv(generate_packing(*bi1_split(), OrbitLimits(max_generation=3)))
+    path = tmp_path / "bi1.tsv"
+    path.write_text(tsv, encoding="utf-8")
+    assert cli.run(["render", "--in", str(path)] + options) == 0
+    assert capsys.readouterr().out == render_svg(parse_tsv(tsv), opts)
 
 
 def test_render_from_config_negative_max_bend_disables_bound(capsys):
@@ -123,3 +142,54 @@ def test_growth_probe_matches_library(capsys):
 def test_certificate_domain_errors(capsys, argv, message):
     assert cli.run(argv) == 1
     assert json.loads(capsys.readouterr().err)["error"].startswith(message)
+
+
+# -- catalog subcommands against the library ---------------------------
+
+EDGE_TEXT = {
+    coxeter.Tangent: lambda k: "tangent" if k.sign > 0 else "tangent(-)",
+    coxeter.Angle: lambda k: "angle pi/%d" % k.order,
+    coxeter.Disjoint: lambda k: "disjoint %s" % k.separation,
+}
+
+
+def lines_text(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("entry_id", ["bi1-cluster3", "d3n13"])
+def test_catalog_commands_match_library(capsys, entry_id):
+    entry = catalog.get_builtin(entry_id)
+    config = entry.configuration
+    gram = config.gram()  # computed here, not the entry's stored copy
+    spec = ["--config", "builtin:" + entry_id]
+
+    assert cli.run(["gram"] + spec) == 0
+    want = lines_text("\t".join(str(e) for e in row) for row in gram)
+    assert capsys.readouterr().out == want
+
+    diag = coxeter.diagram(gram)
+    assert cli.run(["diagram"] + spec) == 0
+    want = lines_text(
+        "%s %s %s" % (config.labels[i], config.labels[j], EDGE_TEXT[type(kind)](kind))
+        for (i, j), kind in sorted(diag.edges.items())
+        if not isinstance(kind, coxeter.Orthogonal)
+    )
+    assert capsys.readouterr().out == want
+    assert cli.run(["diagram", "--dot"] + spec) == 0
+    assert capsys.readouterr().out == coxeter.export_dot(diag, labels=config.labels)
+
+    assert cli.run(["clusters"] + spec) == 0
+    want = lines_text(
+        "{%s}" % ",".join(config.labels[i] for i in subset)
+        for subset in coxeter.enumerate_clusters(gram)
+    )
+    assert capsys.readouterr().out == want
+
+    report = catalog.validate(entry)
+    assert report.ok
+    assert cli.run(["validate"] + spec) == 0
+    want = lines_text(
+        "ok %s %s: %s" % (c.kind, c.subject, c.detail) for c in report.checks
+    )
+    assert capsys.readouterr().out == want

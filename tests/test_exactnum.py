@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -224,3 +225,50 @@ def test_comparison_matches_oracle(a, b):
         assert a < b
     else:
         assert a > b
+
+
+# -- to_float ---------------------------------------------------------
+
+
+def midpoint_float(x, precision=53):
+    # the Fraction midpoint of the isqrt interval, as to_float once was
+    return float(sum(x._bounds(precision + 2)) / 2)
+
+
+wide_coeffs = st.builds(
+    Fraction, st.integers(-(10 ** 40), 10 ** 40), st.integers(1, 10 ** 30)
+).filter(lambda f: f != 0)
+
+wide_qnums = st.dictionaries(
+    st.sampled_from(RADICANDS + [7, 34]), wide_coeffs, min_size=0, max_size=4
+).map(QNum)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(qnums, wide_qnums), st.sampled_from([10, 53, 100]))
+def test_to_float_is_the_rounded_interval_midpoint(x, precision):
+    assert x.to_float(precision) == midpoint_float(x, precision)
+
+
+def test_to_float_overflows_where_the_midpoint_does():
+    top = 2 ** 1024 - 2 ** 970  # the least value that rounds past the largest float
+    values = [QNum(top - 1), QNum(top), QNum(-top), QNum(Fraction(top, 3) * 3)]
+    for k in (2, 3, 34):
+        c = isqrt(top * top // k)
+        for delta in (-(2 ** 968), -1, 0, 1, 2 ** 968):
+            values.append(QNum({k: c + delta}))
+            values.append(QNum({1: -1, k: c + delta}))
+    values.append(QNum({1: 10 ** 400, 2: -(10 ** 400)}))
+    values.append(QNum({1: Fraction(1, 10 ** 400), 2: Fraction(1, 10 ** 400)}))
+    outcomes = set()
+    for x in values:
+        try:
+            want = midpoint_float(x)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                x.to_float()
+            outcomes.add("overflow")
+        else:
+            assert x.to_float() == want
+            outcomes.add("finite")
+    assert outcomes == {"overflow", "finite"}

@@ -336,6 +336,22 @@ def test_tsv_irrational_coords():
     assert back == got.circles
 
 
+def test_tsv_parses_each_coordinate_text_once():
+    text = "0\t1\t(0,2,0,1)\n1\t2.1\t(2,2,2,1)\n1\t3.1\t(0,0,0,-1)\n"
+    a, b, c = (circle.vector for circle in parse_tsv(text))
+    assert a[0] is a[2] is c[0] is c[1] is c[2]
+    assert a[1] is b[0] is b[1] is b[2]
+    assert a[3] is b[3]
+    assert parse_tsv(text)[0].vector[0] is not a[0]  # shared within one call only
+    cfg = catalog.get_builtin("bi10-example").configuration
+    inside, outside, _, _ = cfg.split(["1", "7"])
+    got = generate_packing(inside, outside, OrbitLimits(max_generation=3))
+    text = export_tsv(got)
+    back = parse_tsv(text)
+    assert back == got.circles
+    assert export_tsv(orbit.PackingOrbit(back, got.limits, got.mode)) == text
+
+
 def test_empty_interior_single_circle():
     cfg = (sphere((QNum(0), QNum(0)), QNum(1)),)
     rep = verify_empty_interior(cfg, 100, seed=7)

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -138,3 +139,154 @@ def test_bi1_figure_tsv_roundtrip():
     direct = render_svg(orbit, opts)
     via_tsv = render_svg(parse_tsv(export_tsv(orbit)), opts)
     assert direct == via_tsv
+
+
+# -- the float screen against exact arithmetic ------------------------
+#
+# The exact viewport and cull loop render used before it screened in
+# floats, kept here as the oracle: the box, the visible circles and the
+# SVG must come out the same.
+
+
+def exact_disk_outside(center, radius, box):
+    (xlo, xhi), (ylo, yhi) = box
+    for axis, (lo, hi) in ((0, (xlo, xhi)), (1, (ylo, yhi))):
+        if center[axis] + radius < lo or center[axis] - radius > hi:
+            return True
+    return False
+
+
+def exact_viewport(shapes):
+    disks = [(s[1], s[2]) for s in shapes if s[0] == "circle"]
+    xlo = min(c[0] - r for c, r in disks)
+    xhi = max(c[0] + r for c, r in disks)
+    ylo = min(c[1] - r for c, r in disks)
+    yhi = max(c[1] + r for c, r in disks)
+    pad_x = (xhi - xlo) * Fraction(1, 20)
+    pad_y = (yhi - ylo) * Fraction(1, 20)
+    if pad_x.sign() == 0:
+        pad_x = pad_y
+    if pad_y.sign() == 0:
+        pad_y = pad_x
+    box = []
+    for lo, hi in ((xlo - pad_x, xhi + pad_x), (ylo - pad_y, yhi + pad_y)):
+        box.append((Fraction(float(lo)), Fraction(float(hi))))
+    return tuple(box)
+
+
+def exact_visible(kept, box):
+    visible = []
+    for c, shape in kept:
+        if shape[0] == "circle":
+            if exact_disk_outside(shape[1], shape[2], box):
+                continue
+        elif render._line_outside(shape[1], shape[2], box):
+            continue
+        # drop the screen, so that the numerals come from float(QNum)
+        visible.append((c, shape[:3] + (None,) if shape[0] == "circle" else shape))
+    return visible
+
+
+def assert_matches_oracle(circles, opts=RenderOptions()):
+    kept = render._kept(circles)
+    box = opts.viewport
+    if box is None:
+        box = exact_viewport([shape for _, shape in kept])
+        assert render._auto_viewport([shape for _, shape in kept]) == box
+    want = exact_visible(kept, box)
+    got = render._visible(kept, box)
+    assert [c for c, _ in got] == [c for c, _ in want]
+    want_svg = render._document(want[: opts.max_circles], box, opts)
+    assert render_svg(circles, opts) == want_svg
+    return want
+
+
+def circle_at(cx, cy, r, word):
+    """The oriented circle with this exact center and radius."""
+    cx, cy, r = QNum(cx), QNum(cy), QNum(r)
+    b = r.inverse()
+    return OrbitCircle(as_vector((b * (cx * cx + cy * cy) - r, b, b * cx, b * cy)), 0, word)
+
+
+def test_bi1_figure_matches_exact_oracle():
+    cfg = catalog.get_builtin("bi1-cluster3").configuration
+    circles, words = supercluster_circles(cfg, ["3"], OrbitLimits(max_generation=4))
+    assert_matches_oracle(circles, RenderOptions(cocluster_words=words))
+    assert_matches_oracle(
+        circles,
+        RenderOptions(viewport=((-3, 3), (-1, 2)), labels="bends", cocluster_words=words),
+    )
+
+
+@pytest.mark.parametrize(
+    "cluster", catalog.get_builtin("bi10-example").clusters, ids=",".join
+)
+def test_bi10_clusters_match_exact_oracle(cluster):
+    cfg = catalog.get_builtin("bi10-example").configuration
+    inside, outside, _, _ = cfg.split(cluster)
+    orbit = generate_packing(inside, outside, OrbitLimits(max_generation=3))
+    visible = assert_matches_oracle(orbit.circles)
+    assert len(visible) == len(set(c.vector for c in orbit.circles))
+
+
+def test_viewport_edges_tangent_to_circles():
+    # every edge of each box touches some circle exactly, with rational
+    # and with irrational centers and radii
+    circles = [
+        UNIT,
+        circle_at(3, 0, 1, "a"),
+        circle_at(1 - sqrt(2), 0, sqrt(2), "b"),
+        circle_at(0, 2 + sqrt(5), sqrt(5) - 1, "c"),
+        circle_at(Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3), "d"),
+    ]
+    for box in [
+        ((1, 2), (-1, 1)),  # x = 1 touches UNIT, b and d
+        ((-3, -1), (1, 3)),  # x = -1 and y = 1 touch UNIT
+        ((2, 4), (-1, 1)),  # x = 2, 4 and y = -1, 1 touch a
+        ((-2, 2), (3, 5)),  # y = 3 touches c
+        ((-1, 1), (-3, -1)),  # y = -1 touches UNIT and d
+    ]:
+        visible = assert_matches_oracle(circles, RenderOptions(viewport=box))
+        assert visible
+
+
+def test_irrational_near_ties_at_an_edge():
+    # (sqrt2 - 1)**k is 6e-13 at k = 32 and below float resolution from
+    # k = 42 on; each circle's right end is 1 +- that, against x = 1
+    circles = []
+    for k in (32, 36, 42, 44, 46, 50, 60):
+        eps = (sqrt(2) - 1) ** k
+        for sign in (1, -1):
+            word = "%s%d" % ("+-"[sign < 0], k)
+            circles.append(circle_at(1 - sqrt(2) + sign * eps, k, sqrt(2), word))
+            circles.append(circle_at(2 + sqrt(3) + sign * eps, -k, sqrt(3), "x" + word))
+    visible = assert_matches_oracle(circles, RenderOptions(viewport=((1, 2), (-70, 70))))
+    assert sorted(c.word for c, _ in visible) == sorted(
+        w for k in (32, 36, 42, 44, 46, 50, 60) for w in ("+%d" % k, "x-%d" % k)
+    )
+    assert_matches_oracle(circles)  # the fitted box's extremes tie too
+
+
+def test_coordinates_beyond_float_range_take_the_exact_path():
+    far = circle_at(10 ** 400, 0, 1, "far")
+    huge = circle_at(-(10 ** 401), 0, 10 ** 400, "huge")
+    tiny = circle_at(0, 0, Fraction(1, 10 ** 400), "tiny")
+    assert render._shape(far.vector)[3] is None
+    assert render._shape(huge.vector)[3] is None
+    visible = assert_matches_oracle(
+        [UNIT, far, huge, tiny], RenderOptions(viewport=((0, 1), (-2, 2)))
+    )
+    assert [c.word for c, _ in visible] == ["1", "tiny"]
+    # the drawing still needs floats for what is kept
+    with pytest.raises(OverflowError):
+        render_svg([UNIT, circle_at(0, 0, 10 ** 400, "all")], RenderOptions())
+    with pytest.raises(OverflowError):
+        render_svg([UNIT, far], RenderOptions())
+    with pytest.raises(OverflowError):
+        exact_viewport([render._shape(UNIT.vector), render._shape(far.vector)])
+    # a box past float range is culled exactly (and cannot be drawn)
+    big_box = RenderOptions(viewport=((-(10 ** 400), 10 ** 400), (-1, 1))).viewport
+    assert render._float_box(big_box) is None
+    kept = render._kept([UNIT, far, huge])
+    got = [c.word for c, _ in render._visible(kept, big_box)]
+    assert got == [c.word for c, _ in exact_visible(kept, big_box)] == ["1", "far"]
