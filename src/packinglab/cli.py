@@ -473,8 +473,12 @@ def _build_parser():
 
     p = sub.add_parser("lob", help="Lobachevsky function at an angle")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--method", choices=("series", "asymptotic", "quadrature"), default="series")
+    p.add_argument("--tol", type=float, default=1e-9, help="series and quadrature methods")
+    p.add_argument(
+        "--method", choices=("series", "asymptotic", "quadrature"), default="series",
+        help="series: reduced-angle expansion within --tol; quadrature: the "
+        "independent check; asymptotic: unreduced expansion to --terms terms",
+    )
     p.add_argument("--terms", type=int, default=12, help="asymptotic method only")
     p.set_defaults(func=_cmd_lob)
 

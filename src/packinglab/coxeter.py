@@ -19,10 +19,11 @@ cuts the search to cliques among angle-free vertices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
+from mpmath.ctx_iv import MPIntervalContext
 
 from .exactnum import QNum, sqrt
 
@@ -74,7 +75,14 @@ _EXACT_COS = {
 _MAX_SEPARATION_PREC = 256
 
 
-def _iv_value(x: QNum):
+@functools.lru_cache(maxsize=None)
+def _interval_context() -> MPIntervalContext:
+    """This module's own interval context, built on first use, so setting
+    its precision leaves mpmath.iv alone."""
+    return MPIntervalContext()
+
+
+def _iv_value(x: QNum, iv: MPIntervalContext):
     total = iv.mpf(0)
     for k, c in x.terms:
         t = iv.mpf(c.numerator) / iv.mpf(c.denominator)
@@ -109,22 +117,18 @@ def classify_entry(g: QNum, max_order: int = 12):
                 return Angle(order=n, sign=s)
         else:
             candidates.append(n)
-    # nothing matched exactly; rule the remaining orders out rigorously.
-    # mpmath's interval context has no workprec, so restore by hand.
-    saved_prec = iv.prec
+    # nothing matched exactly; rule the remaining orders out rigorously
+    iv = _interval_context()
     prec = 64
-    try:
-        while candidates:
-            iv.prec = prec
-            target = _iv_value(a)
-            candidates = [
-                n for n in candidates if 0 in target - iv.cos(iv.pi / n)
-            ]
-            if prec >= _MAX_SEPARATION_PREC:
-                break
-            prec *= 2
-    finally:
-        iv.prec = saved_prec
+    while candidates:
+        iv.prec = prec
+        target = _iv_value(a, iv)
+        candidates = [
+            n for n in candidates if 0 in target - iv.cos(iv.pi / n)
+        ]
+        if prec >= _MAX_SEPARATION_PREC:
+            break
+        prec *= 2
     if candidates:
         raise ValueError(
             f"entry {g} is indistinguishable from cos(pi/n) for n in "

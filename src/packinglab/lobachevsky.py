@@ -1,22 +1,20 @@
-"""The Lobachevsky function by series, quadrature, and expansion.
+"""The Lobachevsky function by one expansion, with quadrature as its check.
 
 L(theta) = -integral_0^theta log|2 sin u| du, the standard building
 block for exact hyperbolic volumes (ideal tetrahedra in H^3 decompose
 into L evaluations).  The integrand is negative near 0, so with this
 sign L(pi/6) = 0.50747... is the function's maximum.
 
-Three independent evaluation routes are provided so they can check
-each other:
+One route evaluates L, and one independent oracle checks it:
 
-  * lobachevsky            -- the sine series (1/2) sum sin(2n theta)/n^2,
-                              truncated under a rigorous tail bound;
-  * lobachevsky_quadrature -- adaptive quadrature on the integral itself;
-  * lobachevsky_asymptotic -- the small-angle expansion
-                              theta (1 - log(2 theta) + sum_n |B_2n| (2 theta)^2n
-                              / (2n (2n+1)!)).
+  * lobachevsky            -- reduce theta mod pi, fold (pi/2, pi) onto
+                              (-pi/2, 0) (L is odd and pi-periodic), and sum
+                              r (1 - log(2r) + sum_k |B_2k| (2r)^2k / (2k (2k+1)!))
+                              to a term count set by its own tail bound;
+  * lobachevsky_quadrature -- adaptive quadrature on the integral itself.
 
-L is odd and pi-periodic; every route reduces its argument first where
-that is sound.
+lobachevsky_asymptotic is the same expansion with a caller-chosen term
+count and no angle reduction, for angles near 0.
 """
 
 from __future__ import annotations
@@ -28,15 +26,13 @@ from fractions import Fraction
 
 import mpmath
 
-# Beyond this the truncated expansion is no longer a good substitute
-# for the series (the neglected tail is of practical size).
+# Beyond this a handful of unreduced expansion terms is no longer a good
+# substitute for lobachevsky() (the neglected tail is of practical size).
 ASYMPTOTIC_RADIUS = 0.5
 
-# Below this the series route delegates to the expansion: the sine
-# series needs about 1/sqrt(2 tol sin r) terms, which blows up at the
-# period ends, while twelve expansion terms are already exact to far
-# below any float tolerance (the tail is geometric in (r/pi)^2).
-_SERIES_SWITCH = 0.01
+# Enough terms for any tolerance: at the fold point r = pi/2 the tail
+# bound after this many terms is below 1e-27, far under float resolution.
+_MAX_TERMS = 40
 
 
 def reduce_angle(theta: float) -> float:
@@ -47,37 +43,30 @@ def reduce_angle(theta: float) -> float:
     return r
 
 
-def series_terms(theta: float, tol: float) -> int:
-    """Terms needed for the tail of the sine series to stay under tol.
+def _term_count(r: float, tol: float) -> int:
+    """Fewest expansion terms whose tail at 0 <= r <= pi/2 is under tol.
 
-    Summation by parts against the bounded partial sums of sin(2nr)
-    gives |sum_{n>N} sin(2nr)/n^2| <= 1 / ((N+1)^2 |sin r|), so the
-    truncation error after N terms is at most 1/(2 (N+1)^2 |sin r|).
+    |B_2k| = 2 (2k)! zeta(2k) / (2 pi)^2k and zeta(2k) <= pi^2/6, so with
+    q = (r/pi)^2 <= 1/4 term k is at most r (pi^2/6) q^k / (k (2k+1)),
+    and the tail after N terms is at most
+    r (pi^2/6) q^(N+1) / ((N+1) (2N+3) (1-q)).
     """
-    s = abs(math.sin(reduce_angle(theta)))
-    if s == 0.0:
-        return 0
-    return max(8, math.ceil(math.sqrt(1.0 / (2.0 * tol * s))))
+    q = (r / math.pi) ** 2
+    scale = r * (math.pi**2 / 6.0) / (1.0 - q)
+    n = 0
+    while n < _MAX_TERMS and scale * q ** (n + 1) / ((n + 1) * (2 * n + 3)) > tol:
+        n += 1
+    return n
 
 
 def lobachevsky(theta: float, tol: float = 1e-9) -> float:
-    """Evaluate L by the truncated sine series.
-
-    Very small reduced angles (within _SERIES_SWITCH of either period
-    end) go through the expansion instead, where it is the sharper
-    tool; the result is still within tol of L(theta).
-    """
+    """Evaluate L within tol by the reduced-angle expansion."""
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     r = reduce_angle(theta)
-    if r == 0.0:
-        return 0.0
-    if r < _SERIES_SWITCH:
-        return lobachevsky_asymptotic(r, terms=12)
-    if math.pi - r < _SERIES_SWITCH:
-        return -lobachevsky_asymptotic(math.pi - r, terms=12)
-    count = series_terms(r, tol)
-    return 0.5 * sum(math.sin(2.0 * r * n) / (n * n) for n in range(1, count + 1))
+    if r > 0.5 * math.pi:
+        r -= math.pi  # L(r) = L(r - pi) = -L(pi - r); exact by Sterbenz
+    return _expansion(r, _term_count(abs(r), tol))
 
 
 def lobachevsky_quadrature(theta: float, tol: float = 1e-9) -> float:
@@ -132,8 +121,24 @@ def _even_bernoulli(count: int) -> tuple:
     return tuple(abs(bern[2 * k]) for k in range(1, count + 1))
 
 
+def _expansion(theta: float, terms: int) -> float:
+    """theta (1 - log(2|theta|) + the first terms Bernoulli terms), odd in theta."""
+    if theta == 0.0:
+        return 0.0
+    r = abs(theta)
+    total = 1.0 - math.log(2.0 * r)
+    two_r_sq = (2.0 * r) ** 2
+    power = 1.0
+    # one cached table serves every count up to _MAX_TERMS
+    bernoulli = _even_bernoulli(max(terms, _MAX_TERMS))
+    for k in range(1, terms + 1):
+        power *= two_r_sq
+        total += float(bernoulli[k - 1]) * power / (2 * k * math.factorial(2 * k + 1))
+    return r * total if theta > 0.0 else -r * total
+
+
 def lobachevsky_asymptotic(theta: float, terms: int = 5) -> float:
-    """Evaluate L by the small-angle expansion.
+    """Evaluate L by the small-angle expansion with a fixed term count.
 
     Accurate to ~1e-9 for |theta| <= 0.1 with the default five terms;
     warns once |theta| exceeds ASYMPTOTIC_RADIUS, where the truncation
@@ -142,21 +147,10 @@ def lobachevsky_asymptotic(theta: float, terms: int = 5) -> float:
     """
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms!r}")
-    if theta == 0.0:
-        return 0.0
-    sign = 1.0
-    if theta < 0.0:
-        theta, sign = -theta, -1.0
-    if theta > ASYMPTOTIC_RADIUS:
+    if abs(theta) > ASYMPTOTIC_RADIUS:
         warnings.warn(
-            f"asymptotic expansion used at theta = {theta:g}, beyond its "
+            f"asymptotic expansion used at theta = {abs(theta):g}, beyond its "
             f"reliable radius {ASYMPTOTIC_RADIUS}; prefer lobachevsky()",
             stacklevel=2,
         )
-    total = 1.0 - math.log(2.0 * theta)
-    two_theta_sq = (2.0 * theta) ** 2
-    power = 1.0
-    for k, b2k in enumerate(_even_bernoulli(terms), start=1):
-        power *= two_theta_sq
-        total += float(b2k) * power / (2 * k * math.factorial(2 * k + 1))
-    return sign * theta * total
+    return _expansion(theta, terms)

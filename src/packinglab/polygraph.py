@@ -154,11 +154,18 @@ def _neighbor_types(poly, face_index):
     return types
 
 
-def _dihedral_alignments(n):
-    for r in range(n):
-        yield [(r + i) % n for i in range(n)], 1
-    for r in range(n):
-        yield [(r - i) % n for i in range(n)], -1
+def _dihedral_match(ring_a, types_a, ring_b, types_b):
+    """Pairs (ring_a[i], ring_b[vmap[i]]) for the first rotation, then
+    reflection, i -> vmap[i] of the cycle carrying types_a onto types_b,
+    or None.  types[i] sits between positions i and i+1, so under a
+    reflection it lands between vmap[i] - 1 and vmap[i]."""
+    n = len(ring_a)
+    for step, shift in ((1, 0), (-1, 1)):
+        for r in range(n):
+            vmap = [(r + step * i) % n for i in range(n)]
+            if all(types_a[i] == types_b[(vmap[i] - shift) % n] for i in range(n)):
+                return tuple((ring_a[i], ring_b[vmap[i]]) for i in range(n))
+    return None
 
 
 def face_equivalent(a, fa, b, fb):
@@ -166,18 +173,8 @@ def face_equivalent(a, fa, b, fb):
     ca, cb = a.faces[fa], b.faces[fb]
     if len(ca) != len(cb):
         raise ValueError("face sizes differ: %d vs %d" % (len(ca), len(cb)))
-    n = len(ca)
-    ta = _neighbor_types(a, fa)
-    tb = _neighbor_types(b, fb)
-    for vmap, sign in _dihedral_alignments(n):
-        # vertex ca[i] -> cb[vmap[i]]; edge i of A -> the B edge it lands on
-        if sign == 1:
-            ok = all(ta[i] == tb[vmap[i]] for i in range(n))
-        else:
-            ok = all(ta[i] == tb[(vmap[i] - 1) % n] for i in range(n))
-        if ok:
-            return tuple((ca[i], cb[vmap[i]]) for i in range(n))
-    return None
+    # edge i of A, between ca[i] and ca[i+1], is typed by the face across it
+    return _dihedral_match(ca, _neighbor_types(a, fa), cb, _neighbor_types(b, fb))
 
 
 def vertex_equivalent(a, va, b, vb):
@@ -199,14 +196,7 @@ def vertex_equivalent(a, va, b, vb):
     types_b = [
         len(b.faces[b.face_between(vb, rb[i], rb[(i + 1) % n])]) for i in range(n)
     ]
-    for vmap, sign in _dihedral_alignments(n):
-        if sign == 1:
-            ok = all(types_a[i] == types_b[vmap[i]] for i in range(n))
-        else:
-            ok = all(types_a[i] == types_b[(vmap[i] - 1) % n] for i in range(n))
-        if ok:
-            return tuple((ra[i], rb[vmap[i]]) for i in range(n))
-    return None
+    return _dihedral_match(ra, types_a, rb, types_b)
 
 
 def _is_dihedral_of(sequence, cycle):

@@ -3,9 +3,15 @@ import math
 
 import pytest
 
-from packinglab import catalog, cli, coxeter
+from packinglab import catalog, cli, convert, coxeter, polygraph
 from packinglab.geometry import bend_matrix
-from packinglab.integrality import certificate_to_json, denominator_growth_probe
+from packinglab.groupwords import double
+from packinglab.integrality import (
+    certificate_to_json,
+    check_bounded_rational,
+    denominator_growth_probe,
+    prove_integral,
+)
 from packinglab.orbit import (
     OrbitLimits,
     export_tsv,
@@ -193,3 +199,144 @@ def test_catalog_commands_match_library(capsys, entry_id):
         "ok %s %s: %s" % (c.kind, c.subject, c.detail) for c in report.checks
     )
     assert capsys.readouterr().out == want
+
+
+def test_catalog_listing_and_show_match_library(capsys):
+    assert cli.run(["catalog"]) == 0
+    ids = catalog.list_builtin()
+    assert capsys.readouterr().out == lines_text(ids)
+    for entry_id in ids:
+        assert cli.run(["catalog", "--show", entry_id]) == 0
+        assert capsys.readouterr().out == catalog.to_json(catalog.get_builtin(entry_id))
+
+
+def test_catalog_show_unknown_entry_is_a_domain_error(capsys):
+    assert cli.run(["catalog", "--show", "no-such-entry"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "KeyError"
+
+
+# -- double, glue, convert, check-integrality against the library ------
+
+
+def doubled_entry(entry_id, wall, new_id):
+    config = catalog.get_builtin(entry_id).configuration
+    doubled = double(config, config.position(wall) + 1)
+    return catalog.CatalogEntry(
+        id=new_id,
+        configuration=doubled,
+        gram=doubled.gram(),
+        clusters=(),
+        source="doubled across wall %s of %s" % (wall, entry_id),
+    )
+
+
+def test_double_matches_library(capsys, tmp_path):
+    spec = ["double", "--config", "builtin:d1n3-base", "--wall", "3"]
+    assert cli.run(spec) == 0
+    want = catalog.to_json(doubled_entry("d1n3-base", "3", "d1n3-base-doubled-3"))
+    assert capsys.readouterr().out == want
+
+    path = tmp_path / "doubled.json"
+    assert cli.run(spec + ["--id", "twice", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    want = catalog.to_json(doubled_entry("d1n3-base", "3", "twice"))
+    assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize(
+    "kind, a, at_a, b, at_b",
+    [
+        ("face", "tetrahedron", "0", "tetrahedron", "0"),
+        ("face", "square_pyramid", "0", "square_pyramid", "0"),
+        ("vertex", "square_pyramid", "a", "square_pyramid", "a"),
+    ],
+)
+def test_glue_matches_library(capsys, tmp_path, kind, a, at_a, b, at_b):
+    pa, pb = polygraph.builtin(a), polygraph.builtin(b)
+    if kind == "face":
+        fa, fb = int(at_a), int(at_b)
+        matching = polygraph.face_equivalent(pa, fa, pb, fb)
+        glued = polygraph.glue_face(pa, fa, pb, fb, matching)
+    else:
+        matching = polygraph.vertex_equivalent(pa, at_a, pb, at_b)
+        glued = polygraph.glue_vertex(pa, at_a, pb, at_b, matching)
+    path = tmp_path / "glued.json"
+    argv = [
+        "glue", "--kind", kind, "--a", "builtin:" + a, "--b", "builtin:" + b,
+        "--at-a", at_a, "--at-b", at_b, "--out", str(path),
+    ]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == "%s: vertices=%d edges=%d faces=%d\n" % (
+        (glued.name,) + glued.counts()
+    )
+    assert path.read_text(encoding="utf-8") == polygraph.to_json(glued)
+
+
+def test_glue_without_equivalence_is_a_domain_error(capsys):
+    # a side triangle of the hexagonal pyramid borders a hexagon, and no
+    # tetrahedron face does
+    pa, pb = polygraph.builtin("tetrahedron"), polygraph.builtin("hexagonal_pyramid")
+    assert polygraph.face_equivalent(pa, 0, pb, 1) is None
+    argv = [
+        "glue", "--kind", "face", "--a", "builtin:tetrahedron",
+        "--b", "builtin:hexagonal_pyramid", "--at-a", "0", "--at-b", "1",
+    ]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        "faces are not equivalent; no matching exists"
+    )
+
+
+ROOTS = [
+    # the printed row; the shipped patch table replaces it
+    {"m": 2, "table": "F.2", "vector": "e4", "x": ["1", "0", "0", "-1"]},
+    {"m": 2, "x": ["1", "0", "0", "-1"]},
+    {"m": 33, "table": "F.16", "vector": "e3", "x": ["0", "0", "1", "-2"]},
+    {"d": 3, "x": ["0", "0", "0", "1"]},
+]
+
+
+@pytest.mark.parametrize(
+    "options, patches", [([], None), (["--no-patches"], {})]
+)
+def test_convert_matches_library(capsys, tmp_path, options, patches):
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps(ROOTS), encoding="utf-8")
+    assert cli.run(["convert", "--in", str(path)] + options) == 0
+    rows = convert.convert_all(convert.read_root_file(path, patches))
+    want = lines_text("(%s)" % ",".join(str(q) for q in row) for row in rows)
+    assert capsys.readouterr().out == want
+    assert len(want.splitlines()) == len(ROOTS)
+
+
+def test_check_integrality_success_matches_library(capsys):
+    argv = [
+        "check-integrality", "--config", "builtin:bi1-cluster3",
+        "--cluster", "3", "--seed", "0",
+    ]
+    assert cli.run(argv) == 0
+    config = catalog.get_builtin("bi1-cluster3").configuration
+    _, cocluster, positions, rest = config.split(["3"])
+    cert = prove_integral(
+        config.rows, [p + 1 for p in positions], [p + 1 for p in rest]
+    )
+    spot = check_bounded_rational(
+        config.rows, cocluster, word_count=20, word_length=5, seed=0
+    )
+    assert cert.verdict == "integral-proven" and spot.ok
+    doc = {
+        "certificate": json.loads(certificate_to_json(cert)),
+        "bounded_rational": {
+            "ok": spot.ok,
+            "derived_bound": spot.derived_bound,
+            "observed_max_denominator": spot.observed_max_denominator,
+            "word_count": 20,
+            "word_length": 5,
+            "seed": 0,
+        },
+    }
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"

@@ -1,12 +1,14 @@
+import functools
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from packinglab import lobachevsky as lob
 
 # Maximum of L, attained at pi/6; reference from the quadrature route
-# and cross-checked against the series below.
+# and cross-checked against lobachevsky() below.
 L_PI_6 = 0.5074708032
 
 angles = st.floats(
@@ -59,12 +61,6 @@ def test_tail_bound_honesty():
         assert abs(coarse - fine) < 1e-6 + 1e-12
 
 
-def test_series_terms_scale():
-    assert lob.series_terms(math.pi / 2, 1e-9) < 30000
-    assert lob.series_terms(math.pi / 2, 1e-6) < 1000
-    assert lob.series_terms(0.0, 1e-9) == 0
-
-
 def test_asymptotic_matches_quadrature_when_small():
     for theta in (0.01, 0.05, 0.1):
         a = lob.lobachevsky_asymptotic(theta, terms=5)
@@ -90,9 +86,22 @@ def test_bad_arguments():
         lob.lobachevsky_asymptotic(0.05, terms=-1)
 
 
-def test_criterion_sized_grid_is_fast():
-    # The acceptance run compares 10^3 points; make sure the term
-    # counts stay practical across the whole open interval.
-    grid = [k * (math.pi / 1000) for k in range(1000)]
-    total = sum(lob.series_terms(t, 1e-9) for t in grid)
-    assert total < 5e7
+@functools.lru_cache(maxsize=None)
+def clausen_grid():
+    """(theta, Cl_2(2 theta) / 2) at 241 angles across [-pi, pi].
+
+    L(theta) = Cl_2(2 theta) / 2, and mpmath's Clausen function is an
+    oracle independent of both routes here.  The grid holds a full
+    period either side of 0, the fold points +-pi/2 and the period ends.
+    """
+    with mpmath.workdps(20):
+        return tuple(
+            (theta, float(mpmath.clsin(2, 2 * mpmath.mpf(theta)) / 2))
+            for theta in (k * (math.pi / 120) for k in range(-120, 121))
+        )
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-13])
+def test_full_period_grid_against_clausen(tol):
+    for theta, want in clausen_grid():
+        assert abs(lob.lobachevsky(theta, tol=tol) - want) <= tol, theta

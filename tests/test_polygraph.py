@@ -222,6 +222,42 @@ def test_elongated_triangular_pyramid_row():
     assert out.face_types() == (3, 3, 3, 3, 4, 4, 4)
 
 
+def reference_match(ring_a, types_a, ring_b, types_b):
+    # the per-caller search face_equivalent and vertex_equivalent each ran
+    # before they shared one helper: rotations, then reflections
+    n = len(ring_a)
+    maps = [([(r + i) % n for i in range(n)], 1) for r in range(n)]
+    maps += [([(r - i) % n for i in range(n)], -1) for r in range(n)]
+    for vmap, sign in maps:
+        if sign == 1:
+            ok = all(types_a[i] == types_b[vmap[i]] for i in range(n))
+        else:
+            ok = all(types_a[i] == types_b[(vmap[i] - 1) % n] for i in range(n))
+        if ok:
+            return tuple((ring_a[i], ring_b[vmap[i]]) for i in range(n)), sign
+    return None, 0
+
+
+def test_dihedral_match_agrees_with_reference():
+    # no builtin polyhedron, nor any single face gluing of two, needs the
+    # reflection branch, so exercise it on chiral type sequences directly
+    ring_a, ring_b = "pqrst", "vwxyz"
+    reflected = 0
+    for n, values in ((3, (3, 4, 5)), (4, (3, 4, 5)), (5, (3, 4))):
+        for types_a in itertools.product(values, repeat=n):
+            for types_b in itertools.product(values, repeat=n):
+                want, sign = reference_match(ring_a[:n], types_a, ring_b[:n], types_b)
+                assert polygraph._dihedral_match(
+                    ring_a[:n], types_a, ring_b[:n], types_b
+                ) == want
+                reflected += sign == -1
+    assert reflected > 0
+    # (3, 4, 5) and (5, 4, 3) are mirror images and not rotations of each other
+    assert polygraph._dihedral_match("pqr", (3, 4, 5), "xyz", (5, 4, 3)) == (
+        ("p", "x"), ("q", "z"), ("r", "y"),
+    )
+
+
 def test_glue_symmetric_isomorphic():
     tet = builtin("tetrahedron")
     sq = builtin("square_pyramid")
