@@ -22,10 +22,16 @@ Serialization grammar (used by catalog files, CLI output and tests)::
 Printing emits terms by ascending radicand, rational part first, no
 whitespace; parsing additionally accepts whitespace between tokens and
 non-squarefree radicands (``sqrt(12)`` reduces to ``2*sqrt(3)``).
+
+For bulk work on many rows over one field, ``_Field`` fixes a
+multiquadratic basis and writes each row as integers over that basis
+with one common denominator; orbit generation and the Gram matrix run
+on that encoding and decode back to QNums at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -406,6 +412,76 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return QNum(x)
     return None
+
+
+def _squarefree_product(a, b):
+    """sqrt(a) * sqrt(b) = g * sqrt(c) for squarefree a, b: return (c, g)."""
+    g = gcd(a, b)
+    return (a // g) * (b // g), g
+
+
+class _Field:
+    """A multiquadratic basis fixed by some rows, and rows encoded over it.
+
+    The radicands of the rows, closed under products, span a ring that
+    holds every product of two coordinates, so every inner product of
+    two rows and every reflection of one row in another.  A row is encoded
+    as its (n+2)*d basis coefficients, coordinate by coordinate, over one
+    positive common denominator appended at the end, the whole tuple
+    reduced by its gcd; that tuple is canonical, so it is the exact dedup
+    key.
+    """
+
+    def __init__(self, rows):
+        basis = {1}
+        for row in rows:
+            for q in row:
+                for k, _ in q.terms:
+                    if k not in basis:
+                        basis |= {_squarefree_product(k, r)[0] for r in basis}
+        self.radicands = tuple(sorted(basis))
+        self.d = len(self.radicands)
+        self.roots = tuple(math.sqrt(k) for k in self.radicands)
+        self.position = {k: a for a, k in enumerate(self.radicands)}
+        # product[a][b] = (position of c, g) for sqrt(r_a)*sqrt(r_b) = g*sqrt(c)
+        self.product = tuple(
+            tuple(
+                (self.position[c], g)
+                for c, g in (_squarefree_product(ra, rb) for rb in self.radicands)
+            )
+            for ra in self.radicands
+        )
+        self._numbers = {}
+
+    def encode(self, row):
+        # over the lcm of the denominators the tuple is already reduced
+        den = 1
+        for q in row:
+            den = den * q.denominator // gcd(den, q.denominator)
+        key = [0] * (len(row) * self.d) + [den]
+        for i, q in enumerate(row):
+            for k, c in q.terms:
+                key[i * self.d + self.position[k]] = c.numerator * (den // c.denominator)
+        return tuple(key)
+
+    def coordinate(self, key, i):
+        """Coordinate i of an encoded row, as an exact QNum."""
+        return self.number(key[i * self.d:(i + 1) * self.d], key[-1])
+
+    def decode(self, key):
+        d, den = self.d, key[-1]
+        return tuple(self.number(key[i:i + d], den) for i in range(0, len(key) - 1, d))
+
+    def number(self, coeffs, den):
+        """sum_a coeffs[a] * sqrt(radicands[a]) / den, for den > 0, as an
+        exact QNum in canonical form."""
+        # values repeat a great deal, and QNums are immutable
+        q = self._numbers.get((coeffs, den))
+        if q is None:
+            q = self._numbers[coeffs, den] = QNum._make(tuple(
+                (k, Fraction(x, den)) for k, x in zip(self.radicands, coeffs) if x
+            ))
+        return q
 
 
 # -- parser -----------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _matrix
-from .exactnum import ONE, QNum, ZERO
+from .exactnum import ONE, QNum, ZERO, _Field
 
 HALF = QNum(Fraction(1, 2))
 MINUS_ONE = QNum(-1)
@@ -154,14 +154,52 @@ def bend_matrix(basis, mirror) -> _matrix.Matrix:
     return _matrix.mat_mul(_matrix.mat_mul(v, r), _matrix.mat_inverse(v))
 
 
+def form_functional(field, key) -> tuple:
+    """2<v, m> for an encoded row m, compiled to integer functionals.
+
+    With v = x / D and m = y / E over the field's basis, 2<v, m> is
+    sum_c t_c sqrt(r_c) / (D E), where t_c = sum x[slot] * weight over
+    the c-th returned tuple of (slot, weight) pairs.  The tables come in
+    closed form from y and the basis product table.
+    """
+    d, product = field.d, field.product
+    y = key[:-1]
+    functionals = [{} for _ in range(d)]
+    # 2<v,m> = v0 m1 + v1 m0 - 2 sum_{i>=2} vi mi: (v slot, m slot, weight)
+    pairs = [(0, 1, 1), (1, 0, 1)] + [(i, i, -2) for i in range(2, len(y) // d)]
+    for i, j, weight in pairs:
+        for b in range(d):
+            coeff = weight * y[j * d + b]
+            if coeff:
+                for a in range(d):
+                    c, g = product[a][b]
+                    slot = i * d + a
+                    functionals[c][slot] = functionals[c].get(slot, 0) + g * coeff
+    return tuple(
+        tuple((s, w) for s, w in functional.items() if w) for functional in functionals
+    )
+
+
 def gram(rows) -> _matrix.Matrix:
-    """Pairwise inner products of a configuration (symmetric, exact)."""
-    rows = tuple(rows)
-    out = [[None] * len(rows) for _ in range(len(rows))]
-    for i, v in enumerate(rows):
-        for j in range(i, len(rows)):
-            g = inner(v, rows[j])
-            out[i][j] = out[j][i] = g
+    """Pairwise inner products of a configuration (symmetric, exact).
+
+    The rows are encoded over one integer field basis; each row's
+    2<., m> is compiled once (form_functional), and each cell is
+    evaluated on integers and decoded once into a canonical QNum.
+    """
+    rows = tuple(as_vector(r) for r in rows)
+    for w in rows:
+        if len(w) != len(rows[0]):
+            raise ValueError(f"dimension mismatch: {len(rows[0])} vs {len(w)}")
+    field = _Field(rows)
+    keys = [field.encode(r) for r in rows]
+    out = [[None] * len(rows) for _ in rows]
+    for j, m in enumerate(keys):
+        functionals = form_functional(field, m)
+        for i in range(j + 1):
+            v = keys[i]
+            t = tuple(sum([v[s] * w for s, w in f]) for f in functionals)
+            out[i][j] = out[j][i] = field.number(t, 2 * v[-1] * m[-1])
     return tuple(tuple(r) for r in out)
 
 

@@ -16,8 +16,10 @@ its rows under products into a fixed multiquadratic basis ({1,2,5,10}
 for Bi(10), {1,2,3,6} for the d=3 entries), writes every row as its
 (n+2)*d integer basis coefficients over one positive common
 denominator reduced by the gcd, and uses that tuple as the exact dedup
-key.  Each mirror is compiled once into integer tables, so a
-reflection is an integer rank-one update and one gcd.  The bend bound
+key.  The basis and this encoding are ``exactnum._Field``, which
+``geometry.gram`` shares.  Each mirror is compiled once into integer
+tables, its 2<v,m> by ``geometry.form_functional``, so a reflection is
+an integer rank-one update and one gcd.  The bend bound
 is settled in floats only when the float bend clears it by more than
 an absolute bound on the rounding error, proportional to
 sum |x_a| sqrt(r_a); inside that band, or on float overflow, the bend
@@ -39,8 +41,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QNum
-from .geometry import as_vector, inner, interior_contains, is_wall
+from .exactnum import QNum, _Field
+from .geometry import as_vector, form_functional, inner, interior_contains, is_wall
 from .groupwords import Configuration
 
 _MASK64 = (1 << 64) - 1
@@ -55,11 +57,6 @@ def splitmix64(seed):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         yield z ^ (z >> 31)
-
-
-def _unit_fraction(word):
-    # 53 high bits as an exact dyadic fraction in [0, 1)
-    return Fraction(word >> 11, 1 << 53)
 
 
 @dataclass(frozen=True)
@@ -108,81 +105,15 @@ def _checked_rows(rows, what):
     return out
 
 
-def _squarefree_product(a, b):
-    """sqrt(a) * sqrt(b) = g * sqrt(c) for squarefree a, b: return (c, g)."""
-    g = math.gcd(a, b)
-    return (a // g) * (b // g), g
-
-
-class _Field:
-    """The multiquadratic basis of an orbit, and rows encoded over it.
-
-    The radicands of the cluster and mirror rows, closed under products,
-    span a ring that every reflection maps into itself.  A row is encoded
-    as its (n+2)*d basis coefficients, coordinate by coordinate, over one
-    positive common denominator appended at the end, the whole tuple
-    reduced by its gcd; that tuple is canonical, so it is the exact dedup
-    key.
-    """
-
-    def __init__(self, rows):
-        basis = {1}
-        for row in rows:
-            for q in row:
-                for k, _ in q.terms:
-                    if k not in basis:
-                        basis |= {_squarefree_product(k, r)[0] for r in basis}
-        self.radicands = tuple(sorted(basis))
-        self.d = len(self.radicands)
-        self.roots = tuple(math.sqrt(k) for k in self.radicands)
-        self.position = {k: a for a, k in enumerate(self.radicands)}
-        # product[a][b] = (position of c, g) for sqrt(r_a)*sqrt(r_b) = g*sqrt(c)
-        self.product = tuple(
-            tuple(
-                (self.position[c], g)
-                for c, g in (_squarefree_product(ra, rb) for rb in self.radicands)
-            )
-            for ra in self.radicands
-        )
-        self._coordinates = {}
-
-    def encode(self, row):
-        # over the lcm of the denominators the tuple is already reduced
-        den = 1
-        for q in row:
-            den = den * q.denominator // math.gcd(den, q.denominator)
-        key = [0] * (len(row) * self.d) + [den]
-        for i, q in enumerate(row):
-            for k, c in q.terms:
-                key[i * self.d + self.position[k]] = c.numerator * (den // c.denominator)
-        return tuple(key)
-
-    def coordinate(self, key, i):
-        """Coordinate i of an encoded row, as an exact QNum."""
-        return self._qnum(key[i * self.d:(i + 1) * self.d], key[-1])
-
-    def decode(self, key):
-        d, den = self.d, key[-1]
-        return tuple(self._qnum(key[i:i + d], den) for i in range(0, len(key) - 1, d))
-
-    def _qnum(self, coeffs, den):
-        # orbit coordinates repeat a great deal, and QNums are immutable
-        q = self._coordinates.get((coeffs, den))
-        if q is None:
-            q = self._coordinates[coeffs, den] = QNum._make(tuple(
-                (k, Fraction(x, den)) for k, x in zip(self.radicands, coeffs) if x
-            ))
-        return q
-
-
 class _Mirror:
     """Reflection in one mirror, compiled to integer tables.
 
     With v = x / D and m = y / E over the field's basis, 2<v,m> is
     sum_c t_c sqrt(r_c) / (D E), where each t_c is an integer linear
-    functional of x, and v + 2<v,m> m = (E^2 x + sum_c t_c P_c) / (D E^2),
-    where P_c holds the coefficients of sqrt(r_c) * y.  Both tables come
-    in closed form from y and the basis product table.
+    functional of x (geometry.form_functional), and
+    v + 2<v,m> m = (E^2 x + sum_c t_c P_c) / (D E^2), where P_c holds the
+    coefficients of sqrt(r_c) * y.  Both tables come in closed form from
+    y and the basis product table.
     """
 
     def __init__(self, field, index, mirror):
@@ -192,16 +123,7 @@ class _Mirror:
         y, den = self.key[:-1], self.key[-1]
         self.negated = tuple(-a for a in y) + (den,)
         self.scale = den * den
-        functionals = [{} for _ in range(d)]
         columns = [{} for _ in range(d)]
-        # 2<v,m> = v0 m1 + v1 m0 - 2 sum_{i>=2} vi mi: (v slot, m slot, weight)
-        pairs = [(0, 1, 1), (1, 0, 1)] + [(i, i, -2) for i in range(2, len(mirror))]
-        for i, j, weight in pairs:
-            for b in range(d):
-                for a in range(d):
-                    c, g = product[a][b]
-                    slot = i * d + a
-                    functionals[c][slot] = functionals[c].get(slot, 0) + weight * g * y[j * d + b]
         for k in range(len(mirror)):
             for b in range(d):
                 for c in range(d):
@@ -209,8 +131,7 @@ class _Mirror:
                     slot = k * d + e
                     columns[c][slot] = columns[c].get(slot, 0) + g * y[k * d + b]
         terms = []
-        for functional, column in zip(functionals, columns):
-            functional = tuple((s, w) for s, w in functional.items() if w)
+        for functional, column in zip(form_functional(field, self.key), columns):
             column = tuple((s, w) for s, w in column.items() if w)
             if functional and column:
                 terms.append((functional, column))
@@ -466,14 +387,43 @@ def _derived_box(rows):
     return tuple((a, b2) for a, b2 in zip(lo, hi))
 
 
+def _sample_ratios(box):
+    """Per box coordinate, integers (A, C, D) with
+    lo + (hi - lo) * u / 2**53 == (A + C*u) / D for every u."""
+    ratios = []
+    for lo, hi in box:
+        width = hi - lo
+        ratios.append((
+            lo.numerator * width.denominator << 53,
+            width.numerator * lo.denominator,
+            lo.denominator * width.denominator << 53,
+        ))
+    return ratios
+
+
+def _float_point(ratios, words):
+    # int true division rounds correctly, as float(Fraction) does
+    return [(a + c * u) / den for (a, c, den), u in zip(ratios, words)]
+
+
+def _exact_point(ratios, words):
+    return tuple(Fraction(a + c * u, den) for (a, c, den), u in zip(ratios, words))
+
+
 def verify_empty_interior(config, sample_count, seed, box=None):
     """Sample the bounding box and look for a point interior to every wall.
 
-    Points are exact dyadic rationals from a seeded splitmix64 stream, so
-    reports reproduce bit for bit.  Each sample is screened with a float
-    evaluation first: only points within 1e-6 of passing every wall are
-    confirmed with exact arithmetic (the margin is validated against the
-    pure exact path by a property test).
+    Coordinate i of a sample is the exact rational lo + (hi - lo) * u / 2**53,
+    u the 53 high bits of the next word of a seeded splitmix64 stream, so
+    reports reproduce bit for bit.  Per coordinate that point is
+    (A + C*u) / D over integers A, C and D fixed by the box, and its float
+    is that one int ratio, correctly rounded as float(Fraction) is,
+    OverflowError included.  Each sample is screened with the float point:
+    only points within 1e-6 of passing every wall are built as Fractions
+    and checked exactly (``exact_checks`` counts them).  A counterexample
+    is therefore exact, but the 1e-6 margin is not a proven bound on the
+    float error, and the box is only sampled, so a True verdict is
+    sampling evidence, not a proof.
     """
     if isinstance(config, Configuration):
         rows = config.rows
@@ -487,15 +437,14 @@ def verify_empty_interior(config, sample_count, seed, box=None):
     n = len(rows[0]) - 2
     if len(box) != n:
         raise ValueError("box has %d intervals, expected %d" % (len(box), n))
+    ratios = _sample_ratios(box)
 
     frows = [[float(q) for q in r] for r in rows]
     rng = splitmix64(seed)
     exact_checks = 0
     for _ in range(sample_count):
-        point = tuple(
-            lo + (hi - lo) * _unit_fraction(next(rng)) for lo, hi in box
-        )
-        fpoint = [float(x) for x in point]
+        words = [next(rng) >> 11 for _ in ratios]
+        fpoint = _float_point(ratios, words)
         candidate = True
         for fr in frows:
             bh, b = fr[0], fr[1]
@@ -510,6 +459,7 @@ def verify_empty_interior(config, sample_count, seed, box=None):
         if not candidate:
             continue
         exact_checks += 1
+        point = _exact_point(ratios, words)
         if all(interior_contains(r, point) for r in rows):
             return EmptyInteriorReport(
                 False, sample_count, seed, box, point, exact_checks

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from packinglab import _matrix, geometry
+from packinglab import _matrix, catalog, geometry
 from packinglab.exactnum import ONE, QNum, ZERO, sqrt
+from packinglab.groupwords import double
 
 
 def qv(*coords):
@@ -157,6 +159,59 @@ def test_gram_strip_packing():
 
 def test_gram_single():
     assert geometry.gram([qv(-1, 1, 0, 0)]) == ((QNum(-1),),)
+
+
+def gram_oracle(rows):
+    return tuple(tuple(geometry.inner(v, w) for w in rows) for v in rows)
+
+
+def cell_terms(g):
+    # the canonical term tuples themselves, coefficient types included
+    return [[tuple((k, type(c), c) for k, c in q.terms) for q in row] for row in g]
+
+
+def assert_gram_matches_oracle(rows):
+    assert cell_terms(geometry.gram(rows)) == cell_terms(gram_oracle(rows))
+
+
+@pytest.mark.parametrize("entry_id", catalog.list_builtin())
+def test_gram_matches_inner_oracle_on_builtins(entry_id):
+    assert_gram_matches_oracle(catalog.get_builtin(entry_id).configuration.rows)
+
+
+def test_gram_matches_inner_oracle_on_doubled_configuration():
+    doubled = double(catalog.get_builtin("d1n3-base").configuration, 3)
+    assert_gram_matches_oracle(doubled.rows)
+    assert doubled.gram() == gram_oracle(doubled.rows)
+
+
+# Q(sqrt2, sqrt3) scalars; rows drawn from them rarely have norm -1
+coefficients = st.builds(
+    Fraction, st.integers(min_value=-8, max_value=8), st.integers(min_value=1, max_value=6)
+)
+field_scalars = st.builds(
+    lambda a, b, c, e: QNum({1: a, 2: b, 3: c, 6: e}),
+    coefficients, coefficients, coefficients, coefficients,
+)
+
+
+@st.composite
+def field_rows(draw):
+    size = draw(st.integers(min_value=3, max_value=6))
+    row = st.tuples(*[field_scalars] * size)
+    return draw(st.lists(row, min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_rows())
+def test_gram_matches_inner_oracle_on_field_rows(rows):
+    assert_gram_matches_oracle(rows)
+
+
+def test_gram_edge_cases():
+    assert geometry.gram(()) == ()
+    with pytest.raises(ValueError, match="dimension mismatch: 4 vs 3"):
+        geometry.gram([qv(-1, 1, 0, 0), qv(0, 0, 1)])
 
 
 def test_interior_sphere():

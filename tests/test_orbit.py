@@ -5,7 +5,14 @@ import pytest
 
 from packinglab import catalog, orbit
 from packinglab.exactnum import QNum, sqrt
-from packinglab.geometry import hyperplane, inner, is_wall, reflect, sphere
+from packinglab.geometry import (
+    hyperplane,
+    inner,
+    interior_contains,
+    is_wall,
+    reflect,
+    sphere,
+)
 from packinglab.orbit import (
     OrbitLimits,
     bends,
@@ -393,6 +400,11 @@ def test_empty_interior_supplied_box():
         verify_empty_interior(cfg, 10, seed=1)
 
 
+def unit_fraction(word):
+    # 53 high bits as an exact dyadic fraction in [0, 1)
+    return Fraction(word >> 11, 1 << 53)
+
+
 def test_empty_interior_prefilter_matches_exact():
     # the float screen must agree with a pure exact evaluation
     rng = random.Random(17)
@@ -411,13 +423,116 @@ def test_empty_interior_prefilter_matches_exact():
         hit = None
         for _ in range(300):
             point = tuple(
-                Fraction(lo) + Fraction(hi - lo) * orbit._unit_fraction(next(gen))
+                Fraction(lo) + Fraction(hi - lo) * unit_fraction(next(gen))
                 for lo, hi in box
             )
-            from packinglab.geometry import interior_contains
-
             if all(interior_contains(r, point) for r in rows):
                 hit = point
                 break
         assert rep.verdict == (hit is None)
         assert rep.counterexample == hit
+
+
+def empty_interior_oracle(rows, sample_count, seed, box):
+    """The sampler with an exact Fraction point built for every sample
+    and converted to float for the screen.  Returns the report and the
+    (float point, exact point) of every sample drawn."""
+    box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
+    frows = [[float(q) for q in r] for r in rows]
+    rng = orbit.splitmix64(seed)
+    drawn = []
+    exact_checks = 0
+    for _ in range(sample_count):
+        point = tuple(lo + (hi - lo) * unit_fraction(next(rng)) for lo, hi in box)
+        fpoint = [float(x) for x in point]
+        drawn.append((fpoint, point))
+        candidate = True
+        for fr in frows:
+            bh, b = fr[0], fr[1]
+            if b == 0.0:
+                q = sum(c * x for c, x in zip(fr[2:], fpoint)) - 0.5 * bh
+            else:
+                d2 = sum((c - b * x) ** 2 for c, x in zip(fr[2:], fpoint))
+                q = (1.0 - d2) * (1.0 if b > 0 else -1.0)
+            if q < -1e-6:
+                candidate = False
+                break
+        if not candidate:
+            continue
+        exact_checks += 1
+        if all(interior_contains(r, point) for r in rows):
+            report = orbit.EmptyInteriorReport(
+                False, sample_count, seed, box, point, exact_checks
+            )
+            return report, drawn
+    return orbit.EmptyInteriorReport(True, sample_count, seed, box, None, exact_checks), drawn
+
+
+def assert_sampler_matches_oracle(rows, sample_count, seed, box):
+    want, drawn = empty_interior_oracle(rows, sample_count, seed, box)
+    got = verify_empty_interior(rows, sample_count, seed, box=box)
+    # field by field: verdict, exact_checks, counterexample, box, ...
+    assert got == want
+    # the points themselves: floats bit for bit, exact points equal
+    ratios = orbit._sample_ratios(want.box)
+    rng = orbit.splitmix64(seed)
+    for fpoint, point in drawn:
+        words = [next(rng) >> 11 for _ in ratios]
+        assert [x.hex() for x in orbit._float_point(ratios, words)] == [
+            x.hex() for x in fpoint
+        ]
+        assert orbit._exact_point(ratios, words) == point
+    return got
+
+
+@pytest.mark.parametrize("seed,samples", [(0, 400), (-5, 400), (7, 2000)])
+@pytest.mark.parametrize("entry_id", catalog.list_builtin())
+def test_empty_interior_matches_fraction_oracle_on_builtins(entry_id, seed, samples):
+    rows = catalog.get_builtin(entry_id).configuration.rows
+    assert_sampler_matches_oracle(rows, samples, seed, orbit._derived_box(rows))
+
+
+def test_empty_interior_oracle_covers_a_counterexample():
+    # d1n3-base has an interior point at the CLI's seed: the exact point matters
+    rows = catalog.get_builtin("d1n3-base").configuration.rows
+    rep = assert_sampler_matches_oracle(rows, 2000, 7, orbit._derived_box(rows))
+    assert not rep.verdict and rep.exact_checks == 1
+
+
+UNIT_DISK = (sphere((QNum(0), QNum(0)), QNum(1)),)
+LINES = (
+    hyperplane((QNum(1), QNum(0)), 0),
+    hyperplane((QNum(0), QNum(-1)), Fraction(1, 3)),
+)
+
+
+@pytest.mark.parametrize("rows", [UNIT_DISK, LINES], ids=["disk", "lines"])
+@pytest.mark.parametrize(
+    "box",
+    [
+        ((Fraction(-1, 3), Fraction(2, 7)), (Fraction(-5, 3), Fraction(1, 9))),
+        ((-3, Fraction(-1, 7)), (Fraction(-22, 7), Fraction(-3, 11))),
+        ((Fraction(1, 3), Fraction(-2, 5)), (2, Fraction(-7, 3))),
+        ((Fraction(1, 3), Fraction(1, 3)), (Fraction(-1, 10), Fraction(1, 10))),
+        ((Fraction(-10**40, 3), Fraction(10**40, 7)), (-1, 1)),
+    ],
+    ids=["non-dyadic", "negative", "reversed", "degenerate", "wide"],
+)
+@pytest.mark.parametrize("seed", [0, -1, 23])
+def test_empty_interior_matches_fraction_oracle_on_boxes(rows, box, seed):
+    assert_sampler_matches_oracle(rows, 300, seed, box)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        ((Fraction(10**400), Fraction(10**400 + 1)), (0, 1)),
+        ((0, 1), (-(10**400), 0)),
+    ],
+)
+def test_empty_interior_overflow_matches_fraction_oracle(box):
+    with pytest.raises(OverflowError) as want:
+        empty_interior_oracle(UNIT_DISK, 10, 0, box)
+    with pytest.raises(OverflowError) as got:
+        verify_empty_interior(UNIT_DISK, 10, 0, box=box)
+    assert str(got.value) == str(want.value)
