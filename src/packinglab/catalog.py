@@ -124,17 +124,12 @@ def from_json(text: str) -> CatalogEntry:
         form_d=doc["d"],
         defining_words=None if doc["words"] is None else tuple(doc["words"]),
     )
-    gram = doc["gram"]
-    if gram is not None:
-        gram = tuple(tuple(QNum(c) for c in row) for row in gram)
-    clusters = doc["clusters"]
-    if clusters is not None:
-        clusters = tuple(tuple(c) for c in clusters)
+    # CatalogEntry parses the Gram's literals and makes the clusters tuples
     return CatalogEntry(
         id=doc["id"],
         configuration=cfg,
-        gram=gram,
-        clusters=clusters,
+        gram=doc["gram"],
+        clusters=doc["clusters"],
         source=doc["source"],
     )
 

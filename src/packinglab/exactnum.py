@@ -21,7 +21,17 @@ Serialization grammar (used by catalog files, CLI output and tests)::
 
 Printing emits terms by ascending radicand, rational part first, no
 whitespace; parsing additionally accepts whitespace between tokens and
-non-squarefree radicands (``sqrt(12)`` reduces to ``2*sqrt(3)``).
+non-squarefree radicands (``sqrt(12)`` reduces to ``2*sqrt(3)``).  The
+scanner matches one compiled regular expression per term; a literal
+outside the grammar raises ValueError naming the position where it
+breaks.
+
+Where a value lies is answered in one way, ``_enclose``: over integer
+coefficients it gives integers lo <= hi with the value in
+[lo, hi] / 2**p, exact on the rational part and off by less than one
+unit per irrational term.  ``sign`` doubles p until the enclosure
+excludes zero, ``to_float`` rounds its midpoint once, ``_bounds`` returns
+it as Fractions, and orbit generation's bend bound compares enclosures.
 
 For bulk work on many rows over one field, ``_Field`` fixes a
 multiquadratic basis and writes each row as integers over that basis
@@ -31,7 +41,7 @@ on that encoding and decode back to QNums at the end.
 
 from __future__ import annotations
 
-import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -68,6 +78,32 @@ def _isqrt_scaled(k: int, p: int) -> int:
     return isqrt(k << (2 * p))
 
 
+def _enclose(radicands, coeffs, p: int) -> tuple[int, int]:
+    """Integers lo <= hi with sum_a coeffs[a] * sqrt(radicands[a]) in
+    [lo, hi] / 2**p, for integer coefficients and squarefree radicands.
+
+    The rational part (radicand 1) is exact; each irrational sqrt(k) lies
+    strictly between floor(sqrt(k) * 2**p) and that plus one, so
+    hi - lo = sum of |coeffs| over the radicands k > 1.  This is the one
+    enclosure behind ``QNum.sign``, ``QNum.to_float``, ``QNum._bounds``
+    and the orbit's bend bound.
+    """
+    lo = hi = 0
+    for k, c in zip(radicands, coeffs):
+        if k == 1:
+            lo += c << p
+            hi += c << p
+        elif c:
+            t = c * _isqrt_scaled(k, p)
+            if c > 0:
+                lo += t
+                hi += t + c
+            else:
+                lo += t + c
+                hi += t
+    return lo, hi
+
+
 def _least_prime_factor(n: int) -> int:
     d = 2
     while d * d <= n:
@@ -95,7 +131,7 @@ class QNum:
             c = Fraction(value)
             items = ((1, c),) if c else ()
         elif isinstance(value, str):
-            items = _parse(value)
+            items = _scan(value)
         elif isinstance(value, dict):
             acc: dict[int, Fraction] = {}
             for k, c in value.items():
@@ -123,7 +159,7 @@ class QNum:
     @classmethod
     def parse(cls, text: str) -> "QNum":
         """Parse the literal grammar; raises ValueError with position."""
-        return cls._make(_parse(text))
+        return cls._make(_scan(text))
 
     @property
     def terms(self) -> tuple:
@@ -267,9 +303,9 @@ class QNum:
     def sign(self) -> int:
         """-1, 0 or +1, exact.
 
-        Zero is structural (empty term map).  Otherwise each sqrt(k) is
-        boxed in a shrinking rational interval via isqrt until the sum
-        interval excludes zero; termination is guaranteed because a
+        Zero is structural (empty term map).  Otherwise the value is
+        enclosed at precision p = 16, 32, 64, ... (``_enclosure``) until
+        the enclosure excludes zero; termination is guaranteed because a
         nonzero value has nonzero magnitude.
         """
         if not self._terms:
@@ -278,39 +314,39 @@ class QNum:
             return 1 if self._terms[0][1] > 0 else -1
         prec = 16
         while True:
-            lo, hi = self._bounds(prec)
+            lo, hi, _ = self._enclosure(prec)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             prec *= 2
 
+    def _enclosure(self, prec: int) -> tuple[int, int, int]:
+        """Integers (lo, hi, den), den > 0, with the value in
+        [lo, hi] / (den * 2**prec): ``_enclose`` on the coefficients
+        over their least common denominator."""
+        den = self.denominator
+        lo, hi = _enclose(
+            [k for k, _ in self._terms],
+            [c.numerator * (den // c.denominator) for _, c in self._terms],
+            prec,
+        )
+        return lo, hi, den
+
     def _bounds(self, prec: int) -> tuple[Fraction, Fraction]:
-        """Rational interval containing the value, width <= sum|c|*2^-prec."""
-        scale = 1 << prec
-        lo = hi = Fraction(0)
-        for k, c in self._terms:
-            if k == 1:
-                lo += c
-                hi += c
-            else:
-                s = isqrt(k * scale * scale)
-                a, b = Fraction(s, scale), Fraction(s + 1, scale)
-                if c >= 0:
-                    lo += c * a
-                    hi += c * b
-                else:
-                    lo += c * b
-                    hi += c * a
-        return lo, hi
+        """The enclosure at ``prec`` as two Fractions: exact on a rational
+        value, else of width sum_{k>1} |c_k| * 2**-prec."""
+        lo, hi, den = self._enclosure(prec)
+        scale = den << prec
+        return Fraction(lo, scale), Fraction(hi, scale)
 
     def to_float(self, precision: int = 53) -> float:
-        """The midpoint of ``_bounds(precision + 2)``, correctly rounded.
+        """The midpoint of the enclosure at p = precision + 2, correctly
+        rounded.
 
-        With p = precision + 2 the midpoint is
-        ``c_1 + sum_k c_k * (2*isqrt(k << 2p) + 1) / 2**(p+1)``, within
-        ``sum_{k>1} |c_k| * 2**-(p+1)`` of the exact value; it is formed
-        as one integer ratio, and int true division rounds correctly, as
+        The midpoint (lo + hi) / (den * 2**(p+1)) lies within
+        ``sum_{k>1} |c_k| * 2**-(p+1)`` of the exact value.  It is one
+        integer ratio, and int true division rounds correctly, as
         ``float(Fraction)`` does, so the result is that of
         ``float(sum(self._bounds(p)) / 2)``, OverflowError included.
         """
@@ -319,14 +355,8 @@ class QNum:
             c = terms[0][1]
             return c.numerator / c.denominator
         p = precision + 2
-        den = 1
-        for _, c in terms:
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for k, c in terms:
-            odd = 2 << p if k == 1 else 2 * _isqrt_scaled(k, p) + 1
-            num += c.numerator * (den // c.denominator) * odd
-        return num / (den << (p + 1))
+        lo, hi, den = self._enclosure(p)
+        return (lo + hi) / (den << (p + 1))
 
     def __float__(self) -> float:
         return self.to_float()
@@ -441,7 +471,6 @@ class _Field:
                         basis |= {_squarefree_product(k, r)[0] for r in basis}
         self.radicands = tuple(sorted(basis))
         self.d = len(self.radicands)
-        self.roots = tuple(math.sqrt(k) for k in self.radicands)
         self.position = {k: a for a, k in enumerate(self.radicands)}
         # product[a][b] = (position of c, g) for sqrt(r_a)*sqrt(r_b) = g*sqrt(c)
         self.product = tuple(
@@ -484,104 +513,80 @@ class _Field:
         return q
 
 
-# -- parser -----------------------------------------------------------
+# -- scanner ----------------------------------------------------------
+
+# One term and the operator after it.  Every part is optional, so the match
+# always succeeds without backtracking, and the first missing group says
+# where the literal breaks the grammar.  Whitespace is matched only right
+# after a token, never by two quantifiers in a row, which would make a long
+# run of spaces before a bad character cost quadratic time.
+_TERM = re.compile(r"""
+    (-\s*)?                         # 1 sign of the term
+    (?:(\d+)\s*                     # 2 numerator
+        (?:(/\s*)(?:(\d+)\s*)?)?    # 3 slash, 4 denominator
+        (\*\s*)?                    # 5 times
+    )?
+    (?:(sqrt\s*)                    # 6 sqrt
+        (?:(\(\s*)                  # 7 open
+            (?:((\d+)\s*)(\)\s*)?)?  # 8 radicand with its space, 9 radicand, 10 close
+        )?
+    )?
+    ([+-]\s*)?                      # 11 operator before the next term
+""", re.VERBOSE)
 
 
-def _parse(text: str) -> tuple:
-    pos = 0
-    n = len(text)
+def _reject(msg: str, at: int):
+    raise ValueError(f"QNum syntax error at position {at}: {msg}")
 
-    def err(msg: str, at: int):
-        raise ValueError(f"QNum syntax error at position {at}: {msg}")
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_uint() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            err("expected an unsigned integer", start)
-        return int(text[start:pos])
-
-    def parse_sqrt() -> int:
-        nonlocal pos
-        pos += 4  # past "sqrt"
-        skip_ws()
-        if pos >= n or text[pos] != "(":
-            err("expected '(' after sqrt", pos)
-        pos += 1
-        skip_ws()
-        at = pos
-        k = parse_uint()
-        if k == 0:
-            err("radicand must be positive", at)
-        skip_ws()
-        if pos >= n or text[pos] != ")":
-            err("expected ')'", pos)
-        pos += 1
-        return k
-
-    def parse_term() -> tuple[Fraction, int]:
-        nonlocal pos
-        neg = False
-        if pos < n and text[pos] == "-":
-            pos += 1
-            skip_ws()
-            neg = True
-        if text.startswith("sqrt", pos):
-            c, k = Fraction(1), parse_sqrt()
-        else:
-            at = pos
-            num = parse_uint()
-            den = 1
-            skip_ws()
-            if pos < n and text[pos] == "/":
-                pos += 1
-                skip_ws()
-                at = pos
-                den = parse_uint()
-                if den == 0:
-                    err("zero denominator", at)
-            c = Fraction(num, den)
-            k = 1
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                if not text.startswith("sqrt", pos):
-                    err("expected sqrt(...) after '*'", pos)
-                k = parse_sqrt()
-        return (-c if neg else c), k
-
+def _scan(text: str) -> tuple:
+    """Canonical terms of a literal, scanned one term at a time."""
     acc: dict[int, Fraction] = {}
-
-    def accumulate(c: Fraction, k: int):
+    n = len(text)
+    pos = n - len(text.lstrip())
+    op = "+"
+    while True:
+        m = _TERM.match(text, pos)
+        sign, num, slash, den, times, root, opening, _, rad, closing, nxt = m.groups()
+        if num is None and root is None:
+            _reject("expected an unsigned integer", m.end(1) if sign else pos)
+        c = Fraction(1)
+        if num is not None:
+            if slash and den is None:
+                _reject("expected an unsigned integer", m.end(3))
+            d = int(den) if den else 1
+            if not d:
+                _reject("zero denominator", m.start(4))
+            if times and root is None:
+                _reject("expected sqrt(...) after '*'", m.end(5))
+            if root is not None and not times:
+                _reject("expected '+' or '-', got 's'", m.start(6))
+            c = Fraction(int(num), d)
+        k = 1
+        if root is not None:
+            if opening is None:
+                _reject("expected '(' after sqrt", m.end(6))
+            if rad is None:
+                _reject("expected an unsigned integer", m.end(7))
+            k = int(rad)
+            if k == 0:
+                _reject("radicand must be positive", m.start(9))
+            if closing is None:
+                _reject("expected ')'", m.end(8))
+        if (sign is not None) ^ (op == "-"):
+            c = -c
         s, f = squarefree_decompose(k)
-        c = c * s
-        if not c:
-            return
-        v = acc.get(f, _F0) + c
-        if v:
-            acc[f] = v
-        elif f in acc:
-            del acc[f]
-
-    skip_ws()
-    c, k = parse_term()
-    accumulate(c, k)
-    skip_ws()
-    while pos < n:
-        op = text[pos]
-        if op not in "+-":
-            err(f"expected '+' or '-', got {op!r}", pos)
-        pos += 1
-        skip_ws()
-        c, k = parse_term()
-        accumulate(c if op == "+" else -c, k)
-        skip_ws()
+        c *= s
+        if c:
+            v = acc.get(f, _F0) + c
+            if v:
+                acc[f] = v
+            else:
+                del acc[f]
+        pos = m.end()
+        if nxt is None:
+            break
+        op = nxt[0]
+    if pos < n:
+        _reject(f"expected '+' or '-', got {text[pos]!r}", pos)
     return tuple(sorted(acc.items()))

@@ -19,12 +19,13 @@ denominator reduced by the gcd, and uses that tuple as the exact dedup
 key.  The basis and this encoding are ``exactnum._Field``, which
 ``geometry.gram`` shares.  Each mirror is compiled once into integer
 tables, its 2<v,m> by ``geometry.form_functional``, so a reflection is
-an integer rank-one update and one gcd.  The bend bound
-is settled in floats only when the float bend clears it by more than
-an absolute bound on the rounding error, proportional to
-sum |x_a| sqrt(r_a); inside that band, or on float overflow, the bend
-is compared as an exact QNum, so no decision rests on a float alone.
-QNum vectors are decoded for kept circles only.
+an integer rank-one update and one gcd.  The bend bound is settled in
+integers too: the bend's basis coefficients and the bound are enclosed
+with ``exactnum._enclose`` at 64 bits, and only when the two enclosures
+meet (an exact tie, or a bend within about 2**-64 of the bound relative
+to its coefficients) is the bend decoded and compared as an exact QNum.
+No decision rests on a float.  QNum vectors are decoded for kept circles
+only.
 
 Every circle carries a provenance word "m_k. ... .m_1.a" of 1-based
 indices into the concatenated cluster + cocluster row list: circle
@@ -41,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QNum, _Field
+from .exactnum import QNum, _enclose, _Field
 from .geometry import as_vector, form_functional, inner, interior_contains, is_wall
 from .groupwords import Configuration
 
@@ -65,8 +66,9 @@ class OrbitLimits:
 
     A generation bound is always required: an exact-arithmetic orbit
     with only a bend bound is not guaranteed to terminate (coordinates
-    of a generic configuration are not discrete).  ``max_bend = None``
-    disables the bend filter.
+    of a generic configuration are not discrete).  ``max_bend`` is None,
+    which disables the bend filter, or a nonnegative int, Fraction or
+    QNum; anything else raises ValueError.
     """
 
     max_generation: int = 6
@@ -77,6 +79,16 @@ class OrbitLimits:
             raise ValueError(
                 "an explicit nonnegative generation limit is required; "
                 "got %r" % (self.max_generation,)
+            )
+        bend = self.max_bend
+        if bend is not None and (
+            isinstance(bend, bool)
+            or not isinstance(bend, (int, Fraction, QNum))
+            or bend < 0
+        ):
+            raise ValueError(
+                "max_bend must be None or a nonnegative int, Fraction or QNum; "
+                "got %r" % (bend,)
             )
 
 
@@ -155,47 +167,34 @@ class _Mirror:
 class _BendBound:
     """Exact test of abs(bend) > max_bend on encoded rows.
 
-    The float value of the bend, sum_a x_a sqrt(r_a) / D, settles the
-    test when it clears the bound by more than an absolute error bound:
-    (d + 4) * 2**-51 * (sum_a |x_a| sqrt(r_a) + |bound * D|) is over
-    four times the rounding error of the d products, the d - 1 additions
-    and the scaled bound, and the bound's own conversion error is added.
-    Inside that margin, or when a value is too large for a float, the
-    bend is decoded and compared exactly.
+    The screen is integer arithmetic: ``exactnum._enclose`` at 64 bits
+    encloses the key's bend coefficients over its denominator D, and the
+    bound is enclosed the same way over its own denominator E; it decides
+    when the two intervals, brought to the common scale D * E * 2**64, are
+    disjoint.  When they meet, as on an exact tie or a bend within the
+    enclosure width of the bound, the bend is decoded and compared exactly.
     """
 
     def __init__(self, field, max_bend):
         self.field = field
         self.max_bend = max_bend
-        self.relative = (field.d + 4) * 2.0 ** -51
-        try:
-            lo, hi = QNum(max_bend)._bounds(64)
-            self.bound = float(lo)
-            self.bound_err = 2 * float(hi - lo) + abs(self.bound) * 2.0 ** -51
-        except OverflowError:
-            # every screen then returns None
-            self.bound = self.bound_err = math.inf
+        self.lo, self.hi, self.den = QNum(max_bend)._enclosure(64)
 
     def screen(self, key):
-        """True or False when floats settle the test, None when they cannot."""
+        """True or False when the enclosures settle the test, None when they meet."""
         d = self.field.d
+        lo, hi = _enclose(self.field.radicands, key[d:2 * d], 64)
+        # abs(bend) * D * 2**64 lies in [lo, hi]
+        if hi < 0:
+            lo, hi = -hi, -lo
+        elif lo < 0:
+            lo, hi = 0, max(hi, -lo)
         den = key[-1]
-        try:
-            approx = size = 0.0
-            for x, root in zip(key[d:2 * d], self.field.roots):
-                term = x * root
-                approx += term
-                size += abs(term)
-            limit = self.bound * den
-            margin = self.relative * (size + abs(limit)) + self.bound_err * den
-        except OverflowError:
-            return None
-        excess = abs(approx) - limit
-        if excess > margin:
+        if lo * self.den > self.hi * den:
             return True
-        if excess < -margin:
+        if hi * self.den < self.lo * den:
             return False
-        return None  # inside the margin, or NaN from an infinite value
+        return None
 
     def exceeds(self, key):
         decided = self.screen(key)
@@ -355,13 +354,6 @@ class EmptyInteriorReport:
     exact_checks: int
 
 
-def _rational_interval(x, prec=64):
-    if x.is_rational():
-        f = x.as_fraction()
-        return (f, f)
-    return x._bounds(prec)
-
-
 def _derived_box(rows):
     lo = None
     hi = None
@@ -372,8 +364,8 @@ def _derived_box(rows):
             continue  # lines and outward circles do not bound a box
         radius = b.inverse()
         center = [bz / b for bz in r[2:]]
-        clo = [_rational_interval(c - radius)[0] for c in center]
-        chi = [_rational_interval(c + radius)[1] for c in center]
+        clo = [(c - radius)._bounds(64)[0] for c in center]
+        chi = [(c + radius)._bounds(64)[1] for c in center]
         if lo is None:
             lo, hi = clo, chi
         else:

@@ -109,6 +109,20 @@ def test_from_json_reports_row_context():
         from_json(json.dumps(doc))
 
 
+def test_from_json_reports_bad_gram_cell():
+    doc = json.loads(to_json(tangent_entry(
+        gram=geometry.gram(tangent_entry().configuration.rows),
+    )))
+    doc["gram"][1][2] = "1/0"
+    with pytest.raises(
+        ValueError, match=r"^QNum syntax error at position 2: zero denominator$"
+    ):
+        from_json(json.dumps(doc))
+    doc["gram"][1][2] = "7"
+    with pytest.raises(ValueError, match=r"^gram mismatch at cell \(1, 2\)"):
+        from_json(json.dumps(doc))
+
+
 def test_from_json_rejects_bad_norm():
     doc = json.loads(to_json(tangent_entry()))
     doc["rows"][0] = ["0", "0", "0", "-2"]

@@ -26,6 +26,14 @@ def test_builtin_inventory():
     assert catalog.list_builtin() == BUILTINS
 
 
+def test_builtin_files_are_canonical():
+    # the writer reproduces every shipped file byte for byte
+    base = catalog._data_dir()
+    for eid in BUILTINS:
+        text = base.joinpath(eid + ".json").read_text(encoding="utf-8")
+        assert catalog.to_json(catalog.get_builtin(eid)) == text, eid
+
+
 def test_every_builtin_validates():
     for eid in BUILTINS:
         ent = catalog.get_builtin(eid)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -230,9 +231,30 @@ def test_comparison_matches_oracle(a, b):
 # -- to_float ---------------------------------------------------------
 
 
+def fraction_interval(x, prec):
+    # independent oracle for QNum._bounds: each sqrt(k) boxed between
+    # consecutive multiples of 2**-prec, summed in Fractions
+    scale = 1 << prec
+    lo = hi = Fraction(0)
+    for k, c in x.terms:
+        if k == 1:
+            lo += c
+            hi += c
+        else:
+            s = isqrt(k * scale * scale)
+            a, b = Fraction(s, scale), Fraction(s + 1, scale)
+            if c >= 0:
+                lo += c * a
+                hi += c * b
+            else:
+                lo += c * b
+                hi += c * a
+    return lo, hi
+
+
 def midpoint_float(x, precision=53):
     # the Fraction midpoint of the isqrt interval, as to_float once was
-    return float(sum(x._bounds(precision + 2)) / 2)
+    return float(sum(fraction_interval(x, precision + 2)) / 2)
 
 
 wide_coeffs = st.builds(
@@ -248,6 +270,12 @@ wide_qnums = st.dictionaries(
 @given(st.one_of(qnums, wide_qnums), st.sampled_from([10, 53, 100]))
 def test_to_float_is_the_rounded_interval_midpoint(x, precision):
     assert x.to_float(precision) == midpoint_float(x, precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(qnums, wide_qnums), st.sampled_from([1, 16, 64, 200]))
+def test_bounds_match_fraction_interval(x, prec):
+    assert x._bounds(prec) == fraction_interval(x, prec)
 
 
 def test_to_float_overflows_where_the_midpoint_does():
@@ -272,3 +300,213 @@ def test_to_float_overflows_where_the_midpoint_does():
             assert x.to_float() == want
             outcomes.add("finite")
     assert outcomes == {"overflow", "finite"}
+
+
+# -- scanner against the hand parser -----------------------------------
+
+
+def reference_parse(text):
+    # the recursive-descent parser that the regular-expression scanner
+    # replaced, kept as the differential oracle
+    pos = 0
+    n = len(text)
+
+    def err(msg, at):
+        raise ValueError(f"QNum syntax error at position {at}: {msg}")
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def parse_uint():
+        nonlocal pos
+        start = pos
+        while pos < n and text[pos].isdigit():
+            pos += 1
+        if pos == start:
+            err("expected an unsigned integer", start)
+        return int(text[start:pos])
+
+    def parse_sqrt():
+        nonlocal pos
+        pos += 4  # past "sqrt"
+        skip_ws()
+        if pos >= n or text[pos] != "(":
+            err("expected '(' after sqrt", pos)
+        pos += 1
+        skip_ws()
+        at = pos
+        k = parse_uint()
+        if k == 0:
+            err("radicand must be positive", at)
+        skip_ws()
+        if pos >= n or text[pos] != ")":
+            err("expected ')'", pos)
+        pos += 1
+        return k
+
+    def parse_term():
+        nonlocal pos
+        neg = False
+        if pos < n and text[pos] == "-":
+            pos += 1
+            skip_ws()
+            neg = True
+        if text.startswith("sqrt", pos):
+            c, k = Fraction(1), parse_sqrt()
+        else:
+            num = parse_uint()
+            den = 1
+            skip_ws()
+            if pos < n and text[pos] == "/":
+                pos += 1
+                skip_ws()
+                at = pos
+                den = parse_uint()
+                if den == 0:
+                    err("zero denominator", at)
+            c = Fraction(num, den)
+            k = 1
+            skip_ws()
+            if pos < n and text[pos] == "*":
+                pos += 1
+                skip_ws()
+                if not text.startswith("sqrt", pos):
+                    err("expected sqrt(...) after '*'", pos)
+                k = parse_sqrt()
+        return (-c if neg else c), k
+
+    acc = {}
+
+    def accumulate(c, k):
+        s, f = factor_squarefree(k)
+        c = c * s
+        if not c:
+            return
+        v = acc.get(f, Fraction(0)) + c
+        if v:
+            acc[f] = v
+        elif f in acc:
+            del acc[f]
+
+    skip_ws()
+    c, k = parse_term()
+    accumulate(c, k)
+    skip_ws()
+    while pos < n:
+        op = text[pos]
+        if op not in "+-":
+            err(f"expected '+' or '-', got {op!r}", pos)
+        pos += 1
+        skip_ws()
+        c, k = parse_term()
+        accumulate(c if op == "+" else -c, k)
+        skip_ws()
+    return tuple(sorted(acc.items()))
+
+
+spaces = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\xa0 ", max_size=3)
+uints = st.one_of(
+    st.integers(0, 40).map(str),
+    st.sampled_from(["007", "00", "12", "18", "72", "123456789"]),
+)
+
+
+@st.composite
+def well_formed_terms(draw):
+    # a term of the grammar, whitespace between every pair of tokens
+    def ws():
+        return draw(spaces)
+
+    def root():
+        return "sqrt" + ws() + "(" + ws() + draw(uints) + ws() + ")"
+
+    sign = draw(st.sampled_from(["", "-"]))
+    if draw(st.booleans()):
+        body = root()
+    else:
+        body = draw(uints)
+        if draw(st.booleans()):
+            body += ws() + "/" + ws() + draw(uints)
+        if draw(st.booleans()):
+            body += ws() + "*" + ws() + root()
+    return sign + (ws() if sign else "") + body
+
+
+@st.composite
+def well_formed_literals(draw):
+    terms = draw(st.lists(well_formed_terms(), min_size=1, max_size=4))
+    out = draw(spaces) + terms[0]
+    for t in terms[1:]:
+        out += draw(spaces) + draw(st.sampled_from("+-")) + draw(spaces) + t
+    return out + draw(spaces)
+
+
+junk = st.sampled_from(
+    ["", "+", "-", "*", "/", "(", ")", "sqrt", "sqr", "x", "**", "2", " ", "\t", ".", ","]
+)
+
+
+@st.composite
+def garbled_literals(draw):
+    text = draw(well_formed_literals())
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 3)))
+    edit = draw(st.sampled_from(["truncate", "replace", "insert"]))
+    if edit == "truncate":
+        return text[:i]
+    if edit == "replace":
+        return text[:i] + draw(junk) + text[j:]
+    return text[:i] + draw(junk) + text[i:]
+
+
+token_soup = st.lists(
+    st.one_of(junk, uints, spaces, st.just("sqrt(")), max_size=8
+).map("".join)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as err:
+        return err
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(well_formed_literals(), garbled_literals(), token_soup))
+def test_scanner_matches_reference_parser(text):
+    want = outcome(reference_parse, text)
+    got = outcome(lambda t: QNum.parse(t).terms, text)
+    if isinstance(want, ValueError):
+        assert isinstance(got, ValueError), (text, got)
+        assert "position" in str(got)
+        assert str(got) == str(want)
+    else:
+        assert got == want
+        assert QNum(text).terms == want
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("1+-2", -1),
+        ("1 - - 2", 3),
+        ("- 3/4 * sqrt ( 8 ) + 3/2*sqrt(2)", 0),
+        ("0*sqrt(5) - 0/7", 0),
+        ("sqrt(4) - -sqrt(9)", 5),
+    ],
+)
+def test_scanner_signs_and_reduction(text, want):
+    assert QNum.parse(text) == want
+
+
+@pytest.mark.parametrize(
+    "prefix", ["", "1", "-", "1/", "1*", "1+", "sqrt", "sqrt(", "sqrt(2", "sqrt(2)"]
+)
+def test_scanner_rejects_long_whitespace_quickly(prefix):
+    text = prefix + " " * 100_000 + "x"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="position"):
+        QNum.parse(text)
+    assert time.perf_counter() - start < 1.0

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from packinglab import catalog, orbit
 from packinglab.exactnum import QNum, sqrt
@@ -91,6 +92,22 @@ def test_limits_validation():
     bad = (qv(1, 1, 0, 0),)
     with pytest.raises(ValueError, match="norm"):
         generate_packing(bad, (), OrbitLimits(max_generation=1))
+
+
+@pytest.mark.parametrize("max_bend", [True, False, "10", 10.5, float("inf"), -1, Fraction(-1, 2), -R2, [10]])
+def test_limits_reject_bad_max_bend(max_bend):
+    with pytest.raises(ValueError, match="max_bend"):
+        OrbitLimits(max_generation=3, max_bend=max_bend)
+
+
+@pytest.mark.parametrize("max_bend", [None, 0, 20, Fraction(41, 2), 14 * R2])
+def test_limits_accept_max_bend(max_bend):
+    got = generate_packing(
+        BI1_CLUSTER, BI1_COCLUSTER, OrbitLimits(max_generation=4, max_bend=max_bend)
+    )
+    if max_bend is not None:
+        # the bound filters images, never the cluster
+        assert all(abs(c.vector[1]) <= max_bend for c in got.circles if c.generation)
 
 
 def closure_oracle(cluster, mirrors, max_bend, rounds):
@@ -237,24 +254,60 @@ def test_bend_screen_tie_takes_exact_path():
 
 
 def test_bend_screen_near_tie_is_exact():
-    # (3 + 2 sqrt2)^12 = p + q sqrt2, so 0 < p - q sqrt2 = 1/(p + q sqrt2)
-    # ~ 3e-10: far below the float screen's margin at this size
-    tiny = QNum(1)
-    for _ in range(12):
-        tiny = tiny * (3 - 2 * R2)
+    # (3 + 2 sqrt2)^k = p + q sqrt2, so 0 < p - q sqrt2 = 1/(p + q sqrt2).
+    # At k = 12 that is ~3e-10, above the 64-bit enclosure's width of
+    # q * 2**-64 ~ 3e-11, so the screen settles it; at k = 30 it is
+    # ~1e-23, below 2**-64, and only the exact comparison can.
+    tiny = (3 - 2 * R2) ** 12
     assert tiny.sign() > 0 and float(tiny) < 1e-9
+    assert bend_test(5 + tiny, 5) == (True, True)
+    assert bend_test(5 - tiny, 5) == (False, False)
+    assert bend_test(-5 - tiny, 5) == (True, True)
+    tiny = (3 - 2 * R2) ** 30
+    assert 0 < tiny < Fraction(1, 2 ** 64)
     assert bend_test(5 + tiny, 5) == (None, True)
     assert bend_test(5 - tiny, 5) == (None, False)
     assert bend_test(-5 - tiny, 5) == (None, True)
+    assert bend_test(-5 + tiny, 5) == (None, False)
 
 
-def test_bend_screen_overflow_takes_exact_path():
+def test_bend_screen_decides_past_float_range():
     huge = QNum(2 ** 1100)
-    assert bend_test(huge, 10) == (None, True)
-    assert bend_test(huge * R2 - huge, 10) == (None, True)
+    assert bend_test(huge, 10) == (True, True)
+    assert bend_test(huge * R2 - huge, 10) == (True, True)
     # huge coefficients over a huge denominator: a small bend
-    assert bend_test(QNum(Fraction(2 ** 1100 + 1, 2 ** 1100)), 10) == (None, False)
-    assert bend_test(QNum(5), 10 ** 400) == (None, False)
+    assert bend_test(QNum(Fraction(2 ** 1100 + 1, 2 ** 1100)), 10) == (False, False)
+    assert bend_test(QNum(5), 10 ** 400) == (False, False)
+    assert bend_test(QNum(10 ** 400 + 1), 10 ** 400) == (True, True)
+    # ties past float range still reach the exact comparison
+    assert bend_test(QNum(10 ** 400), 10 ** 400) == (None, False)
+    assert bend_test(huge * R2, huge * R2) == (None, False)
+    assert bend_test(huge * R2 + 1, huge * R2) == (None, True)
+
+
+bend_coeffs = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(2 ** 1100), 2 ** 1100),
+    st.builds(Fraction, st.integers(-(10 ** 30), 10 ** 30), st.integers(1, 10 ** 30)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from([1, 2, 5, 10]), bend_coeffs, max_size=4),
+    st.one_of(
+        st.integers(0, 100),
+        st.builds(Fraction, st.integers(0, 10 ** 6), st.integers(1, 10 ** 3)),
+        st.builds(lambda a, b: abs(QNum({1: a, 2: b})), bend_coeffs, bend_coeffs),
+    ),
+)
+def test_bend_screen_agrees_with_exact_comparison(coeffs, max_bend):
+    bend = QNum(coeffs)
+    decided, exceeds = bend_test(bend, max_bend)
+    assert exceeds == (abs(bend) > max_bend)
+    assert decided in (None, exceeds)
+    if abs(bend) == max_bend:
+        assert decided is None
 
 
 def test_disjoint_interiors_exact():
