@@ -36,7 +36,9 @@ it as Fractions, and orbit generation's bend bound compares enclosures.
 For bulk work on many rows over one field, ``_Field`` fixes a
 multiquadratic basis and writes each row as integers over that basis
 with one common denominator; orbit generation and the Gram matrix run
-on that encoding and decode back to QNums at the end.
+on that encoding and decode back to QNums at the end.  The basis is
+``_radical_span`` of the rows' radicands, the same closure under which
+``conjugates`` lists a value's images under its field's automorphisms.
 """
 
 from __future__ import annotations
@@ -272,6 +274,19 @@ class QNum:
             tuple((k, -c if k % p == 0 else c) for k, c in self._terms)
         )
 
+    def conjugates(self) -> list:
+        """The images of self under the automorphisms of
+        Q(sqrt(k) : k a radicand of self), self first, one per
+        automorphism: 2**r values for r independent radicands."""
+        bits = _radical_span(k for k, _ in self._terms)
+        return [
+            QNum._make(tuple(
+                (k, -c if bin(bits[k] & flip).count("1") % 2 else c)
+                for k, c in self._terms
+            ))
+            for flip in range(len(bits))
+        ]
+
     def __truediv__(self, other):
         other = _coerce(other)
         if other is None:
@@ -450,6 +465,20 @@ def _squarefree_product(a, b):
     return (a // g) * (b // g), g
 
 
+def _radical_span(radicands) -> dict:
+    """The group that squarefree radicands generate under
+    k * j / gcd(k, j)**2 (the radicands of the ring they span), each
+    element mapped to the bits of the independent radicands, in order of
+    appearance, whose product it is."""
+    bits = {1: 0}
+    for k in radicands:
+        if k not in bits:
+            new = len(bits)  # 2**r for r independent radicands so far
+            for j, mask in list(bits.items()):
+                bits[_squarefree_product(j, k)[0]] = mask | new
+    return bits
+
+
 class _Field:
     """A multiquadratic basis fixed by some rows, and rows encoded over it.
 
@@ -463,12 +492,7 @@ class _Field:
     """
 
     def __init__(self, rows):
-        basis = {1}
-        for row in rows:
-            for q in row:
-                for k, _ in q.terms:
-                    if k not in basis:
-                        basis |= {_squarefree_product(k, r)[0] for r in basis}
+        basis = _radical_span(k for row in rows for q in row for k, _ in q.terms)
         self.radicands = tuple(sorted(basis))
         self.d = len(self.radicands)
         self.position = {k: a for a, k in enumerate(self.radicands)}

@@ -4,28 +4,36 @@ Rows with nonzero bend are drawn as circles (center bz/b, radius
 1/|b|), bend-zero rows as lines clipped to the viewport.  Output is a
 plain SVG 1.1 document, byte-identical across runs: elements are
 emitted in a canonical order (generation, then the exact coordinate
-text) and every numeral is formatted the same way, so diffing two
-figures is meaningful.
+text, each shared coordinate object formatted once) and every numeral
+is formatted the same way, so diffing two figures is meaningful.
 
-Dedup is exact.  The fitted viewport and the culling are screened in
-floats: each circle's center and radius are converted once, each with
-an absolute error bound (the midpoint error of QNum.to_float plus one
-rounding), and a float comparison decides only when it clears the sum
-of those bounds, the box edge's own error and the rounding of the
-comparison itself.  Inside that margin, or when a value is too large
-for a float, the comparison is made in exact arithmetic; for the fitted
-viewport, only the circles whose float interval reaches a float extreme
-are compared exactly.  So no decision rests on a float alone, and the
-figure is the one exact arithmetic gives.  The same floats become the
-numerals, at 12 significant digits.
+Dedup is exact, and so is every decision and every numeral, but the
+exact center and radius are rarely computed.  Each circle's screen
+comes straight from its row: b, bx and by as floats with error bounds,
+then bx/b, by/b and 1/|b| with one bound each.  The fitted viewport and
+the culling compare these floats and decide only when a comparison
+clears the bounds, the box edge's own error and the rounding of the
+comparison itself.  A numeral is printed from the screen only when it
+is unambiguous: _fmt gives the same 12 significant digits at both ends
+of an interval that holds both the exact value and the float
+QNum.to_float gives for it.  Otherwise (inside a margin, a fitted
+extreme that ties in floats, an ambiguous numeral, a bend whose
+interval reaches 0, or a value too large for a float) the exact center
+and radius are computed (b.inverse() and two products) and settle it.
+So the figure is the one exact arithmetic gives.
+
+A viewport must be drawable in floats: RenderOptions refuses one whose
+edges, width or height are out of float range, or whose height or
+stroke width (width / 400) is zero as a float.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+from .exactnum import _radical_span
 from .orbit import OrbitCircle, PackingOrbit, generate_packing
 
 CLUSTER_COLOR = "#1f6fb2"
@@ -67,9 +75,25 @@ class RenderOptions:
             for lo, hi in box:
                 if not lo < hi:
                     raise ValueError("viewport must be a nondegenerate box")
+            _check_drawable(box)
             object.__setattr__(self, "viewport", box)
         if self.max_circles is not None and self.max_circles < 1:
             raise ValueError("max_circles must be positive")
+
+
+def _check_drawable(box):
+    """Raise ValueError unless the SVG of this box can be written in
+    floats: edges, width and height in float range, and a nonzero
+    height and stroke (width / 400)."""
+    (xlo, xhi), (ylo, yhi) = box
+    try:
+        for edge in (xlo, xhi, ylo, yhi):
+            float(edge)
+        width, height = float(xhi - xlo), float(yhi - ylo)
+    except OverflowError:
+        raise ValueError("viewport edges, width and height must be within float range") from None
+    if not (width / 400.0 > 0 and height > 0):
+        raise ValueError("viewport is too small to draw in floats")
 
 
 def _fmt(x):
@@ -82,10 +106,6 @@ def _fmt(x):
 
 def _escape(text):
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _coord_text(vector):
-    return "(%s)" % ",".join(str(q) for q in vector)
 
 
 def _as_circles(source):
@@ -102,35 +122,139 @@ def _as_circles(source):
 # at most 2**-53 of its result), and an absolute one for subnormals.
 _SLACK = 2.0 ** -50
 _TINY = 2.0 ** -1060
+# QNum.to_float rounds a midpoint within sum_{k>1} |c_k| * 2**-56 of q
+_MIDPOINT = 2.0 ** -56
 
 
 def _approx(q):
-    """q.to_float() and a bound on its absolute error.
+    """A float near q = sum_k c_k sqrt(k), a bound on its absolute error,
+    and the weighted size sum_k |c_k| sqrt(k) (rounded up).
 
-    The midpoint to_float rounds is within sum_{k>1} |c_k| * 2**-56 of
-    q, and the float within 2**-52 of its own size of the midpoint; the
-    bound doubles both, against the rounding of these float sums, and
-    adds an absolute term for subnormal results.
+    Each term is one product of two rounded floats (three roundings) and
+    the n terms take n - 1 rounded sums, so the float is off by at most
+    (n + 2) * 2**-53 times the weighted size; the bound takes n + 3 for
+    the rounding of the size itself, plus an absolute term for subnormal
+    results.  OverflowError when a coefficient is out of float range.
     """
-    value = q.to_float()
-    size = 0.0
+    value = weighted = 0.0
     for k, c in q.terms:
+        t = c.numerator / c.denominator
         if k != 1:
-            size += abs(c.numerator / c.denominator)
-    return value, size * 2.0 ** -55 + abs(value) * 2.0 ** -51 + _TINY
+            t *= math.sqrt(k)
+        value += t
+        weighted += abs(t)
+    n = len(q.terms) + 3
+    return value, weighted * n * 2.0 ** -53 + _TINY, weighted * (1 + n * 2.0 ** -53)
 
 
-def _screen(center, radius):
-    """(cx, cy, r, err) with err bounding the error of each of the three
-    floats, or None when they are out of float range."""
+def _screen(vector):
+    """(cx, cy, r, ex, ey, er, wx, wy) for a circle row: floats of the
+    center bx/b, by/b and the radius 1/|b|, a bound on the absolute error
+    of each, and the weighted sizes of bx and by (see _approx); None when
+    b's interval reaches 0 or a value is out of float range."""
     try:
-        (cx, ex), (cy, ey), (r, er) = _approx(center[0]), _approx(center[1]), _approx(radius)
+        (fb, eb, _), (fx, ex, wx), (fy, ey, wy) = map(_approx, vector[1:4])
     except OverflowError:
         return None
-    err = max(ex, ey, er)
-    if not math.isfinite(abs(cx) + abs(cy) + r + err):
+    low = abs(fb) - eb  # |b| >= low
+    if not low > 0:
         return None
-    return cx, cy, r, err
+    r = 1.0 / abs(fb)
+    cx = fx / fb
+    cy = fy / fb
+    # |x/b - fx/fb| <= (ex + |fx/fb| eb) / low, and |1/b - 1/fb| <= r eb / low
+    grow = 1 + _SLACK
+    ex = (ex + abs(cx) * eb) / low * grow + abs(cx) * _SLACK + _TINY
+    ey = (ey + abs(cy) * eb) / low * grow + abs(cy) * _SLACK + _TINY
+    er = r * eb / low * grow + r * _SLACK + _TINY
+    if not math.isfinite(abs(cx) + abs(cy) + r + ex + ey + er):
+        return None
+    return cx, cy, r, ex, ey, er, wx, wy
+
+
+def _exact_disk(vector):
+    """The exact center and radius of a circle row (b != 0)."""
+    signed_radius = vector[1].inverse()
+    return (vector[2] * signed_radius, vector[3] * signed_radius), abs(signed_radius)
+
+
+@lru_cache(maxsize=1024)
+def _group_weight(radicands):
+    """sum 1/sqrt(k) over the k > 1 of the group the radicands generate
+    under k * j / gcd(k, j)**2 (rounded up)."""
+    group = _radical_span(radicands)
+    return sum(1 / math.sqrt(k) for k in group if k > 1) * (1 + len(group) * _SLACK)
+
+
+def _inverse_mean(b, bound):
+    """An upper bound on the mean of 1/|s| over b's conjugates s (bound,
+    an upper bound on 1/|b|, when b is rational); inf when a conjugate's
+    interval reaches 0."""
+    if b.is_rational():
+        return bound
+    conjugates = b.conjugates()
+    total = 0.0
+    for s in conjugates:
+        try:
+            f, e, _ = _approx(s)
+        except OverflowError:
+            return math.inf
+        low = abs(f) - e
+        if not low > 0:
+            return math.inf
+        total += 1.0 / low
+    return total / len(conjugates) * (1 + len(conjugates) * _SLACK)
+
+
+def _ends(value, width):
+    """Floats lo <= hi holding every number within width of value and the
+    float nearest to each of them (a rounding to float moves a number by
+    at most 2**-53 of its size, or 2**-1075)."""
+    width = width * (1 + _SLACK) + abs(value) * _SLACK + _TINY
+    return value - width, value + width
+
+
+def _numerals(vector, screen, font):
+    """_fmt of the floats QNum.to_float gives for cx, -cy and r of the
+    exact center and radius, and of 0.6 * r when font.
+
+    The screen's float is within its bound of the exact value x/b, and
+    to_float's within sum_{k>1} |c_k| * 2**-56 of it plus a rounding.
+    Over the group G that the row's radicands generate, c_k sqrt(k) is
+    the mean of +-s(x/b) over the automorphisms s, so
+    sum_{k>1} |c_k| <= P * mean |s(x)| / |s(b)| with
+    P = sum_{k in G, k > 1} 1/sqrt(k), and |s(x)| is at most the weighted
+    size of x (the mean over G of 1/|s(b)| is the mean over b's own
+    conjugates).  When _fmt gives one text at both ends of that interval
+    it is the numeral; otherwise the exact center and radius give it.
+    """
+    if screen is not None:
+        cx, cy, r, ex, ey, er, wx, wy = screen
+        b = vector[1]
+        radicands = frozenset(k for q in vector[1:4] for k, _ in q.terms)
+        scale = _group_weight(radicands) * _inverse_mean(b, r + er) * _MIDPOINT
+        rlo, rhi = _ends(r, er + scale)
+        ends = [
+            _ends(cx, ex + wx * scale) if vector[2] else (0.0, 0.0),  # exact zeros
+            _ends(-cy, ey + wy * scale) if vector[3] else (0.0, 0.0),
+            (rlo, rhi),
+        ]
+        if font:
+            ends.append((0.6 * rlo, 0.6 * rhi))
+        texts = []
+        for lo, hi in ends:
+            text = _fmt(lo)
+            if text != _fmt(hi):
+                break
+            texts.append(text)
+        else:
+            return texts
+    center, radius = _exact_disk(vector)
+    cx, cy, r = float(center[0]), float(center[1]), float(radius)
+    texts = [_fmt(cx), _fmt(-cy), _fmt(r)]
+    if font:
+        texts.append(_fmt(0.6 * r))
+    return texts
 
 
 def _disk_outside(center, radius, box):
@@ -142,26 +266,23 @@ def _disk_outside(center, radius, box):
 
 
 def _float_box(box):
-    """Each box edge as (float, error bound), or None out of float range."""
-    try:
-        return tuple(
-            tuple((float(e), abs(float(e)) * 2.0 ** -52 + _TINY) for e in edges)
-            for edges in box
-        )
-    except OverflowError:
-        return None
+    """Each box edge as (float, error bound)."""
+    return tuple(
+        tuple((float(e), abs(float(e)) * 2.0 ** -52 + _TINY) for e in edges)
+        for edges in box
+    )
 
 
 def _screened_outside(screen, fbox):
     """True or False when floats settle _disk_outside, None otherwise."""
-    if screen is None or fbox is None:
+    if screen is None:
         return None
-    cx, cy, r, err = screen
+    cx, cy, r, ex, ey, er = screen[:6]
     settled = True
-    for c, ((lo, elo), (hi, ehi)) in ((cx, fbox[0]), (cy, fbox[1])):
+    for c, ec, ((lo, elo), (hi, ehi)) in ((cx, ex, fbox[0]), (cy, ey, fbox[1])):
         # outside when c + r < lo or c - r > hi
         for gap, edge, eedge in ((c + r - lo, lo, elo), (hi - (c - r), hi, ehi)):
-            margin = 2 * err + eedge + (abs(c) + r + abs(edge)) * _SLACK
+            margin = ec + er + eedge + (abs(c) + r + abs(edge)) * _SLACK
             if gap < -margin:
                 return True
             if not gap > margin:
@@ -216,20 +337,20 @@ def _extreme(disks, axis, side):
     """
     best = -math.inf  # the largest lower bound of side * (center +- radius)
     bounds = []
-    for _, _, screen in disks:
+    for _, screen in disks:
         if screen is None:
             bounds.append(math.inf)
             continue
-        cx, cy, r, err = screen
+        cx, cy, r, ex, ey, er = screen[:6]
         value = side * (cx, cy)[axis] + r
-        spread = 2 * err + abs(value) * _SLACK
+        spread = (ex, ey)[axis] + er + abs(value) * _SLACK
         best = max(best, value - spread)
         bounds.append(value + spread)
-    values = [
-        center[axis] + radius if side > 0 else center[axis] - radius
-        for (center, radius, _), upper in zip(disks, bounds)
-        if upper >= best
-    ]
+    values = []
+    for (vector, _), upper in zip(disks, bounds):
+        if upper >= best:
+            center, radius = _exact_disk(vector)
+            values.append(center[axis] + radius if side > 0 else center[axis] - radius)
     return max(values) if side > 0 else min(values)
 
 
@@ -256,20 +377,16 @@ def _auto_viewport(shapes):
 def _outside(shape, fbox, box):
     if shape[0] == "line":
         return _line_outside(shape[1], shape[2], box)
-    _, center, radius, screen = shape
+    _, vector, screen = shape
     decided = _screened_outside(screen, fbox)
     if decided is None:
-        return _disk_outside(center, radius, box)
+        return _disk_outside(*_exact_disk(vector), box)
     return decided
 
 
 def _shape(vector):
-    b = vector[1]
-    if b.sign() != 0:
-        signed_radius = b.inverse()
-        center = (vector[2] * signed_radius, vector[3] * signed_radius)
-        radius = abs(signed_radius)
-        return ("circle", center, radius, _screen(center, radius))
+    if vector[1]:
+        return ("circle", vector, _screen(vector))
     # wall with b = 0: the line {p : p . bz = b^/2}, bz a unit normal
     return ("line", vector[2:4], vector[0] / 2)
 
@@ -300,7 +417,18 @@ def render_svg(source, opts=None):
 
 def _kept(circles):
     """(circle, shape) pairs in canonical order, one per distinct vector."""
-    ordered = sorted(circles, key=lambda c: (c.generation, _coord_text(c.vector)))
+    texts = {}  # id -> str of each coordinate object; parse_tsv shares them
+
+    def coord_text(vector):
+        parts = []
+        for q in vector:
+            text = texts.get(id(q))
+            if text is None:
+                text = texts[id(q)] = str(q)
+            parts.append(text)
+        return "(%s)" % ",".join(parts)
+
+    ordered = sorted(circles, key=lambda c: (c.generation, coord_text(c.vector)))
     seen = set()
     kept = []
     for c in ordered:
@@ -329,25 +457,21 @@ def _document(visible, box, opts):
         color = COCLUSTER_COLOR if c.word in opts.cocluster_words else CLUSTER_COLOR
         kind = shape[0]
         if kind == "circle":
-            _, center, radius, screen = shape
-            if screen is None:  # out of the screen's range; float() may raise
-                cx, cy, r = float(center[0]), float(center[1]), float(radius)
-            else:
-                cx, cy, r, _ = screen
-            shapes_out.append(
-                '<circle cx="%s" cy="%s" r="%s" stroke="%s"/>'
-                % (_fmt(cx), _fmt(-cy), _fmt(r), color)
-            )
             if opts.labels == "bends":
                 text = str(c.vector[1])
             elif opts.labels == "labels":
                 text = c.word
             else:
                 text = None
+            numerals = _numerals(shape[1], shape[2], text is not None)
+            shapes_out.append(
+                '<circle cx="%s" cy="%s" r="%s" stroke="%s"/>' % (*numerals[:3], color)
+            )
             if text is not None:
+                x, y, _, size = numerals
                 labels_out.append(
                     '<text x="%s" y="%s" dy="0.35em" font-size="%s">%s</text>'
-                    % (_fmt(cx), _fmt(-cy), _fmt(0.6 * r), _escape(text))
+                    % (x, y, size, _escape(text))
                 )
         else:
             ends = _clip_line(shape[1], shape[2], box)

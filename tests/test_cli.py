@@ -74,6 +74,18 @@ def test_render_from_config_negative_max_bend_disables_bound(capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize(
+    "viewport, message",
+    [("--viewport=-1e400,1e400,-1,1", "float range"), ("--viewport=0,1e-400,0,1e-400", "too small")],
+)
+def test_render_viewport_floats_cannot_draw_is_a_domain_error(capsys, viewport, message):
+    assert cli.run(["render"] + BI1_ARGS + [viewport]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["kind"] == "ValueError" and message in error["error"]
+
+
 @pytest.mark.filterwarnings("ignore:asymptotic expansion used")
 def test_lob_methods_agree(capsys):
     values = []

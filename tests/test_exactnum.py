@@ -210,6 +210,28 @@ def test_field_inverse(a):
     assert a * a.inverse() == ONE
 
 
+@settings(max_examples=100, deadline=None)
+@given(qnums)
+def test_conjugates_are_the_field_automorphisms(a):
+    group = {1}
+    for k, _ in a.terms:
+        group |= {factor_squarefree(k * j)[1] for j in group}
+    images = a.conjugates()
+    assert images[0] == a
+    assert len(set(images)) == len(images) == len(group)
+    rational = a.terms[0][1] if a.terms and a.terms[0][0] == 1 else 0
+    assert sum(images, ZERO) == len(images) * rational  # the trace
+    norm = ONE
+    for image in images:
+        norm = norm * image
+    assert norm.is_rational() and bool(norm) == bool(a)
+    # c_k sqrt(k) is the mean of +-s(a), so the mean of |s(a)| bounds it
+    with mpmath.workdps(100):
+        mean = sum(abs(mp_value(image)) for image in images) / len(images)
+        for k, c in a.terms:
+            assert abs(mp_value(QNum({k: c}))) <= mean * (1 + mpmath.mpf(10) ** -90)
+
+
 @settings(max_examples=300, deadline=None)
 @given(qnums)
 def test_parse_print_round_trip(a):

@@ -2,9 +2,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from packinglab import catalog, render
-from packinglab.exactnum import QNum, sqrt
+from packinglab.exactnum import ONE, QNum, sqrt
 from packinglab.geometry import as_vector
 from packinglab.orbit import OrbitCircle, OrbitLimits, export_tsv, generate_packing, parse_tsv
 from packinglab.render import RenderOptions, render_svg, supercluster_circles
@@ -143,9 +144,32 @@ def test_bi1_figure_tsv_roundtrip():
 
 # -- the float screen against exact arithmetic ------------------------
 #
-# The exact viewport and cull loop render used before it screened in
-# floats, kept here as the oracle: the box, the visible circles and the
-# SVG must come out the same.
+# The exact shapes, viewport, cull loop and document render used before it
+# screened in floats, kept here as the oracle: the order, the box, the
+# visible circles and the SVG must come out the same.
+
+
+def exact_shape(vector):
+    b = vector[1]
+    if b.sign() != 0:
+        signed_radius = b.inverse()
+        center = (vector[2] * signed_radius, vector[3] * signed_radius)
+        return ("circle", center, abs(signed_radius))
+    return ("line", vector[2:4], vector[0] / 2)
+
+
+def exact_kept(circles):
+    def coord_text(vector):
+        return "(%s)" % ",".join(str(q) for q in vector)
+
+    ordered = sorted(circles, key=lambda c: (c.generation, coord_text(c.vector)))
+    seen = set()
+    kept = []
+    for c in ordered:
+        if c.vector not in seen:
+            seen.add(c.vector)
+            kept.append((c, exact_shape(c.vector)))
+    return kept
 
 
 def exact_disk_outside(center, radius, box):
@@ -182,22 +206,78 @@ def exact_visible(kept, box):
                 continue
         elif render._line_outside(shape[1], shape[2], box):
             continue
-        # drop the screen, so that the numerals come from float(QNum)
-        visible.append((c, shape[:3] + (None,) if shape[0] == "circle" else shape))
+        visible.append((c, shape))
     return visible
 
 
-def assert_matches_oracle(circles, opts=RenderOptions()):
-    kept = render._kept(circles)
-    box = opts.viewport
-    if box is None:
-        box = exact_viewport([shape for _, shape in kept])
-        assert render._auto_viewport([shape for _, shape in kept]) == box
-    want = exact_visible(kept, box)
-    got = render._visible(kept, box)
-    assert [c for c, _ in got] == [c for c, _ in want]
-    want_svg = render._document(want[: opts.max_circles], box, opts)
-    assert render_svg(circles, opts) == want_svg
+def exact_document(visible, box, opts):
+    """The SVG of exact shapes, every numeral from float(QNum)."""
+    fmt = render._fmt
+    (xlo, xhi), (ylo, yhi) = box
+    width = float(xhi - xlo)
+    height = float(yhi - ylo)
+    shapes_out = []
+    labels_out = []
+    for c, shape in visible:
+        color = (
+            render.COCLUSTER_COLOR if c.word in opts.cocluster_words else render.CLUSTER_COLOR
+        )
+        if shape[0] == "circle":
+            _, center, radius = shape
+            cx, cy, r = float(center[0]), float(center[1]), float(radius)
+            shapes_out.append(
+                '<circle cx="%s" cy="%s" r="%s" stroke="%s"/>'
+                % (fmt(cx), fmt(-cy), fmt(r), color)
+            )
+            text = {"bends": str(c.vector[1]), "labels": c.word}.get(opts.labels)
+            if text is not None:
+                labels_out.append(
+                    '<text x="%s" y="%s" dy="0.35em" font-size="%s">%s</text>'
+                    % (fmt(cx), fmt(-cy), fmt(0.6 * r), render._escape(text))
+                )
+        else:
+            ends = render._clip_line(shape[1], shape[2], box)
+            if ends is None:
+                continue
+            (x1, y1), (x2, y2) = ends
+            shapes_out.append(
+                '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s"/>'
+                % (fmt(x1), fmt(-y1), fmt(x2), fmt(-y2), color)
+            )
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%s %s %s %s">'
+        % (fmt(xlo), fmt(-float(yhi)), fmt(width), fmt(height)),
+        '<g fill="none" stroke-width="%s">' % fmt(width / 400.0),
+    ]
+    lines.extend(shapes_out)
+    lines.append("</g>")
+    if labels_out:
+        lines.append(
+            '<g font-family="sans-serif" text-anchor="middle" fill="%s">' % render.LABEL_COLOR
+        )
+        lines.extend(labels_out)
+        lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def assert_matches_oracle(circles, *options):
+    """Check render against the oracle under each RenderOptions (default
+    options when none are given); return the last visible list."""
+    kept = exact_kept(circles)
+    got_kept = render._kept(circles)
+    assert [c for c, _ in got_kept] == [c for c, _ in kept]
+    for opts in options or (RenderOptions(),):
+        box = opts.viewport
+        if box is None:
+            box = exact_viewport([shape for _, shape in kept])
+            assert render._auto_viewport([shape for _, shape in got_kept]) == box
+        want = exact_visible(kept, box)
+        got = render._visible(got_kept, box)
+        assert [c for c, _ in got] == [c for c, _ in want]
+        want_svg = exact_document(want[: opts.max_circles], box, opts)
+        assert render_svg(circles, opts) == want_svg
     return want
 
 
@@ -271,8 +351,8 @@ def test_coordinates_beyond_float_range_take_the_exact_path():
     far = circle_at(10 ** 400, 0, 1, "far")
     huge = circle_at(-(10 ** 401), 0, 10 ** 400, "huge")
     tiny = circle_at(0, 0, Fraction(1, 10 ** 400), "tiny")
-    assert render._shape(far.vector)[3] is None
-    assert render._shape(huge.vector)[3] is None
+    assert render._shape(far.vector)[2] is None
+    assert render._shape(huge.vector)[2] is None
     visible = assert_matches_oracle(
         [UNIT, far, huge, tiny], RenderOptions(viewport=((0, 1), (-2, 2)))
     )
@@ -283,10 +363,195 @@ def test_coordinates_beyond_float_range_take_the_exact_path():
     with pytest.raises(OverflowError):
         render_svg([UNIT, far], RenderOptions())
     with pytest.raises(OverflowError):
-        exact_viewport([render._shape(UNIT.vector), render._shape(far.vector)])
-    # a box past float range is culled exactly (and cannot be drawn)
-    big_box = RenderOptions(viewport=((-(10 ** 400), 10 ** 400), (-1, 1))).viewport
-    assert render._float_box(big_box) is None
-    kept = render._kept([UNIT, far, huge])
-    got = [c.word for c, _ in render._visible(kept, big_box)]
-    assert got == [c.word for c, _ in exact_visible(kept, big_box)] == ["1", "far"]
+        exact_viewport([exact_shape(UNIT.vector), exact_shape(far.vector)])
+    # a box past float range cannot be drawn, so it is refused up front
+    with pytest.raises(ValueError, match="float range"):
+        RenderOptions(viewport=((-(10 ** 400), 10 ** 400), (-1, 1)))
+
+
+def test_viewport_floats_cannot_draw_is_refused():
+    for box, message in [
+        (((-(10 ** 400), 10 ** 400), (-1, 1)), "float range"),
+        (((Fraction(-1, 10 ** 400), 0), (0, 1)), "too small"),
+        (((0, 1), (-(10 ** 400), -(10 ** 400) + 1)), "float range"),
+        (((-(10 ** 308), 10 ** 308), (0, 1)), "float range"),  # width overflows
+        (((0, Fraction(1, 10 ** 400)), (0, Fraction(1, 10 ** 400))), "too small"),
+        (((0, Fraction(1, 10 ** 322)), (0, 1)), "too small"),  # width / 400 is 0
+        (((0, 1), (0, Fraction(1, 10 ** 330))), "too small"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            RenderOptions(viewport=box)
+    # the smallest drawable stroke and the widest drawable box are accepted
+    for box in [((0, Fraction(1, 10 ** 318)), (0, 1)), ((-(10 ** 307), 10 ** 307), (0, 1))]:
+        svg = render_svg([UNIT], RenderOptions(viewport=box))
+        assert 'stroke-width="0"' not in svg and "inf" not in svg
+
+
+# -- numerals from the row, the exact route on demand ------------------
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The vectors render computes an exact center and radius for."""
+    calls = []
+    exact_disk = render._exact_disk
+
+    def counted(vector):
+        calls.append(vector)
+        return exact_disk(vector)
+
+    monkeypatch.setattr(render, "_exact_disk", counted)
+    return calls
+
+
+def test_pack_planar_figure_matches_exact_oracle(exact_calls):
+    cfg = catalog.get_builtin("bi10-example").configuration
+    inside, outside, _, _ = cfg.split(["1", "7"])
+    orbit = generate_packing(inside, outside, OrbitLimits(max_generation=7))
+    circles = parse_tsv(export_tsv(orbit))
+    assert len(circles) == 13267
+    visible = assert_matches_oracle(
+        circles,
+        RenderOptions(viewport=((0, 1), (0, 1)), labels="labels"),
+        RenderOptions(),
+    )
+    assert len(visible) == len(circles)
+    # all but a few percent of the circles are left to the screen (for the
+    # fitted box, the exact calls are mostly circles tangent to its sides)
+    assert len(exact_calls) < 0.05 * 2 * len(circles)
+
+
+# halfway between the 12-digit numerals 1.23456789012 and 1.23456789013
+TIE = Fraction("1.234567890125")
+FAR = ((-10, 10), (-10, 10))  # far from every circle below, so no cull ties
+LABELS_SHOWN = ("bends", "labels")  # the modes that print a font size
+
+
+def tie_circle(where, value):
+    """A circle whose cx, -cy, r or 0.6*r is value, the rest well inside."""
+    cx, cy, r = Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)
+    if where == "cx":
+        cx = value
+    elif where == "cy":
+        cy = -value
+    elif where == "r":
+        r = value
+    else:
+        r = value / Fraction(3, 5)
+    return circle_at(cx, cy, r, where)
+
+
+@pytest.mark.parametrize("labels", LABELS_SHOWN)
+@pytest.mark.parametrize("offset", [0, Fraction(1, 10 ** 17), -Fraction(1, 10 ** 17)])
+@pytest.mark.parametrize("where", ["cx", "cy", "r", "font"])
+def test_numeral_at_a_rounding_boundary_takes_the_exact_route(
+    exact_calls, where, offset, labels
+):
+    circle = tie_circle(where, TIE * (1 + offset))
+    assert_matches_oracle([circle], RenderOptions(viewport=FAR, labels=labels))
+    assert exact_calls == [circle.vector]
+
+
+def test_well_conditioned_circles_stay_on_the_screen(exact_calls):
+    # 1e-14 from a boundary is far outside the screen's error on a row
+    # without cancellation, and without labels the font size is not printed
+    circles = [UNIT, tie_circle("cy", TIE * (1 + Fraction(1, 10 ** 14)))]
+    circles += [tie_circle(w, TIE * (1 - Fraction(1, 10 ** 14))) for w in ("cx", "r")]
+    assert_matches_oracle(circles, *(RenderOptions(viewport=FAR, labels=m) for m in LABELS_SHOWN))
+    assert_matches_oracle([tie_circle("font", TIE)], RenderOptions(viewport=FAR))
+    assert exact_calls == []
+
+
+def test_radius_with_a_small_conjugate_near_a_boundary(exact_calls):
+    # r = K (sqrt10 - 3)**3 has a sqrt(10) coefficient about 9,000 times
+    # r, and QNum.to_float's midpoint sits 3/4 of its error bound above r
+    # (about 1.1e-13 here).  Put r 9.3e-14 below TIE: the exact value
+    # rounds down, to_float rounds up, and only a bound that covers
+    # to_float's full error sees the tie.
+    unit = (sqrt(10) - 3) ** 3
+    lo, _ = unit._bounds(200)
+    target = TIE - Fraction(93, 10 ** 15)
+    r = unit * QNum(Fraction(round(target / lo * 10 ** 40), 10 ** 40))
+    assert "%.12g" % float(target) == "1.23456789012"
+    assert render._fmt(float(r)) == "1.23456789013"
+    circle = circle_at(0, 0, r, "r")
+    assert_matches_oracle([circle], *(RenderOptions(viewport=FAR, labels=m) for m in LABELS_SHOWN))
+    assert exact_calls == [circle.vector] * 2
+    # a radius as ill-conditioned, away from any boundary, stays on the screen
+    exact_calls.clear()
+    assert_matches_oracle([circle_at(0, 0, unit * 290, "r")], RenderOptions(viewport=FAR))
+    assert exact_calls == []
+
+
+def test_center_with_cancelling_coordinates_takes_the_exact_route(exact_calls):
+    # bx = cx for b = 1 cancels: its float's error bound is about 4e-11,
+    # wider than the 1e-11 between numerals, so cx comes from the exact center
+    unit = (sqrt(10) - 3) ** 3
+    lo, _ = unit._bounds(200)
+    cx = unit * QNum(Fraction(round(TIE / lo * 10 ** 40), 10 ** 40))
+    circle = circle_at(cx, 0, 1, "c")
+    assert_matches_oracle([circle], RenderOptions(viewport=FAR, labels="bends"))
+    assert exact_calls == [circle.vector]
+
+
+def test_near_cancelling_bend_takes_the_exact_route(exact_calls):
+    # b = 10**15 (3 - 2 sqrt2)**20 is about 0.49 with coefficients near
+    # 1e30, so its float interval reaches 0 and there is no screen
+    b = QNum(10 ** 15) * (3 - 2 * sqrt(2)) ** 20
+    circle = OrbitCircle(as_vector((QNum(0), b, b * Fraction(1, 3), QNum(0))), 0, "b")
+    assert render._shape(circle.vector)[2] is None
+    for opts in (RenderOptions(labels="bends"), RenderOptions(viewport=FAR)):
+        exact_calls.clear()
+        assert_matches_oracle([circle], opts)
+        assert exact_calls and set(exact_calls) == {circle.vector}
+
+
+def test_kept_formats_each_coordinate_object_once(monkeypatch):
+    cfg = catalog.get_builtin("bi1-cluster3").configuration
+    orbit = generate_packing(
+        [cfg.row("3")], [cfg.row("1"), cfg.row("2"), cfg.row("4")], OrbitLimits(4)
+    )
+    circles = parse_tsv(export_tsv(orbit))
+    formatted = []
+    to_text = QNum.__str__
+
+    def counted(q):
+        formatted.append(id(q))
+        return to_text(q)
+
+    monkeypatch.setattr(QNum, "__str__", counted)
+    kept = render._kept(circles)
+    assert len(formatted) == len(set(formatted)) == len({id(q) for c in circles for q in c.vector})
+    assert len(formatted) < sum(len(c.vector) for c in circles)
+    monkeypatch.undo()
+    assert [c for c, _ in kept] == [c for c, _ in exact_kept(circles)]
+
+
+# a + c sqrt(k) + e u**n: mixed radicands, and units u whose powers bring
+# cancellation into the row and small conjugates into b
+coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+
+
+@st.composite
+def row_numbers(draw):
+    k = draw(st.sampled_from([2, 3, 5, 10]))
+    unit = draw(st.sampled_from([ONE, sqrt(2) - 1, sqrt(10) - 3, 2 - sqrt(3)]))
+    x = QNum({1: draw(coefficients), k: draw(coefficients)})
+    return x + draw(coefficients) * unit ** draw(st.integers(0, 14))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(row_numbers(), row_numbers(), row_numbers()), min_size=1, max_size=4),
+       st.sampled_from(render.LABEL_MODES))
+def test_random_rows_match_exact_oracle(rows, labels):
+    circles = [
+        OrbitCircle(as_vector((QNum(0), b, x, y)), 0, "w%d" % i)
+        for i, (b, x, y) in enumerate(rows)
+        if b
+    ]
+    assume(circles)
+    assert_matches_oracle(
+        circles,
+        RenderOptions(labels=labels),
+        RenderOptions(viewport=((-3, 3), (-2, 2)), labels=labels),
+    )
