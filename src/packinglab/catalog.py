@@ -83,10 +83,8 @@ class CatalogEntry:
         return tuple(self.configuration.position(label) for label in cluster)
 
     def gram_matrix(self) -> tuple:
-        """The Gram matrix: the stored one, which __post_init__ has proved
-        equal to the computed one, or else computed."""
-        if self.gram is not None:
-            return self.gram
+        """The Gram matrix the configuration computed on construction (a
+        stored one was proved equal to it)."""
         return self.configuration.gram()
 
 

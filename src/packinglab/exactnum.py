@@ -29,16 +29,19 @@ breaks.
 Where a value lies is answered in one way, ``_enclose``: over integer
 coefficients it gives integers lo <= hi with the value in
 [lo, hi] / 2**p, exact on the rational part and off by less than one
-unit per irrational term.  ``sign`` doubles p until the enclosure
-excludes zero, ``to_float`` rounds its midpoint once, ``_bounds`` returns
-it as Fractions, and orbit generation's bend bound compares enclosures.
+unit per irrational term.  The one exact sign, ``_sign``, doubles p
+until the enclosure excludes zero (``QNum.sign`` calls it on the
+coefficients over their common denominator), ``to_float`` rounds the
+midpoint once, ``_bounds`` returns the enclosure as Fractions, and orbit
+generation's bend bound and the render compare enclosures.
 
 For bulk work on many rows over one field, ``_Field`` fixes a
 multiquadratic basis and writes each row as integers over that basis
-with one common denominator; orbit generation and the Gram matrix run
-on that encoding and decode back to QNums at the end.  The basis is
-``_radical_span`` of the rows' radicands, the same closure under which
-``conjugates`` lists a value's images under its field's automorphisms.
+with one common denominator; orbit generation, the Gram matrix and the
+render run on that encoding (the render also multiplies and takes
+reciprocals in it) and decode back to QNums at the end.  The basis is
+``_radical_span`` of the rows' radicands, whose generator bits say
+which conjugation flips each basis element.
 """
 
 from __future__ import annotations
@@ -87,8 +90,10 @@ def _enclose(radicands, coeffs, p: int) -> tuple[int, int]:
     The rational part (radicand 1) is exact; each irrational sqrt(k) lies
     strictly between floor(sqrt(k) * 2**p) and that plus one, so
     hi - lo = sum of |coeffs| over the radicands k > 1.  This is the one
-    enclosure behind ``QNum.sign``, ``QNum.to_float``, ``QNum._bounds``
-    and the orbit's bend bound.
+    enclosure behind ``_sign``, ``QNum.to_float``, ``QNum._bounds``, the
+    orbit's bend bound and the render's circles.  It is linear under
+    positive integer scaling of the coefficients, and negating them
+    negates and swaps its ends.
     """
     lo = hi = 0
     for k, c in zip(radicands, coeffs):
@@ -104,6 +109,27 @@ def _enclose(radicands, coeffs, p: int) -> tuple[int, int]:
                 lo += t + c
                 hi += t
     return lo, hi
+
+
+def _sign(radicands, coeffs) -> int:
+    """-1, 0 or +1, the exact sign of sum_a coeffs[a] * sqrt(radicands[a])
+    for integer coefficients and distinct squarefree radicands.
+
+    Zero is structural (every coefficient 0).  Otherwise the value is
+    enclosed at p = 16, 32, 64, ... until the enclosure excludes zero;
+    this terminates because the square roots are linearly independent
+    over Q, so a nonzero vector has a nonzero value.
+    """
+    if not any(coeffs):
+        return 0
+    p = 16
+    while True:
+        lo, hi = _enclose(radicands, coeffs, p)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        p *= 2
 
 
 def _least_prime_factor(n: int) -> int:
@@ -274,19 +300,6 @@ class QNum:
             tuple((k, -c if k % p == 0 else c) for k, c in self._terms)
         )
 
-    def conjugates(self) -> list:
-        """The images of self under the automorphisms of
-        Q(sqrt(k) : k a radicand of self), self first, one per
-        automorphism: 2**r values for r independent radicands."""
-        bits = _radical_span(k for k, _ in self._terms)
-        return [
-            QNum._make(tuple(
-                (k, -c if bin(bits[k] & flip).count("1") % 2 else c)
-                for k, c in self._terms
-            ))
-            for flip in range(len(bits))
-        ]
-
     def __truediv__(self, other):
         other = _coerce(other)
         if other is None:
@@ -316,36 +329,30 @@ class QNum:
     # -- order and sign -----------------------------------------------
 
     def sign(self) -> int:
-        """-1, 0 or +1, exact.
+        """-1, 0 or +1, exact: ``_sign`` on the coefficients over their
+        least common denominator."""
+        terms = self._terms
+        if len(terms) == 1:
+            return 1 if terms[0][1] > 0 else -1
+        radicands, coeffs, _ = self._integer_terms()
+        return _sign(radicands, coeffs)
 
-        Zero is structural (empty term map).  Otherwise the value is
-        enclosed at precision p = 16, 32, 64, ... (``_enclosure``) until
-        the enclosure excludes zero; termination is guaranteed because a
-        nonzero value has nonzero magnitude.
-        """
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1:
-            return 1 if self._terms[0][1] > 0 else -1
-        prec = 16
-        while True:
-            lo, hi, _ = self._enclosure(prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
+    def _integer_terms(self) -> tuple[list, list, int]:
+        """(radicands, coeffs, den): the value is
+        sum_a coeffs[a] * sqrt(radicands[a]) / den, with integer
+        coefficients over their least common denominator den > 0."""
+        den = self.denominator
+        return (
+            [k for k, _ in self._terms],
+            [c.numerator * (den // c.denominator) for _, c in self._terms],
+            den,
+        )
 
     def _enclosure(self, prec: int) -> tuple[int, int, int]:
         """Integers (lo, hi, den), den > 0, with the value in
-        [lo, hi] / (den * 2**prec): ``_enclose`` on the coefficients
-        over their least common denominator."""
-        den = self.denominator
-        lo, hi = _enclose(
-            [k for k, _ in self._terms],
-            [c.numerator * (den // c.denominator) for _, c in self._terms],
-            prec,
-        )
+        [lo, hi] / (den * 2**prec): ``_enclose`` on ``_integer_terms``."""
+        radicands, coeffs, den = self._integer_terms()
+        lo, hi = _enclose(radicands, coeffs, prec)
         return lo, hi, den
 
     def _bounds(self, prec: int) -> tuple[Fraction, Fraction]:
@@ -494,7 +501,10 @@ class _Field:
     def __init__(self, rows):
         basis = _radical_span(k for row in rows for q in row for k, _ in q.terms)
         self.radicands = tuple(sorted(basis))
+        # the generator bits of each basis element (see _radical_span)
+        self.bits = tuple(basis[k] for k in self.radicands)
         self.d = len(self.radicands)
+        self.one = (1,) + (0,) * (self.d - 1)
         self.position = {k: a for a, k in enumerate(self.radicands)}
         # product[a][b] = (position of c, g) for sqrt(r_a)*sqrt(r_b) = g*sqrt(c)
         self.product = tuple(
@@ -516,6 +526,45 @@ class _Field:
             for k, c in q.terms:
                 key[i * self.d + self.position[k]] = c.numerator * (den // c.denominator)
         return tuple(key)
+
+    def multiply(self, u, v):
+        """The coefficients of the product of two numbers given by their
+        integer coefficients over the basis."""
+        out = [0] * self.d
+        for a, x in enumerate(u):
+            if x:
+                row = self.product[a]
+                for b, y in enumerate(v):
+                    if y:
+                        c, g = row[b]
+                        out[c] += g * x * y
+        return out
+
+    def reciprocal(self, u):
+        """(w, n) with 1/u = w / n: integer coefficients w over the basis
+        and a nonzero integer n, for integer coefficients u of a nonzero
+        number.
+
+        As in ``QNum.inverse``, one generator at a time: the running
+        denominator times its conjugate under the flip of a generator it
+        contains is fixed by that flip, so free of the generator, and
+        conjugation is a field automorphism, so it stays nonzero.  After
+        at most one step per generator the denominator is the rational n,
+        and w is the product of the conjugates taken.  For a rational u,
+        w is ``one``.
+        """
+        w, den = self.one, u
+        while True:
+            present = 0
+            for bits, x in zip(self.bits, den):
+                if x:
+                    present |= bits
+            if not present:
+                return w, den[0]
+            flip = present & -present
+            conjugate = [-x if bits & flip else x for bits, x in zip(self.bits, den)]
+            w = tuple(self.multiply(w, conjugate))
+            den = self.multiply(den, conjugate)
 
     def coordinate(self, key, i):
         """Coordinate i of an encoded row, as an exact QNum."""

@@ -22,7 +22,7 @@ superset of the plain grammar and flattens it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import coxeter, geometry
 
@@ -141,7 +141,8 @@ class Configuration:
 
     form_d is the quadratic-form context the data came from (metadata
     only); defining_words are the def'd-as provenance strings over an
-    external generator base, also metadata.
+    external generator base, also metadata.  The Gram matrix is computed
+    once, on construction, and its diagonal holds the row norms.
     """
 
     name: str
@@ -149,6 +150,7 @@ class Configuration:
     labels: tuple
     form_d: int | None = None
     defining_words: tuple | None = None
+    _gram: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
@@ -165,11 +167,11 @@ class Configuration:
             raise ValueError("labels length mismatch")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
-        for label, row in zip(self.labels, self.rows):
-            if not geometry.is_wall(row):
-                raise ValueError(
-                    f"row {label!r} has norm {geometry.norm(row)}, not -1"
-                )
+        gram = geometry.gram(self.rows)
+        object.__setattr__(self, "_gram", gram)
+        for i, label in enumerate(self.labels):
+            if gram[i][i] != geometry.MINUS_ONE:
+                raise ValueError(f"row {label!r} has norm {gram[i][i]}, not -1")
 
     @property
     def dim_n(self) -> int:
@@ -196,7 +198,7 @@ class Configuration:
         return cluster, cocluster, positions, rest
 
     def gram(self):
-        return geometry.gram(self.rows)
+        return self._gram
 
 
 def double(config: Configuration, j: int, enforce_parity: bool = True) -> Configuration:

@@ -7,33 +7,32 @@ emitted in a canonical order (generation, then the exact coordinate
 text, each shared coordinate object formatted once) and every numeral
 is formatted the same way, so diffing two figures is meaningful.
 
-Dedup is exact, and so is every decision and every numeral, but the
-exact center and radius are rarely computed.  Each circle's screen
-comes straight from its row: b, bx and by as floats with error bounds,
-then bx/b, by/b and 1/|b| with one bound each.  The fitted viewport and
-the culling compare these floats and decide only when a comparison
-clears the bounds, the box edge's own error and the rounding of the
-comparison itself.  A numeral is printed from the screen only when it
-is unambiguous: _fmt gives the same 12 significant digits at both ends
-of an interval that holds both the exact value and the float
-QNum.to_float gives for it.  Otherwise (inside a margin, a fitted
-extreme that ties in floats, an ambiguous numeral, a bend whose
-interval reaches 0, or a value too large for a float) the exact center
-and radius are computed (b.inverse() and two products) and settle it.
-So the figure is the one exact arithmetic gives.
+Dedup, every decision and every numeral are exact, and made in
+integers.  The circle rows are encoded over one multiquadratic basis
+(exactnum._Field), each distinct coordinate object once.  With
+1/b = w / N for an integer N (_Field.reciprocal: w is a product of
+conjugates of b, the unit when b is rational), the center is bz w / N
+and the radius sign(b) w / N, integer coefficients over one positive
+scale per circle.  Each of cx, cy and r is enclosed once with
+exactnum._enclose at p = 55, the precision QNum.to_float uses, and its
+numeral is the midpoint of that enclosure: the very float to_float gives
+for the exact value, because the enclosure is linear under positive
+integer scaling, negation swaps its ends, and int true division rounds
+correctly.  The fitted viewport and the culling compare the same
+enclosures in integers; where two overlap, the exact sign of the
+difference (exactnum._sign) settles it.
 
-A viewport must be drawable in floats: RenderOptions refuses one whose
-edges, width or height are out of float range, or whose height or
-stroke width (width / 400) is zero as a float.
+A viewport must be drawable in floats: RenderOptions refuses one, and
+the fitted viewport raises for one, whose edges, width or height are
+out of float range, or whose height or stroke width (width / 400) is
+zero as a float.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .exactnum import _radical_span
+from .exactnum import _enclose, _Field, _sign
 from .orbit import OrbitCircle, PackingOrbit, generate_packing
 
 CLUSTER_COLOR = "#1f6fb2"
@@ -118,176 +117,67 @@ def _as_circles(source):
     return circles
 
 
-# Relative slack for the few float operations of a screen (each rounds by
-# at most 2**-53 of its result), and an absolute one for subnormals.
-_SLACK = 2.0 ** -50
-_TINY = 2.0 ** -1060
-# QNum.to_float rounds a midpoint within sum_{k>1} |c_k| * 2**-56 of q
-_MIDPOINT = 2.0 ** -56
+# QNum.to_float's float is the midpoint of the enclosure at this precision
+_P = 55
 
 
-def _approx(q):
-    """A float near q = sum_k c_k sqrt(k), a bound on its absolute error,
-    and the weighted size sum_k |c_k| sqrt(k) (rounded up).
+def _number(field, q):
+    """(coefficients, den) of a coordinate over the field's basis."""
+    key = field.encode((q,))
+    return key[:-1], key[-1]
 
-    Each term is one product of two rounded floats (three roundings) and
-    the n terms take n - 1 rounded sums, so the float is off by at most
-    (n + 2) * 2**-53 times the weighted size; the bound takes n + 3 for
-    the rounding of the size itself, plus an absolute term for subnormal
-    results.  OverflowError when a coefficient is out of float range.
+
+def _integer_disk(field, vector, numbers, reciprocals):
+    """(S, center x, center y, radius) for a circle row, each value as
+    (coefficients, m): integer coefficients over the field's basis and a
+    nonzero integer m, the value being coefficients * m / S with S > 0.
+    numbers maps the id of each coordinate to its _number, and
+    reciprocals keeps _Field.reciprocal and the sign of each bend's
+    coefficients.
+
+    With 1/b = db w / n (_Field.reciprocal), the center is bz db w / n and
+    the radius sign(b) db w / n; for a rational b, w is the unit and the
+    center's coefficients are bz's own.
     """
-    value = weighted = 0.0
-    for k, c in q.terms:
-        t = c.numerator / c.denominator
-        if k != 1:
-            t *= math.sqrt(k)
-        value += t
-        weighted += abs(t)
-    n = len(q.terms) + 3
-    return value, weighted * n * 2.0 ** -53 + _TINY, weighted * (1 + n * 2.0 ** -53)
+    _, qb, qx, qy = vector
+    (b, db), (x, dx), (y, dy) = numbers[id(qb)], numbers[id(qx)], numbers[id(qy)]
+    found = reciprocals.get(b)
+    if found is None:
+        found = reciprocals[b] = field.reciprocal(b) + (_sign(field.radicands, b),)
+    w, n, sign = found
+    if w is not field.one:
+        x, y = tuple(field.multiply(x, w)), tuple(field.multiply(y, w))
+    t = db if n > 0 else -db
+    return abs(n) * dx * dy, (x, t * dy), (y, t * dx), (w, t * dx * dy * sign)
 
 
-def _screen(vector):
-    """(cx, cy, r, ex, ey, er, wx, wy) for a circle row: floats of the
-    center bx/b, by/b and the radius 1/|b|, a bound on the absolute error
-    of each, and the weighted sizes of bx and by (see _approx); None when
-    b's interval reaches 0 or a value is out of float range."""
-    try:
-        (fb, eb, _), (fx, ex, wx), (fy, ey, wy) = map(_approx, vector[1:4])
-    except OverflowError:
-        return None
-    low = abs(fb) - eb  # |b| >= low
-    if not low > 0:
-        return None
-    r = 1.0 / abs(fb)
-    cx = fx / fb
-    cy = fy / fb
-    # |x/b - fx/fb| <= (ex + |fx/fb| eb) / low, and |1/b - 1/fb| <= r eb / low
-    grow = 1 + _SLACK
-    ex = (ex + abs(cx) * eb) / low * grow + abs(cx) * _SLACK + _TINY
-    ey = (ey + abs(cy) * eb) / low * grow + abs(cy) * _SLACK + _TINY
-    er = r * eb / low * grow + r * _SLACK + _TINY
-    if not math.isfinite(abs(cx) + abs(cy) + r + ex + ey + er):
-        return None
-    return cx, cy, r, ex, ey, er, wx, wy
-
-
-def _exact_disk(vector):
-    """The exact center and radius of a circle row (b != 0)."""
-    signed_radius = vector[1].inverse()
-    return (vector[2] * signed_radius, vector[3] * signed_radius), abs(signed_radius)
-
-
-@lru_cache(maxsize=1024)
-def _group_weight(radicands):
-    """sum 1/sqrt(k) over the k > 1 of the group the radicands generate
-    under k * j / gcd(k, j)**2 (rounded up)."""
-    group = _radical_span(radicands)
-    return sum(1 / math.sqrt(k) for k in group if k > 1) * (1 + len(group) * _SLACK)
-
-
-def _inverse_mean(b, bound):
-    """An upper bound on the mean of 1/|s| over b's conjugates s (bound,
-    an upper bound on 1/|b|, when b is rational); inf when a conjugate's
-    interval reaches 0."""
-    if b.is_rational():
-        return bound
-    conjugates = b.conjugates()
-    total = 0.0
-    for s in conjugates:
-        try:
-            f, e, _ = _approx(s)
-        except OverflowError:
-            return math.inf
-        low = abs(f) - e
-        if not low > 0:
-            return math.inf
-        total += 1.0 / low
-    return total / len(conjugates) * (1 + len(conjugates) * _SLACK)
-
-
-def _ends(value, width):
-    """Floats lo <= hi holding every number within width of value and the
-    float nearest to each of them (a rounding to float moves a number by
-    at most 2**-53 of its size, or 2**-1075)."""
-    width = width * (1 + _SLACK) + abs(value) * _SLACK + _TINY
-    return value - width, value + width
-
-
-def _numerals(vector, screen, font):
-    """_fmt of the floats QNum.to_float gives for cx, -cy and r of the
-    exact center and radius, and of 0.6 * r when font.
-
-    The screen's float is within its bound of the exact value x/b, and
-    to_float's within sum_{k>1} |c_k| * 2**-56 of it plus a rounding.
-    Over the group G that the row's radicands generate, c_k sqrt(k) is
-    the mean of +-s(x/b) over the automorphisms s, so
-    sum_{k>1} |c_k| <= P * mean |s(x)| / |s(b)| with
-    P = sum_{k in G, k > 1} 1/sqrt(k), and |s(x)| is at most the weighted
-    size of x (the mean over G of 1/|s(b)| is the mean over b's own
-    conjugates).  When _fmt gives one text at both ends of that interval
-    it is the numeral; otherwise the exact center and radius give it.
-    """
-    if screen is not None:
-        cx, cy, r, ex, ey, er, wx, wy = screen
-        b = vector[1]
-        radicands = frozenset(k for q in vector[1:4] for k, _ in q.terms)
-        scale = _group_weight(radicands) * _inverse_mean(b, r + er) * _MIDPOINT
-        rlo, rhi = _ends(r, er + scale)
-        ends = [
-            _ends(cx, ex + wx * scale) if vector[2] else (0.0, 0.0),  # exact zeros
-            _ends(-cy, ey + wy * scale) if vector[3] else (0.0, 0.0),
-            (rlo, rhi),
-        ]
-        if font:
-            ends.append((0.6 * rlo, 0.6 * rhi))
-        texts = []
-        for lo, hi in ends:
-            text = _fmt(lo)
-            if text != _fmt(hi):
-                break
-            texts.append(text)
-        else:
-            return texts
-    center, radius = _exact_disk(vector)
-    cx, cy, r = float(center[0]), float(center[1]), float(radius)
+def _numerals(shape, font):
+    """_fmt of a circle shape's cx, -cy and r, and of 0.6 * r when font:
+    each float is the midpoint of its enclosure, the float QNum.to_float
+    gives for the exact value."""
+    scale = shape[3] << (_P + 1)
+    cx, cy, r = ((lo + hi) / scale for lo, hi in zip(shape[4::2], shape[5::2]))
     texts = [_fmt(cx), _fmt(-cy), _fmt(r)]
     if font:
         texts.append(_fmt(0.6 * r))
     return texts
 
 
-def _disk_outside(center, radius, box):
-    (xlo, xhi), (ylo, yhi) = box
-    for axis, (lo, hi) in ((0, (xlo, xhi)), (1, (ylo, yhi))):
-        if center[axis] + radius < lo or center[axis] - radius > hi:
-            return True
-    return False
+def _slots(axis, side):
+    """Slots (a, b) of a circle shape with side * center + radius along an
+    axis in [side * shape[a] + shape[8], side * shape[b] + shape[9]] /
+    (shape[3] * 2**_P)."""
+    c = 4 + 2 * axis
+    return (c, c + 1) if side > 0 else (c + 1, c)
 
 
-def _float_box(box):
-    """Each box edge as (float, error bound)."""
-    return tuple(
-        tuple((float(e), abs(float(e)) * 2.0 ** -52 + _TINY) for e in edges)
-        for edges in box
-    )
-
-
-def _screened_outside(screen, fbox):
-    """True or False when floats settle _disk_outside, None otherwise."""
-    if screen is None:
-        return None
-    cx, cy, r, ex, ey, er = screen[:6]
-    settled = True
-    for c, ec, ((lo, elo), (hi, ehi)) in ((cx, ex, fbox[0]), (cy, ey, fbox[1])):
-        # outside when c + r < lo or c - r > hi
-        for gap, edge, eedge in ((c + r - lo, lo, elo), (hi - (c - r), hi, ehi)):
-            margin = ec + er + eedge + (abs(c) + r + abs(edge)) * _SLACK
-            if gap < -margin:
-                return True
-            if not gap > margin:
-                settled = False  # inside the margin, or not finite
-    return False if settled else None
+def _exact_reach(shape, axis, side):
+    """(S, coefficients) of side * center + radius along an axis, exact."""
+    _, vector, field = shape[:3]
+    numbers = {id(q): _number(field, q) for q in vector[1:4]}
+    scale, *values = _integer_disk(field, vector, numbers, {})
+    (c, mc), (r, mr) = values[axis], values[2]
+    return scale, [side * mc * a + mr * e for a, e in zip(c, r)]
 
 
 def _line_outside(normal, offset, box):
@@ -303,7 +193,7 @@ def _line_outside(normal, offset, box):
 def _clip_line(normal, offset, box):
     # Liang-Barsky on p(t) = p0 + t*d, in floats with no error margin:
     # this only places the ends of a line that _line_outside has already
-    # kept in exact arithmetic (lines are few; only circles are screened)
+    # kept in exact arithmetic (lines are few)
     nx, ny = float(normal[0]), float(normal[1])
     off = float(offset)
     norm2 = nx * nx + ny * ny
@@ -328,40 +218,38 @@ def _clip_line(normal, offset, box):
     )
 
 
-def _extreme(disks, axis, side):
-    """Exact min (side -1) of center - radius or max (side +1) of
-    center + radius along an axis.
+def _extreme(circles, axis, side):
+    """The exact min (side -1) of center - radius or max (side +1) of
+    center + radius along an axis, over circle shapes.
 
-    Only the disks whose float interval reaches the float extreme can
-    attain it; they alone are compared exactly.
+    The largest floor of 2**_P times the lower ends of the enclosures of
+    side * center + radius is a lower bound on the extreme; only the
+    circles whose enclosure reaches it can attain the extreme, and they
+    alone are compared exactly.
     """
-    best = -math.inf  # the largest lower bound of side * (center +- radius)
-    bounds = []
-    for _, screen in disks:
-        if screen is None:
-            bounds.append(math.inf)
-            continue
-        cx, cy, r, ex, ey, er = screen[:6]
-        value = side * (cx, cy)[axis] + r
-        spread = (ex, ey)[axis] + er + abs(value) * _SLACK
-        best = max(best, value - spread)
-        bounds.append(value + spread)
-    values = []
-    for (vector, _), upper in zip(disks, bounds):
-        if upper >= best:
-            center, radius = _exact_disk(vector)
-            values.append(center[axis] + radius if side > 0 else center[axis] - radius)
-    return max(values) if side > 0 else min(values)
+    a, b = _slots(axis, side)
+    top = max((side * shape[a] + shape[8]) // shape[3] for shape in circles)
+    field = circles[0][2]
+    best = None
+    for shape in circles:
+        if side * shape[b] + shape[9] >= top * shape[3]:
+            scale, value = _exact_reach(shape, axis, side)
+            if best is None or _sign(
+                field.radicands, [v * best[0] - u * scale for v, u in zip(value, best[1])]
+            ) > 0:
+                best = scale, value
+    scale, value = best
+    return field.number(tuple(side * c for c in value), scale)
 
 
 def _auto_viewport(shapes):
-    disks = [shape[1:] for shape in shapes if shape[0] == "circle"]
-    if not disks:
+    circles = [shape for shape in shapes if shape[0] == "circle"]
+    if not circles:
         raise ValueError("a viewport is required when the input has no circles")
-    xlo = _extreme(disks, 0, -1)
-    xhi = _extreme(disks, 0, 1)
-    ylo = _extreme(disks, 1, -1)
-    yhi = _extreme(disks, 1, 1)
+    xlo = _extreme(circles, 0, -1)
+    xhi = _extreme(circles, 0, 1)
+    ylo = _extreme(circles, 1, -1)
+    yhi = _extreme(circles, 1, 1)
     pad_x = (xhi - xlo) * Fraction(1, 20)
     pad_y = (yhi - ylo) * Fraction(1, 20)
     if pad_x.sign() == 0:
@@ -371,24 +259,27 @@ def _auto_viewport(shapes):
     box = []
     for lo, hi in ((xlo - pad_x, xhi + pad_x), (ylo - pad_y, yhi + pad_y)):
         box.append((Fraction(float(lo)), Fraction(float(hi))))
-    return tuple(box)
+    box = tuple(box)
+    _check_drawable(box)
+    return box
 
 
-def _outside(shape, fbox, box):
-    if shape[0] == "line":
-        return _line_outside(shape[1], shape[2], box)
-    _, vector, screen = shape
-    decided = _screened_outside(screen, fbox)
-    if decided is None:
-        return _disk_outside(*_exact_disk(vector), box)
-    return decided
-
-
-def _shape(vector):
-    if vector[1]:
-        return ("circle", vector, _screen(vector))
-    # wall with b = 0: the line {p : p . bz = b^/2}, bz a unit normal
-    return ("line", vector[2:4], vector[0] / 2)
+def _circle_outside(shape, tests):
+    """Whether a circle shape lies outside the box that gives these tests
+    (see _visible)."""
+    scale = shape[3] << _P
+    for axis, side, a, b, p, q in tests:
+        # outside when side * center + radius < p / q
+        edge = p * scale
+        if q * (side * shape[b] + shape[9]) < edge:
+            return True
+        if q * (side * shape[a] + shape[8]) < edge:  # the enclosure straddles the edge
+            s, value = _exact_reach(shape, axis, side)
+            value = [q * c for c in value]
+            value[0] -= p * s
+            if _sign(shape[2].radicands, value) < 0:
+                return True
+    return False
 
 
 def render_svg(source, opts=None):
@@ -415,8 +306,8 @@ def render_svg(source, opts=None):
     return _document(visible, box, opts)
 
 
-def _kept(circles):
-    """(circle, shape) pairs in canonical order, one per distinct vector."""
+def _canonical(circles):
+    """The circles in canonical order, one per distinct vector."""
     texts = {}  # id -> str of each coordinate object; parse_tsv shares them
 
     def coord_text(vector):
@@ -432,16 +323,65 @@ def _kept(circles):
     seen = set()
     kept = []
     for c in ordered:
-        if c.vector in seen:
-            continue
-        seen.add(c.vector)
-        kept.append((c, _shape(c.vector)))
+        if c.vector not in seen:
+            seen.add(c.vector)
+            kept.append(c)
     return kept
 
 
+def _kept(circles):
+    """(circle, shape) pairs in canonical order, one per distinct vector.
+
+    A line's shape is ("line", normal, offset).  A circle's is the flat
+    tuple ("circle", row, field, S, cx lo, cx hi, cy lo, cy hi, r lo,
+    r hi): the enclosures at _P of its center and radius over the scale S
+    (_integer_disk), all over one field of the circle rows.
+    """
+    kept = _canonical(circles)
+    # each distinct coordinate object of the circle rows is encoded once
+    numbers = {id(q): q for c in kept if c.vector[1] for q in c.vector[1:4]}
+    field = _Field((numbers.values(),))
+    for key, q in numbers.items():
+        numbers[key] = _number(field, q)
+    reciprocals = {}  # of each distinct bend
+    enclosures = {}  # of each distinct coefficient tuple
+    shapes = []
+    for c in kept:
+        vector = c.vector
+        if not vector[1]:
+            # wall with b = 0: the line {p : p . bz = b^/2}, bz a unit normal
+            shapes.append((c, ("line", vector[2:4], vector[0] / 2)))
+            continue
+        scale, *values = _integer_disk(field, vector, numbers, reciprocals)
+        shape = ["circle", vector, field, scale]
+        for coeffs, m in values:
+            lo, hi = enclosures.get(coeffs) or enclosures.setdefault(
+                coeffs, _enclose(field.radicands, coeffs, _P)
+            )
+            # an exact value (lo == hi, as r for a rational b) keeps one int
+            low = lo * m
+            high = low if hi == lo else hi * m
+            shape += (low, high) if m > 0 else (high, low)
+        shapes.append((c, tuple(shape)))
+    return shapes
+
+
 def _visible(kept, box):
-    fbox = _float_box(box)
-    return [(c, shape) for c, shape in kept if not _outside(shape, fbox, box)]
+    # (axis, side, slots, p, q) for side * center + radius < side * edge = p / q
+    tests = [
+        (axis, side, *_slots(axis, side), side * edge.numerator, edge.denominator)
+        for axis, edges in enumerate(box)
+        for side, edge in zip((1, -1), edges)
+    ]
+    return [
+        (c, shape)
+        for c, shape in kept
+        if not (
+            _circle_outside(shape, tests)
+            if shape[0] == "circle"
+            else _line_outside(shape[1], shape[2], box)
+        )
+    ]
 
 
 def _document(visible, box, opts):
@@ -463,7 +403,7 @@ def _document(visible, box, opts):
                 text = c.word
             else:
                 text = None
-            numerals = _numerals(shape[1], shape[2], text is not None)
+            numerals = _numerals(shape, text is not None)
             shapes_out.append(
                 '<circle cx="%s" cy="%s" r="%s" stroke="%s"/>' % (*numerals[:3], color)
             )

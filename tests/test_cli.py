@@ -86,6 +86,17 @@ def test_render_viewport_floats_cannot_draw_is_a_domain_error(capsys, viewport, 
     assert error["kind"] == "ValueError" and message in error["error"]
 
 
+def test_render_fitted_viewport_floats_cannot_draw_is_a_domain_error(capsys, tmp_path):
+    # one circle of bend 10**400 at the origin: its fitted box rounds to a point
+    path = tmp_path / "tiny.tsv"
+    path.write_text("0\ttiny\t(-1/%d,%d,0,0)\n" % (10 ** 400, 10 ** 400), encoding="utf-8")
+    assert cli.run(["render", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["kind"] == "ValueError" and "too small" in error["error"]
+
+
 @pytest.mark.filterwarnings("ignore:asymptotic expansion used")
 def test_lob_methods_agree(capsys):
     values = []

@@ -142,11 +142,11 @@ def test_bi1_figure_tsv_roundtrip():
     assert direct == via_tsv
 
 
-# -- the float screen against exact arithmetic ------------------------
+# -- render against exact QNum arithmetic -----------------------------
 #
-# The exact shapes, viewport, cull loop and document render used before it
-# screened in floats, kept here as the oracle: the order, the box, the
-# visible circles and the SVG must come out the same.
+# The exact QNum shapes, viewport, cull loop and document render used
+# before it worked in integers, kept here as the oracle: the order, the
+# box, the visible circles and the SVG must come out the same.
 
 
 def exact_shape(vector):
@@ -309,6 +309,44 @@ def test_bi10_clusters_match_exact_oracle(cluster):
     assert len(visible) == len(set(c.vector for c in orbit.circles))
 
 
+IRRATIONAL_BEND_FIGURES = [
+    (entry, cluster)
+    for entry in ("d1n3", "d3n3")
+    for cluster in catalog.get_builtin(entry).clusters
+]
+
+
+@pytest.mark.parametrize(
+    "entry, cluster", IRRATIONAL_BEND_FIGURES, ids=["%s{%s}" % (e, ",".join(c)) for e, c in IRRATIONAL_BEND_FIGURES]
+)
+def test_irrational_bend_figures_match_exact_oracle(entry, cluster):
+    cfg = catalog.get_builtin(entry).configuration
+    circles, words = supercluster_circles(cfg, list(cluster), OrbitLimits(max_generation=4))
+    assert any(not c.vector[1].is_rational() for c in circles)
+    assert_matches_oracle(
+        circles,
+        RenderOptions(labels="bends", cocluster_words=words),
+        RenderOptions(viewport=((-3, 3), (-1, 2)), labels="labels", cocluster_words=words),
+    )
+
+
+def test_negative_bends_match_exact_oracle():
+    # oriented circles with b < 0 (bounding circles) have radius -1/b
+    circles = [
+        circle_at(0, 0, -2, "outer"),
+        circle_at(1, 0, 1, "a"),
+        circle_at(-1, 0, 1, "b"),
+        circle_at(sqrt(2), 1, -1 - sqrt(3), "outer2"),
+    ]
+    assert all(c.vector[1].sign() < 0 for c in circles[::3])
+    visible = assert_matches_oracle(
+        circles,
+        RenderOptions(labels="bends"),
+        RenderOptions(viewport=((Fraction(5, 2), Fraction(7, 2)), (-1, 1)), labels="labels"),
+    )
+    assert [c.word for c, _ in visible] == ["outer2"]
+
+
 def test_viewport_edges_tangent_to_circles():
     # every edge of each box touches some circle exactly, with rational
     # and with irrational centers and radii
@@ -351,8 +389,6 @@ def test_coordinates_beyond_float_range_take_the_exact_path():
     far = circle_at(10 ** 400, 0, 1, "far")
     huge = circle_at(-(10 ** 401), 0, 10 ** 400, "huge")
     tiny = circle_at(0, 0, Fraction(1, 10 ** 400), "tiny")
-    assert render._shape(far.vector)[2] is None
-    assert render._shape(huge.vector)[2] is None
     visible = assert_matches_oracle(
         [UNIT, far, huge, tiny], RenderOptions(viewport=((0, 1), (-2, 2)))
     )
@@ -387,24 +423,18 @@ def test_viewport_floats_cannot_draw_is_refused():
         assert 'stroke-width="0"' not in svg and "inf" not in svg
 
 
-# -- numerals from the row, the exact route on demand ------------------
+def test_fitted_viewport_floats_cannot_draw_is_refused():
+    # the fitted box of a circle of radius 1e-400 rounds to a point
+    tiny = circle_at(0, 0, Fraction(1, 10 ** 400), "tiny")
+    with pytest.raises(ValueError, match="too small"):
+        render_svg([tiny])
+    assert render_svg([tiny], RenderOptions(viewport=((-1, 1), (-1, 1)))).count("<circle") == 1
 
 
-@pytest.fixture
-def exact_calls(monkeypatch):
-    """The vectors render computes an exact center and radius for."""
-    calls = []
-    exact_disk = render._exact_disk
-
-    def counted(vector):
-        calls.append(vector)
-        return exact_disk(vector)
-
-    monkeypatch.setattr(render, "_exact_disk", counted)
-    return calls
+# -- numerals and decisions at their rounding and tie boundaries -------
 
 
-def test_pack_planar_figure_matches_exact_oracle(exact_calls):
+def test_pack_planar_figure_matches_exact_oracle():
     cfg = catalog.get_builtin("bi10-example").configuration
     inside, outside, _, _ = cfg.split(["1", "7"])
     orbit = generate_packing(inside, outside, OrbitLimits(max_generation=7))
@@ -416,9 +446,6 @@ def test_pack_planar_figure_matches_exact_oracle(exact_calls):
         RenderOptions(),
     )
     assert len(visible) == len(circles)
-    # all but a few percent of the circles are left to the screen (for the
-    # fitted box, the exact calls are mostly circles tangent to its sides)
-    assert len(exact_calls) < 0.05 * 2 * len(circles)
 
 
 # halfway between the 12-digit numerals 1.23456789012 and 1.23456789013
@@ -444,25 +471,21 @@ def tie_circle(where, value):
 @pytest.mark.parametrize("labels", LABELS_SHOWN)
 @pytest.mark.parametrize("offset", [0, Fraction(1, 10 ** 17), -Fraction(1, 10 ** 17)])
 @pytest.mark.parametrize("where", ["cx", "cy", "r", "font"])
-def test_numeral_at_a_rounding_boundary_takes_the_exact_route(
-    exact_calls, where, offset, labels
-):
+def test_numeral_at_a_rounding_boundary_takes_the_exact_route(where, offset, labels):
     circle = tie_circle(where, TIE * (1 + offset))
     assert_matches_oracle([circle], RenderOptions(viewport=FAR, labels=labels))
-    assert exact_calls == [circle.vector]
 
 
-def test_well_conditioned_circles_stay_on_the_screen(exact_calls):
-    # 1e-14 from a boundary is far outside the screen's error on a row
-    # without cancellation, and without labels the font size is not printed
+def test_well_conditioned_circles_stay_on_the_screen():
+    # 1e-14 from a boundary on rows without cancellation, and without
+    # labels the font size is not printed
     circles = [UNIT, tie_circle("cy", TIE * (1 + Fraction(1, 10 ** 14)))]
     circles += [tie_circle(w, TIE * (1 - Fraction(1, 10 ** 14))) for w in ("cx", "r")]
     assert_matches_oracle(circles, *(RenderOptions(viewport=FAR, labels=m) for m in LABELS_SHOWN))
     assert_matches_oracle([tie_circle("font", TIE)], RenderOptions(viewport=FAR))
-    assert exact_calls == []
 
 
-def test_radius_with_a_small_conjugate_near_a_boundary(exact_calls):
+def test_radius_with_a_small_conjugate_near_a_boundary():
     # r = K (sqrt10 - 3)**3 has a sqrt(10) coefficient about 9,000 times
     # r, and QNum.to_float's midpoint sits 3/4 of its error bound above r
     # (about 1.1e-13 here).  Put r 9.3e-14 below TIE: the exact value
@@ -476,34 +499,27 @@ def test_radius_with_a_small_conjugate_near_a_boundary(exact_calls):
     assert render._fmt(float(r)) == "1.23456789013"
     circle = circle_at(0, 0, r, "r")
     assert_matches_oracle([circle], *(RenderOptions(viewport=FAR, labels=m) for m in LABELS_SHOWN))
-    assert exact_calls == [circle.vector] * 2
-    # a radius as ill-conditioned, away from any boundary, stays on the screen
-    exact_calls.clear()
+    # a radius as ill-conditioned, away from any boundary
     assert_matches_oracle([circle_at(0, 0, unit * 290, "r")], RenderOptions(viewport=FAR))
-    assert exact_calls == []
 
 
-def test_center_with_cancelling_coordinates_takes_the_exact_route(exact_calls):
-    # bx = cx for b = 1 cancels: its float's error bound is about 4e-11,
-    # wider than the 1e-11 between numerals, so cx comes from the exact center
+def test_center_with_cancelling_coordinates_takes_the_exact_route():
+    # bx = cx for b = 1 cancels: a float sum of its terms can be off by
+    # about 4e-11, more than the 1e-11 between numerals
     unit = (sqrt(10) - 3) ** 3
     lo, _ = unit._bounds(200)
     cx = unit * QNum(Fraction(round(TIE / lo * 10 ** 40), 10 ** 40))
     circle = circle_at(cx, 0, 1, "c")
     assert_matches_oracle([circle], RenderOptions(viewport=FAR, labels="bends"))
-    assert exact_calls == [circle.vector]
 
 
-def test_near_cancelling_bend_takes_the_exact_route(exact_calls):
+def test_near_cancelling_bend_takes_the_exact_route():
     # b = 10**15 (3 - 2 sqrt2)**20 is about 0.49 with coefficients near
-    # 1e30, so its float interval reaches 0 and there is no screen
+    # 1e30, so a float sum of its terms keeps no correct digit
     b = QNum(10 ** 15) * (3 - 2 * sqrt(2)) ** 20
     circle = OrbitCircle(as_vector((QNum(0), b, b * Fraction(1, 3), QNum(0))), 0, "b")
-    assert render._shape(circle.vector)[2] is None
     for opts in (RenderOptions(labels="bends"), RenderOptions(viewport=FAR)):
-        exact_calls.clear()
         assert_matches_oracle([circle], opts)
-        assert exact_calls and set(exact_calls) == {circle.vector}
 
 
 def test_kept_formats_each_coordinate_object_once(monkeypatch):
