@@ -14,6 +14,7 @@ lookup at a different directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -490,10 +491,16 @@ def _build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first run, not at import, and reused: parse_args keeps
+    # no state between calls
+    return _build_parser()
+
+
 def run(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     if getattr(args, "needs_seed", None) == "samples":

@@ -21,10 +21,14 @@ Serialization grammar (used by catalog files, CLI output and tests)::
 
 Printing emits terms by ascending radicand, rational part first, no
 whitespace; parsing additionally accepts whitespace between tokens and
-non-squarefree radicands (``sqrt(12)`` reduces to ``2*sqrt(3)``).  The
-scanner matches one compiled regular expression per term; a literal
-outside the grammar raises ValueError naming the position where it
-breaks.
+non-squarefree radicands (``sqrt(12)`` reduces to ``2*sqrt(3)``).  Both
+work on integers: one printer, ``_format``, prints integer coefficients
+over a denominator (``str(QNum)``, the orbit TSV and the render's order
+all use it), and one scanner, ``_scan``, matches one compiled regular
+expression per term and returns integer coefficients over one
+denominator, which QNum wraps in Fractions and the TSV reader encodes
+directly.  A literal outside the grammar raises ValueError naming the
+position where it breaks.
 
 Where a value lies is answered in one way, ``_enclose``: over integer
 coefficients it gives integers lo <= hi with the value in
@@ -39,9 +43,11 @@ For bulk work on many rows over one field, ``_Field`` fixes a
 multiquadratic basis and writes each row as integers over that basis
 with one common denominator; orbit generation, the Gram matrix and the
 render run on that encoding (the render also multiplies and takes
-reciprocals in it) and decode back to QNums at the end.  The basis is
-``_radical_span`` of the rows' radicands, whose generator bits say
-which conjugation flips each basis element.
+reciprocals in it).  Orbit rows stay encoded through the TSV and the
+render, and are decoded to QNums only where a caller asks for them; the
+Gram decodes each entry once.  The basis is ``_radical_span`` of the
+rows' radicands, whose generator bits say which conjugation flips each
+basis element.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 __all__ = ["QNum", "sqrt", "ZERO", "ONE"]
 
@@ -159,7 +165,7 @@ class QNum:
             c = Fraction(value)
             items = ((1, c),) if c else ()
         elif isinstance(value, str):
-            items = _scan(value)
+            items = _fractions(*_scan(value))
         elif isinstance(value, dict):
             acc: dict[int, Fraction] = {}
             for k, c in value.items():
@@ -187,7 +193,7 @@ class QNum:
     @classmethod
     def parse(cls, text: str) -> "QNum":
         """Parse the literal grammar; raises ValueError with position."""
-        return cls._make(_scan(text))
+        return cls._make(_fractions(*_scan(text)))
 
     @property
     def terms(self) -> tuple:
@@ -340,11 +346,17 @@ class QNum:
     def _integer_terms(self) -> tuple[list, list, int]:
         """(radicands, coeffs, den): the value is
         sum_a coeffs[a] * sqrt(radicands[a]) / den, with integer
-        coefficients over their least common denominator den > 0."""
-        den = self.denominator
+        coefficients over their least common denominator den > 0.  The
+        scanner gives a literal in this form too."""
+        terms = self._terms
+        if len(terms) == 1:  # the commonest value, already in lowest terms
+            (k, c), = terms
+            return [k], [c.numerator], c.denominator
+        dens = [c.denominator for _, c in terms]
+        den = lcm(*dens)
         return (
-            [k for k, _ in self._terms],
-            [c.numerator * (den // c.denominator) for _, c in self._terms],
+            [k for k, _ in terms],
+            [c.numerator * (den // e) for (_, c), e in zip(terms, dens)],
             den,
         )
 
@@ -426,22 +438,7 @@ class QNum:
     # -- text ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for k, c in self._terms:
-            if k == 1:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(f"sqrt({k})")
-            elif c == -1:
-                parts.append(f"-sqrt({k})")
-            else:
-                parts.append(f"{c}*sqrt({k})")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return _format(*self._integer_terms())
 
     def __repr__(self) -> str:
         return f"QNum({str(self)!r})"
@@ -456,6 +453,33 @@ ONE = QNum(1)
 def sqrt(n: int) -> QNum:
     """sqrt of a positive integer as a QNum (radicand reduced)."""
     return QNum({n: 1})
+
+
+def _format(radicands, coeffs, den) -> str:
+    """The literal of sum_a coeffs[a] * sqrt(radicands[a]) / den, for
+    integer coefficients, den > 0 and ascending squarefree radicands: the
+    one printer (``str(QNum)``, the orbit TSV, the render's order).  Each
+    term is reduced on its own, so they need not be in lowest terms."""
+    out = ""
+    for k, x in zip(radicands, coeffs):
+        if not x:
+            continue
+        n, d = x, den
+        if den != 1:
+            g = gcd(x, den)
+            n, d = x // g, den // g
+        if k == 1:
+            term = "%d" % n if d == 1 else "%d/%d" % (n, d)
+        elif d != 1:
+            term = "%d/%d*sqrt(%d)" % (n, d, k)
+        elif n == 1:
+            term = "sqrt(%d)" % k
+        elif n == -1:
+            term = "-sqrt(%d)" % k
+        else:
+            term = "%d*sqrt(%d)" % (n, k)
+        out += "+" + term if out and x > 0 else term
+    return out or "0"
 
 
 def _coerce(x):
@@ -499,7 +523,17 @@ class _Field:
     """
 
     def __init__(self, rows):
-        basis = _radical_span(k for row in rows for q in row for k, _ in q.terms)
+        """The field of these rows of QNums."""
+        self._span(_radical_span(k for row in rows for q in row for k, _ in q.terms))
+
+    @classmethod
+    def over(cls, radicands):
+        """The field of numbers with these squarefree radicands."""
+        self = object.__new__(cls)
+        self._span(_radical_span(radicands))
+        return self
+
+    def _span(self, basis):
         self.radicands = tuple(sorted(basis))
         # the generator bits of each basis element (see _radical_span)
         self.bits = tuple(basis[k] for k in self.radicands)
@@ -517,14 +551,26 @@ class _Field:
         self._numbers = {}
 
     def encode(self, row):
+        """The key of a row of QNums."""
+        return self.join([self.place(*q._integer_terms()) for q in row])
+
+    def place(self, radicands, coeffs, den):
+        """(coefficients over the basis, den) of the number with these
+        integer terms (the form of ``_integer_terms`` and ``_scan``)."""
+        out = [0] * self.d
+        for k, c in zip(radicands, coeffs):
+            out[self.position[k]] = c
+        return tuple(out), den
+
+    def join(self, numbers):
+        """The key of a row given as (coefficients over the basis, den)
+        per coordinate, each in lowest terms."""
         # over the lcm of the denominators the tuple is already reduced
-        den = 1
-        for q in row:
-            den = den * q.denominator // gcd(den, q.denominator)
-        key = [0] * (len(row) * self.d) + [den]
-        for i, q in enumerate(row):
-            for k, c in q.terms:
-                key[i * self.d + self.position[k]] = c.numerator * (den // c.denominator)
+        den = lcm(*[e for _, e in numbers])
+        key = []
+        for coeffs, e in numbers:
+            key += coeffs if e == den else [c * (den // e) for c in coeffs]
+        key.append(den)
         return tuple(key)
 
     def multiply(self, u, v):
@@ -585,6 +631,31 @@ class _Field:
             ))
         return q
 
+    def row_text(self, key, texts):
+        """``str`` of each coordinate of an encoded row, joined by commas.
+        texts is the caller's cache, per denominator, of the literals
+        formatted so far: each distinct (den, coefficients) is formatted
+        once."""
+        d, den = self.d, key[-1]
+        known = texts.get(den)
+        if known is None:
+            known = texts[den] = _Literals(self.radicands, den)
+        return ",".join([known[key[i:i + d]] for i in range(0, len(key) - 1, d)])
+
+
+class _Literals(dict):
+    """Coefficients over some radicands -> ``_format`` of them over den,
+    each formatted on first lookup."""
+
+    __slots__ = ("radicands", "den")
+
+    def __init__(self, radicands, den):
+        self.radicands, self.den = radicands, den
+
+    def __missing__(self, coeffs):
+        text = self[coeffs] = _format(self.radicands, coeffs, self.den)
+        return text
+
 
 # -- scanner ----------------------------------------------------------
 
@@ -612,9 +683,17 @@ def _reject(msg: str, at: int):
     raise ValueError(f"QNum syntax error at position {at}: {msg}")
 
 
-def _scan(text: str) -> tuple:
-    """Canonical terms of a literal, scanned one term at a time."""
-    acc: dict[int, Fraction] = {}
+def _scan(text: str) -> tuple[tuple, tuple, int]:
+    """(radicands, coeffs, den) of a literal, scanned one term at a time,
+    in the form ``QNum._integer_terms`` gives: the value is
+    sum_a coeffs[a] * sqrt(radicands[a]) / den over ascending squarefree
+    radicands, no coefficient zero, in lowest terms over den > 0."""
+    if text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal()):
+        # a bare integer, the commonest literal; \d matches the same digits
+        c = int(text)
+        return ((1,), (c,), 1) if c else ((), (), 1)
+    acc: dict[int, int] = {}  # radicand -> numerator over scale
+    scale = 1
     n = len(text)
     pos = n - len(text.lstrip())
     op = "+"
@@ -623,7 +702,7 @@ def _scan(text: str) -> tuple:
         sign, num, slash, den, times, root, opening, _, rad, closing, nxt = m.groups()
         if num is None and root is None:
             _reject("expected an unsigned integer", m.end(1) if sign else pos)
-        c = Fraction(1)
+        c = d = 1
         if num is not None:
             if slash and den is None:
                 _reject("expected an unsigned integer", m.end(3))
@@ -634,7 +713,7 @@ def _scan(text: str) -> tuple:
                 _reject("expected sqrt(...) after '*'", m.end(5))
             if root is not None and not times:
                 _reject("expected '+' or '-', got 's'", m.start(6))
-            c = Fraction(int(num), d)
+            c = int(num)
         k = 1
         if root is not None:
             if opening is None:
@@ -649,17 +728,27 @@ def _scan(text: str) -> tuple:
         if (sign is not None) ^ (op == "-"):
             c = -c
         s, f = squarefree_decompose(k)
-        c *= s
         if c:
-            v = acc.get(f, _F0) + c
-            if v:
-                acc[f] = v
-            else:
-                del acc[f]
+            if scale % d:
+                up = d // gcd(d, scale)
+                for j in acc:
+                    acc[j] *= up
+                scale *= up
+            acc[f] = acc.get(f, 0) + c * s * (scale // d)
         pos = m.end()
         if nxt is None:
             break
         op = nxt[0]
     if pos < n:
         _reject(f"expected '+' or '-', got {text[pos]!r}", pos)
-    return tuple(sorted(acc.items()))
+    radicands = tuple(sorted(k for k, c in acc.items() if c))
+    coeffs = tuple(acc[k] for k in radicands)
+    g = gcd(scale, *coeffs)
+    if g != 1:
+        coeffs = tuple(c // g for c in coeffs)
+    return radicands, coeffs, scale // g
+
+
+def _fractions(radicands, coeffs, den) -> tuple:
+    """QNum terms ((radicand, Fraction), ...) of integer terms over den."""
+    return tuple((k, Fraction(c, den)) for k, c in zip(radicands, coeffs))

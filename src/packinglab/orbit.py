@@ -24,8 +24,8 @@ integers too: the bend's basis coefficients and the bound are enclosed
 with ``exactnum._enclose`` at 64 bits, and only when the two enclosures
 meet (an exact tie, or a bend within about 2**-64 of the bound relative
 to its coefficients) is the bend decoded and compared as an exact QNum.
-No decision rests on a float.  QNum vectors are decoded for kept circles
-only.
+No decision rests on a float.  The kept circles keep their keys over the
+field, and a circle decodes its QNum vector only when ``vector`` is read.
 
 Every circle carries a provenance word "m_k. ... .m_1.a" of 1-based
 indices into the concatenated cluster + cocluster row list: circle
@@ -33,7 +33,10 @@ number a reflected first in mirror m_1, then m_2, and so on.
 
 Orbits serialize to tab-separated text, one circle per line:
 ``generation <tab> word <tab> (coord,coord,...)`` with coordinates in
-canonical exact form.
+canonical exact form, ``str`` of each QNum.  ``export_tsv`` prints them
+from the keys with ``exactnum._format``, and ``parse_tsv`` scans them
+back into integers and keys over one field of the file's radicands;
+neither goes through QNum.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QNum, _enclose, _Field
+from .exactnum import QNum, _enclose, _Field, _scan
 from .geometry import as_vector, form_functional, inner, interior_contains, is_wall
 from .groupwords import Configuration
 
@@ -92,11 +95,54 @@ class OrbitLimits:
             )
 
 
-@dataclass(frozen=True)
 class OrbitCircle:
-    vector: tuple
-    generation: int
-    word: str
+    """One member of an orbit: its row, generation and provenance word.
+
+    ``OrbitCircle(vector, generation, word)`` holds a row of QNums.  The
+    orbit engine and ``parse_tsv`` make circles that carry the row as
+    ``key`` over ``field`` (an exactnum._Field) instead, and ``vector`` is
+    decoded from the key on first access.  ``key`` and ``field`` are None
+    on a circle built from a vector.  Equality and hashing are on
+    (vector, generation, word).
+    """
+
+    __slots__ = ("_vector", "generation", "word", "key", "field")
+
+    def __init__(self, vector, generation, word):
+        self._vector = vector
+        self.generation = generation
+        self.word = word
+        self.key = self.field = None
+
+    @classmethod
+    def _encoded(cls, field, key, generation, word):
+        self = object.__new__(cls)
+        self._vector, self.generation, self.word = None, generation, word
+        self.field, self.key = field, key
+        return self
+
+    @property
+    def vector(self):
+        if self._vector is None:
+            self._vector = self.field.decode(self.key)
+        return self._vector
+
+    def __eq__(self, other):
+        if not isinstance(other, OrbitCircle):
+            return NotImplemented
+        if (self.generation, self.word) != (other.generation, other.word):
+            return False
+        if self.field is not None and self.field is other.field:
+            return self.key == other.key
+        return self.vector == other.vector
+
+    def __hash__(self):
+        return hash((self.vector, self.generation, self.word))
+
+    def __repr__(self):
+        return "OrbitCircle(vector=%r, generation=%r, word=%r)" % (
+            self.vector, self.generation, self.word
+        )
 
 
 @dataclass(frozen=True)
@@ -214,10 +260,11 @@ def _generate(cluster, limits, mirrors, mode):
     bound = None if limits.max_bend is None else _BendBound(field, limits.max_bend)
 
     circles = [
-        OrbitCircle(v, 0, str(i + 1)) for i, v in enumerate(cluster)
+        OrbitCircle._encoded(field, field.encode(v), 0, str(i + 1))
+        for i, v in enumerate(cluster)
     ]
     # (key, word, position of the mirror that made the circle)
-    frontier = [(field.encode(c.vector), c.word, -1) for c in circles]
+    frontier = [(c.key, c.word, -1) for c in circles]
     seen = set(key for key, _, _ in frontier)
 
     generation = 0
@@ -237,7 +284,7 @@ def _generate(cluster, limits, mirrors, mode):
                 seen.add(image)
                 frontier.append((image, "%d.%s" % (plan.index, word), j))
         circles.extend(
-            OrbitCircle(field.decode(key), generation, word)
+            OrbitCircle._encoded(field, key, generation, word)
             for key, word, _ in frontier
         )
 
@@ -310,9 +357,19 @@ def orbit_stats(orbit):
 
 
 def export_tsv(orbit):
+    """The orbit as text, one line per circle (see the module docstring).
+
+    A coordinate is printed as ``str`` of the exact number.  For circles
+    that carry a key it is formatted from the key's integers, each
+    distinct (denominator, coefficients) once per field.
+    """
+    texts = {}  # field -> the row_text cache over it
     lines = []
     for c in orbit.circles:
-        coords = ",".join(str(q) for q in c.vector)
+        if c.field is None:
+            coords = ",".join(str(q) for q in c.vector)
+        else:
+            coords = c.field.row_text(c.key, texts.setdefault(c.field, {}))
         lines.append("%d\t%s\t(%s)" % (c.generation, c.word, coords))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -320,28 +377,68 @@ def export_tsv(orbit):
 def parse_tsv(text):
     """Parse export_tsv output back into a tuple of OrbitCircle.
 
-    Orbit coordinates repeat a great deal, so each distinct coordinate
-    text is parsed once per call and its (immutable) QNum shared.
+    Each distinct coordinate text is scanned once into integers, and the
+    rows are encoded over one exactnum._Field of the file's radicands, so
+    the circles carry keys and decode their vectors only when read.  A
+    malformed line raises ValueError naming it: a wrong field count, a
+    generation that is not a nonnegative integer, a coordinate literal
+    outside the grammar (with the scanner's message and position), fewer
+    than 3 coordinates, or a row length unlike the first row's.
     """
-    parsed = {}
-    circles = []
+    scanned = {}  # coordinate text -> its index in numbers
+    numbers = []
+    # per line, few objects for the collector to trace: the generations,
+    # the words, and the coordinates' indices in numbers in one flat list
+    generations, words, flat = [], [], []
+    width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError("orbit line %d: expected 3 tab fields" % lineno)
         gen, word, coords = parts
+        try:
+            generation = int(gen)
+        except ValueError:
+            generation = -1
+        if generation < 0:
+            raise ValueError(
+                "orbit line %d: generation must be a nonnegative integer, got %r"
+                % (lineno, gen)
+            )
         if not (coords.startswith("(") and coords.endswith(")")):
             raise ValueError("orbit line %d: malformed coordinate tuple" % lineno)
-        vec = []
-        for part in coords[1:-1].split(","):
-            q = parsed.get(part)
-            if q is None:
-                q = parsed[part] = QNum(part)
-            vec.append(q)
-        circles.append(OrbitCircle(as_vector(vec), int(gen), word))
-    return tuple(circles)
+        row = coords[1:-1].split(",")
+        if len(row) != width:
+            if len(row) < 3:
+                raise ValueError(
+                    "orbit line %d: an inversive vector needs at least 3 entries" % lineno
+                )
+            if width is not None:
+                raise ValueError(
+                    "orbit line %d: expected %d coordinates, as on the first row, got %d"
+                    % (lineno, width, len(row))
+                )
+            width = len(row)
+        for part in row:
+            i = scanned.get(part)
+            if i is None:
+                try:
+                    numbers.append(_scan(part))
+                except ValueError as e:
+                    raise ValueError("orbit line %d: %s" % (lineno, e)) from None
+                i = scanned[part] = len(numbers) - 1
+            flat.append(i)
+        generations.append(generation)
+        words.append(word)
+    field = _Field.over(k for radicands, _, _ in numbers for k in radicands)
+    numbers = [field.place(*number) for number in numbers]
+    flat = [numbers[i] for i in flat]
+    return tuple(
+        OrbitCircle._encoded(field, field.join(flat[r * width:(r + 1) * width]), generation, word)
+        for r, (generation, word) in enumerate(zip(generations, words))
+    )
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,18 @@
 Rows with nonzero bend are drawn as circles (center bz/b, radius
 1/|b|), bend-zero rows as lines clipped to the viewport.  Output is a
 plain SVG 1.1 document, byte-identical across runs: elements are
-emitted in a canonical order (generation, then the exact coordinate
-text, each shared coordinate object formatted once) and every numeral
-is formatted the same way, so diffing two figures is meaningful.
+emitted in a canonical order (generation, then the canonical text of
+the exact row, never the text of an input file) and every numeral is
+formatted the same way, so diffing two figures is meaningful.
 
 Dedup, every decision and every numeral are exact, and made in
-integers.  The circle rows are encoded over one multiquadratic basis
-(exactnum._Field), each distinct coordinate object once.  With
-1/b = w / N for an integer N (_Field.reciprocal: w is a product of
+integers.  Every row is one key over one multiquadratic basis
+(exactnum._Field): the circles' own keys when they all carry one over a
+common field, as an orbit's or a parsed TSV's circles do, else each row
+encoded over the field of all the rows.  The canonical text comes from
+the keys too, each distinct number formatted once with
+exactnum._format, the printer behind str(QNum); dedup is on the key.
+With 1/b = w / N for an integer N (_Field.reciprocal: w is a product of
 conjugates of b, the unit when b is rational), the center is bz w / N
 and the radius sign(b) w / N, integer coefficients over one positive
 scale per circle.  Each of cx, cy and r is enclosed once with
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import _enclose, _Field, _sign
+from .exactnum import _enclose, _Field, _format, _sign
 from .orbit import OrbitCircle, PackingOrbit, generate_packing
 
 CLUSTER_COLOR = "#1f6fb2"
@@ -121,34 +125,28 @@ def _as_circles(source):
 _P = 55
 
 
-def _number(field, q):
-    """(coefficients, den) of a coordinate over the field's basis."""
-    key = field.encode((q,))
-    return key[:-1], key[-1]
+def _integer_disk(field, key, reciprocals):
+    """(S, center x, center y, radius) for an encoded circle row, each
+    value as (coefficients, m): integer coefficients over the field's
+    basis and a nonzero integer m, the value being coefficients * m / S
+    with S > 0.  reciprocals keeps _Field.reciprocal and the sign of each
+    bend's coefficients.
 
-
-def _integer_disk(field, vector, numbers, reciprocals):
-    """(S, center x, center y, radius) for a circle row, each value as
-    (coefficients, m): integer coefficients over the field's basis and a
-    nonzero integer m, the value being coefficients * m / S with S > 0.
-    numbers maps the id of each coordinate to its _number, and
-    reciprocals keeps _Field.reciprocal and the sign of each bend's
-    coefficients.
-
-    With 1/b = db w / n (_Field.reciprocal), the center is bz db w / n and
-    the radius sign(b) db w / n; for a rational b, w is the unit and the
-    center's coefficients are bz's own.
+    The key holds the row's coefficients over one denominator D, so with
+    1/b = D w / n (_Field.reciprocal of b's coefficients) the center is
+    bz w / n and the radius sign(b) D w / n; for a rational b, w is the
+    unit and the center's coefficients are bz's own.
     """
-    _, qb, qx, qy = vector
-    (b, db), (x, dx), (y, dy) = numbers[id(qb)], numbers[id(qx)], numbers[id(qy)]
+    d = field.d
+    b, x, y = key[d:2 * d], key[2 * d:3 * d], key[3 * d:4 * d]
     found = reciprocals.get(b)
     if found is None:
         found = reciprocals[b] = field.reciprocal(b) + (_sign(field.radicands, b),)
     w, n, sign = found
     if w is not field.one:
         x, y = tuple(field.multiply(x, w)), tuple(field.multiply(y, w))
-    t = db if n > 0 else -db
-    return abs(n) * dx * dy, (x, t * dy), (y, t * dx), (w, t * dx * dy * sign)
+    t = 1 if n > 0 else -1
+    return abs(n), (x, t), (y, t), (w, t * key[-1] * sign)
 
 
 def _numerals(shape, font):
@@ -173,9 +171,8 @@ def _slots(axis, side):
 
 def _exact_reach(shape, axis, side):
     """(S, coefficients) of side * center + radius along an axis, exact."""
-    _, vector, field = shape[:3]
-    numbers = {id(q): _number(field, q) for q in vector[1:4]}
-    scale, *values = _integer_disk(field, vector, numbers, {})
+    _, key, field = shape[:3]
+    scale, *values = _integer_disk(field, key, {})
     (c, mc), (r, mr) = values[axis], values[2]
     return scale, [side * mc * a + mr * e for a, e in zip(c, r)]
 
@@ -290,12 +287,6 @@ def render_svg(source, opts=None):
     circles = _as_circles(source)
     if not circles:
         raise ValueError("nothing to draw")
-    for c in circles:
-        if len(c.vector) != 4:
-            raise ValueError(
-                "rendering needs ambient dimension 2, got %d" % (len(c.vector) - 2,)
-            )
-
     kept = _kept(circles)
     box = opts.viewport
     if box is None:
@@ -306,54 +297,62 @@ def render_svg(source, opts=None):
     return _document(visible, box, opts)
 
 
-def _canonical(circles):
-    """The circles in canonical order, one per distinct vector."""
-    texts = {}  # id -> str of each coordinate object; parse_tsv shares them
+def _keys(circles):
+    """(field, keys): the circles' rows over one field.  These are the
+    circles' own keys when they all carry one over a common field (an
+    orbit's, supercluster_circles' or a parsed file's); otherwise every
+    row is encoded over the field of all the rows."""
+    field = circles[0].field
+    if field is None or any(c.field is not field for c in circles):
+        field = _Field([c.vector for c in circles])
+        return field, [field.encode(c.vector) for c in circles]
+    return field, [c.key for c in circles]
 
-    def coord_text(vector):
-        parts = []
-        for q in vector:
-            text = texts.get(id(q))
-            if text is None:
-                text = texts[id(q)] = str(q)
-            parts.append(text)
-        return "(%s)" % ",".join(parts)
 
-    ordered = sorted(circles, key=lambda c: (c.generation, coord_text(c.vector)))
+def _canonical(circles, field, keys):
+    """(circle, key) pairs in canonical order, one per distinct row: by
+    generation, then by the text of the exact row, each distinct number
+    of which is formatted once (exactnum._format)."""
+    texts = {}
+    order = sorted(
+        range(len(circles)),
+        key=lambda i: (circles[i].generation, field.row_text(keys[i], texts)),
+    )
     seen = set()
     kept = []
-    for c in ordered:
-        if c.vector not in seen:
-            seen.add(c.vector)
-            kept.append(c)
+    for i in order:
+        if keys[i] not in seen:
+            seen.add(keys[i])
+            kept.append((circles[i], keys[i]))
     return kept
 
 
 def _kept(circles):
-    """(circle, shape) pairs in canonical order, one per distinct vector.
+    """(circle, shape) pairs in canonical order, one per distinct row.
 
     A line's shape is ("line", normal, offset).  A circle's is the flat
-    tuple ("circle", row, field, S, cx lo, cx hi, cy lo, cy hi, r lo,
+    tuple ("circle", key, field, S, cx lo, cx hi, cy lo, cy hi, r lo,
     r hi): the enclosures at _P of its center and radius over the scale S
-    (_integer_disk), all over one field of the circle rows.
+    (_integer_disk), all over the one field of _keys.
     """
-    kept = _canonical(circles)
-    # each distinct coordinate object of the circle rows is encoded once
-    numbers = {id(q): q for c in kept if c.vector[1] for q in c.vector[1:4]}
-    field = _Field((numbers.values(),))
-    for key, q in numbers.items():
-        numbers[key] = _number(field, q)
+    field, keys = _keys(circles)
+    d = field.d
+    for key in keys:
+        if len(key) != 4 * d + 1:
+            raise ValueError(
+                "rendering needs ambient dimension 2, got %d" % ((len(key) - 1) // d - 2,)
+            )
     reciprocals = {}  # of each distinct bend
     enclosures = {}  # of each distinct coefficient tuple
     shapes = []
-    for c in kept:
-        vector = c.vector
-        if not vector[1]:
+    for c, key in _canonical(circles, field, keys):
+        if not any(key[d:2 * d]):
             # wall with b = 0: the line {p : p . bz = b^/2}, bz a unit normal
+            vector = c.vector
             shapes.append((c, ("line", vector[2:4], vector[0] / 2)))
             continue
-        scale, *values = _integer_disk(field, vector, numbers, reciprocals)
-        shape = ["circle", vector, field, scale]
+        scale, *values = _integer_disk(field, key, reciprocals)
+        shape = ["circle", key, field, scale]
         for coeffs, m in values:
             lo, hi = enclosures.get(coeffs) or enclosures.setdefault(
                 coeffs, _enclose(field.radicands, coeffs, _P)
@@ -398,7 +397,8 @@ def _document(visible, box, opts):
         kind = shape[0]
         if kind == "circle":
             if opts.labels == "bends":
-                text = str(c.vector[1])
+                key, field = shape[1:3]
+                text = _format(field.radicands, key[field.d:2 * field.d], key[-1])
             elif opts.labels == "labels":
                 text = c.word
             else:
@@ -451,7 +451,10 @@ def supercluster_circles(config, cluster_labels, limits=None):
     """
     cluster, cocluster, _, rest = config.split(cluster_labels)
     orbit = generate_packing(cluster, cocluster, limits=limits)
+    # the cocluster rows are keyed over the orbit's field, which spans them
+    field = orbit.circles[0].field
     extra = tuple(
-        OrbitCircle(config.rows[i], 0, "co-" + config.labels[i]) for i in rest
+        OrbitCircle._encoded(field, field.encode(config.rows[i]), 0, "co-" + config.labels[i])
+        for i in rest
     )
     return orbit.circles + extra, frozenset(c.word for c in extra)

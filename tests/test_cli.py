@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,52 @@ def test_lob_methods_agree(capsys):
 def test_removed_threads_option_is_a_usage_error(capsys):
     assert cli.run(["pack"] + BI1_ARGS + ["--threads", "2"]) == 2
     assert capsys.readouterr().out == ""
+
+
+# subcommands with usage errors (exit 2) and domain errors (exit 1)
+# between successful runs
+MIXED_RUNS = [
+    ["catalog"],
+    ["pack"] + BI1_ARGS + ["--threads", "2"],
+    ["gram", "--config", "builtin:d1n3"],
+    ["catalog", "--show", "no-such-entry"],
+    ["pack"] + BI1_ARGS,
+    ["validate", "--config", "builtin:d1n3", "--samples", "5"],
+    ["lob", "--theta", "x"],
+    ["clusters", "--config", "builtin:bi1-cluster3"],
+    ["render", "--config", "builtin:bi1-cluster3"],
+    ["catalog"],
+]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps to the terminal width
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    built = []
+    build = cli._build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    cli._parser.cache_clear()
+    codes = set()
+    try:
+        for argv in MIXED_RUNS:
+            rc = cli.run(argv)
+            got = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "packinglab", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (rc, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.add(rc)
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert codes == {0, 1, 2}
 
 
 def test_domain_error_is_one_json_line(capsys):

@@ -7,7 +7,17 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from packinglab.exactnum import ONE, QNum, ZERO, _Field, _sign, sqrt, squarefree_decompose
+from packinglab.exactnum import (
+    ONE,
+    QNum,
+    ZERO,
+    _Field,
+    _format,
+    _scan,
+    _sign,
+    sqrt,
+    squarefree_decompose,
+)
 
 
 # independent oracle: full prime factorization by trial division,
@@ -526,6 +536,8 @@ def test_scanner_matches_reference_parser(text):
     else:
         assert got == want
         assert QNum(text).terms == want
+        radicands, coeffs, den = _scan(text)
+        assert (list(radicands), list(coeffs), den) == QNum(text)._integer_terms()
 
 
 @pytest.mark.parametrize(
@@ -551,3 +563,64 @@ def test_scanner_rejects_long_whitespace_quickly(prefix):
     with pytest.raises(ValueError, match="position"):
         QNum.parse(text)
     assert time.perf_counter() - start < 1.0
+
+
+# -- the one formatter -------------------------------------------------
+
+
+def reference_str(q):
+    # the term-by-term Fraction printer str(QNum) used before _format
+    if not q.terms:
+        return "0"
+    parts = []
+    for k, c in q.terms:
+        if k == 1:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(f"sqrt({k})")
+        elif c == -1:
+            parts.append(f"-sqrt({k})")
+        else:
+            parts.append(f"{c}*sqrt({k})")
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
+
+
+@st.composite
+def integer_numbers(draw):
+    # (radicands, coeffs, den), not necessarily in lowest terms: zero,
+    # coefficients that reduce to +-1, fractions and mixed radicands
+    den = draw(st.one_of(st.just(1), st.integers(1, 10 ** 4)))
+    radicands = sorted(draw(st.sets(st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30]), max_size=5)))
+    coefficient = st.one_of(
+        st.sampled_from([0, 1, -1, den, -den, 2 * den, -3 * den]),
+        st.integers(-10 ** 6, 10 ** 6),
+    )
+    return radicands, [draw(coefficient) for _ in radicands], den
+
+
+@settings(max_examples=500, deadline=None)
+@given(integer_numbers())
+def test_formatter_matches_str(number):
+    radicands, coeffs, den = number
+    q = QNum({k: Fraction(c, den) for k, c in zip(radicands, coeffs)})
+    text = _format(radicands, coeffs, den)
+    assert text == str(q) == reference_str(q)
+    assert QNum.parse(text) == q
+
+
+@pytest.mark.parametrize(
+    "number, text",
+    [
+        (((), (), 1), "0"),
+        (((1, 2), (0, 0), 3), "0"),
+        (((1,), (-6,), 4), "-3/2"),
+        (((2,), (5,), 5), "sqrt(2)"),
+        (((1, 2, 5), (-2, -3, 4), 2), "-1-3/2*sqrt(2)+2*sqrt(5)"),
+        (((1, 10), (0, -7), 7), "-sqrt(10)"),
+    ],
+)
+def test_formatter_examples(number, text):
+    assert _format(*number) == text

@@ -396,13 +396,22 @@ def test_tsv_irrational_coords():
     assert back == got.circles
 
 
-def test_tsv_parses_each_coordinate_text_once():
+def test_tsv_parses_each_coordinate_text_once(monkeypatch):
     text = "0\t1\t(0,2,0,1)\n1\t2.1\t(2,2,2,1)\n1\t3.1\t(0,0,0,-1)\n"
-    a, b, c = (circle.vector for circle in parse_tsv(text))
-    assert a[0] is a[2] is c[0] is c[1] is c[2]
-    assert a[1] is b[0] is b[1] is b[2]
-    assert a[3] is b[3]
-    assert parse_tsv(text)[0].vector[0] is not a[0]  # shared within one call only
+    scanned = []
+    scan = orbit._scan
+
+    def counted(part):
+        scanned.append(part)
+        return scan(part)
+
+    monkeypatch.setattr(orbit, "_scan", counted)
+    circles = parse_tsv(text)
+    assert scanned == ["0", "2", "1", "-1"]
+    assert [c.vector for c in circles] == [qv(0, 2, 0, 1), qv(2, 2, 2, 1), qv(0, 0, 0, -1)]
+    parse_tsv(text)
+    assert len(scanned) == 8  # shared within one call only
+    monkeypatch.undo()
     cfg = catalog.get_builtin("bi10-example").configuration
     inside, outside, _, _ = cfg.split(["1", "7"])
     got = generate_packing(inside, outside, OrbitLimits(max_generation=3))
@@ -410,6 +419,86 @@ def test_tsv_parses_each_coordinate_text_once():
     back = parse_tsv(text)
     assert back == got.circles
     assert export_tsv(orbit.PackingOrbit(back, got.limits, got.mode)) == text
+
+
+# -- TSV against the decode-everything path ---------------------------
+#
+# export_tsv printed str of every decoded QNum, and parse_tsv built QNum
+# rows from the text; both are kept here as the oracle for the key path.
+
+
+def oracle_export(circles):
+    lines = [
+        "%d\t%s\t(%s)" % (c.generation, c.word, ",".join(str(q) for q in c.vector))
+        for c in circles
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def oracle_parse(text):
+    rows = []
+    for line in text.splitlines():
+        gen, word, coords = line.split("\t")
+        rows.append((tuple(QNum(p) for p in coords[1:-1].split(",")), int(gen), word))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "entry_id, labels, generate, depth",
+    [
+        ("bi10-example", ["1", "7"], generate_packing, 4),
+        ("bi10-example", ["3", "4", "7"], generate_superpacking, 3),
+        ("d3n3", ["6"], generate_superpacking, 3),  # irrational bends
+        ("d3n13", ["34"], generate_packing, 2),  # n = 12, 21 mirrors
+        ("d1n3", ["4"], generate_packing, 4),
+    ],
+)
+def test_tsv_matches_decode_everything_oracle(entry_id, labels, generate, depth):
+    cfg = catalog.get_builtin(entry_id).configuration
+    inside, outside, _, _ = cfg.split(labels)
+    got = generate(inside, outside, OrbitLimits(max_generation=depth, max_bend=None))
+    text = export_tsv(got)
+    assert text == oracle_export(got.circles)
+    back = parse_tsv(text)
+    assert [(c.vector, c.generation, c.word) for c in back] == oracle_parse(text)
+    assert len({id(c.field) for c in back}) == 1
+    # circles built from vectors print the same way
+    rebuilt = tuple(orbit.OrbitCircle(c.vector, c.generation, c.word) for c in back)
+    assert export_tsv(orbit.PackingOrbit(rebuilt, got.limits, got.mode)) == text
+
+
+def test_orbit_circles_decode_their_vectors_once():
+    # a superpacking: generate_packing's disjointness sample reads vectors
+    got = generate_superpacking(BI1_CLUSTER, BI1_COCLUSTER, OrbitLimits(max_generation=3))
+    fields = {id(c.field) for c in got.circles}
+    assert len(fields) == 1 and None not in {c.key for c in got.circles}
+    c = got.circles[-1]
+    assert c._vector is None  # nothing decoded yet
+    v = c.vector
+    assert c.vector is v and v == c.field.decode(c.key)
+    plain = orbit.OrbitCircle(v, c.generation, c.word)
+    assert plain.key is None and plain.field is None
+    assert plain == c and c == plain and hash(plain) == hash(c)
+    assert plain != orbit.OrbitCircle(v, c.generation + 1, c.word)
+    assert repr(plain) == repr(c)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0\t1\t(0,2,0,1)\n-1\t1\t(0,2,0,1)\n", "orbit line 2: generation must be a nonnegative integer, got '-1'"),
+        ("0\t1\t(0,2,0,1)\n\nx\t1\t(0,2,0,1)\n", "orbit line 3: generation must be a nonnegative integer, got 'x'"),
+        ("1.5\t1\t(0,2,0,1)\n", "orbit line 1: generation must be a nonnegative integer, got '1.5'"),
+        ("0\t1\t(0,2,0,1)\n1\t2\t(0,2,1)\n", "orbit line 2: expected 4 coordinates, as on the first row, got 3"),
+        ("0\t1\t(0,2)\n", "orbit line 1: an inversive vector needs at least 3 entries"),
+        ("0\t1\t(0,2,0,1)\n0\t2\t(0,2,0,1/0)\n", "orbit line 2: QNum syntax error at position 2: zero denominator"),
+        ("0\t1\t(0,2,0,sqrt(2)x)\n", "orbit line 1: QNum syntax error at position 7: expected '+' or '-', got 'x'"),
+    ],
+)
+def test_tsv_errors_name_the_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_tsv(text)
+    assert str(err.value) == message
 
 
 def test_empty_interior_single_circle():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from packinglab import catalog, render
+from packinglab import catalog, exactnum, render
 from packinglab.exactnum import ONE, QNum, sqrt
 from packinglab.geometry import as_vector
 from packinglab.orbit import OrbitCircle, OrbitLimits, export_tsv, generate_packing, parse_tsv
@@ -522,25 +522,64 @@ def test_near_cancelling_bend_takes_the_exact_route():
         assert_matches_oracle([circle], opts)
 
 
-def test_kept_formats_each_coordinate_object_once(monkeypatch):
+def test_kept_formats_each_distinct_number_once(monkeypatch):
     cfg = catalog.get_builtin("bi1-cluster3").configuration
     orbit = generate_packing(
         [cfg.row("3")], [cfg.row("1"), cfg.row("2"), cfg.row("4")], OrbitLimits(4)
     )
     circles = parse_tsv(export_tsv(orbit))
     formatted = []
-    to_text = QNum.__str__
+    to_text = exactnum._format
 
-    def counted(q):
-        formatted.append(id(q))
-        return to_text(q)
+    def counted(radicands, coeffs, den):
+        formatted.append((coeffs, den))
+        return to_text(radicands, coeffs, den)
 
-    monkeypatch.setattr(QNum, "__str__", counted)
+    monkeypatch.setattr(exactnum, "_format", counted)
     kept = render._kept(circles)
-    assert len(formatted) == len(set(formatted)) == len({id(q) for c in circles for q in c.vector})
+    assert len(formatted) == len(set(formatted)) == len({q for c in circles for q in c.vector})
     assert len(formatted) < sum(len(c.vector) for c in circles)
     monkeypatch.undo()
     assert [c for c, _ in kept] == [c for c, _ in exact_kept(circles)]
+
+
+def noncanonical(text, line):
+    """The same number as text, written with whitespace, a radicand that
+    is not squarefree and an unreduced fraction; lines alternate between
+    two spellings, so that raw text would sort them differently."""
+    if line % 2:
+        return " sqrt( 12 ) - 2 * sqrt(3)+%s " % text
+    return "2/4 - 1/2 + %s" % text
+
+
+@pytest.mark.parametrize("labels", render.LABEL_MODES)
+def test_noncanonical_literals_render_as_their_canonical_twin(labels):
+    cfg = catalog.get_builtin("bi10-example").configuration
+    inside, outside, _, _ = cfg.split(["1", "7"])
+    canonical = export_tsv(generate_packing(inside, outside, OrbitLimits(max_generation=3)))
+    lines = []
+    for i, line in enumerate(canonical.splitlines()):
+        gen, word, coords = line.split("\t")
+        parts = (noncanonical(p, i) for p in coords[1:-1].split(","))
+        lines.append("%s\t%s\t(%s)" % (gen, word, ",".join(parts)))
+    twin = "\n".join(reversed(lines)) + "\n"
+    opts = RenderOptions(labels=labels)
+    want = render_svg(parse_tsv(canonical), opts)
+    assert render_svg(parse_tsv(twin), opts) == want
+
+
+def test_render_reuses_common_keys():
+    cfg = catalog.get_builtin("bi1-cluster3").configuration
+    circles, words = supercluster_circles(cfg, ["3"], OrbitLimits(max_generation=3))
+    assert {c.word: c.vector for c in circles[-len(words):]} == {w: cfg.row(w[3:]) for w in words}
+    field, keys = render._keys(circles)
+    assert field is circles[0].field and keys == [c.key for c in circles]
+    # a circle built from a vector carries no key: every row is encoded
+    # over a new field
+    mixed = circles + (UNIT,)
+    field, keys = render._keys(mixed)
+    assert field is not circles[0].field
+    assert [field.decode(k) for k in keys] == [c.vector for c in mixed]
 
 
 # a + c sqrt(k) + e u**n: mixed radicands, and units u whose powers bring
