@@ -4,14 +4,16 @@ A value is a finite sum ``sum_k c_k * sqrt(k)`` with rational
 coefficients ``c_k`` and pairwise distinct squarefree radicands
 ``k >= 1`` (``k = 1`` is the rational part).  Everything the coordinate
 tables need lives in such a ring: entries like ``(sqrt(2)+sqrt(6))/2``
-sit in Q(sqrt(2), sqrt(3)) but we never fix a field up front, the term
-map just grows the radicands it meets.
+sit in Q(sqrt(2), sqrt(3)) but we never fix a field up front, the
+terms just grow the radicands they meet.  A ``QNum`` stores the value
+as integers: ascending radicands, nonzero integer coefficients and one
+positive denominator, in lowest terms.
 
 Square roots of distinct squarefree integers are linearly independent
-over Q, so the term map is a canonical form: two values are equal iff
-their maps coincide, and a value is zero iff its map is empty.  The
-exact (and free) zero test is what sign determination, interior tests,
-and orbit dedup all lean on.
+over Q, so that form is canonical: two values are equal iff their forms
+coincide, and a value is zero iff it has no coefficient.  The exact
+(and free) zero test is what sign determination, interior tests, and
+orbit dedup all lean on.
 
 Serialization grammar (used by catalog files, CLI output and tests)::
 
@@ -25,29 +27,30 @@ non-squarefree radicands (``sqrt(12)`` reduces to ``2*sqrt(3)``).  Both
 work on integers: one printer, ``_format``, prints integer coefficients
 over a denominator (``str(QNum)``, the orbit TSV and the render's order
 all use it), and one scanner, ``_scan``, matches one compiled regular
-expression per term and returns integer coefficients over one
-denominator, which QNum wraps in Fractions and the TSV reader encodes
-directly.  A literal outside the grammar raises ValueError naming the
-position where it breaks.
+expression per term and returns the canonical integer form, which a
+QNum keeps and the TSV reader encodes directly.  A literal outside the
+grammar raises ValueError naming the position where it breaks.
 
 Where a value lies is answered in one way, ``_enclose``: over integer
 coefficients it gives integers lo <= hi with the value in
 [lo, hi] / 2**p, exact on the rational part and off by less than one
 unit per irrational term.  The one exact sign, ``_sign``, doubles p
-until the enclosure excludes zero (``QNum.sign`` calls it on the
-coefficients over their common denominator), ``to_float`` rounds the
-midpoint once, ``_bounds`` returns the enclosure as Fractions, and orbit
-generation's bend bound and the render compare enclosures.
+until the enclosure excludes zero (``QNum.sign`` calls it on the stored
+coefficients), ``to_float`` doubles p until the enclosure is narrow
+relative to its midpoint and rounds that midpoint once, ``_bounds``
+returns the enclosure as Fractions, and orbit generation's bend bound
+and the render compare enclosures.
 
 For bulk work on many rows over one field, ``_Field`` fixes a
 multiquadratic basis and writes each row as integers over that basis
 with one common denominator; orbit generation, the Gram matrix and the
 render run on that encoding (the render also multiplies and takes
-reciprocals in it).  Orbit rows stay encoded through the TSV and the
-render, and are decoded to QNums only where a caller asks for them; the
-Gram decodes each entry once.  The basis is ``_radical_span`` of the
-rows' radicands, whose generator bits say which conjugation flips each
-basis element.
+reciprocals in it).  ``_Field.reciprocal`` is the one inverse:
+``QNum.inverse`` runs it over the field of the value's own radicands.
+Orbit rows stay encoded through the TSV and the render, and are decoded
+to QNums only where a caller asks for them; the Gram decodes each entry
+once.  The basis is ``_radical_span`` of the rows' radicands, whose
+generator bits say which conjugation flips each basis element.
 """
 
 from __future__ import annotations
@@ -138,95 +141,106 @@ def _sign(radicands, coeffs) -> int:
         p *= 2
 
 
-def _least_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
+def _float(radicands, coeffs, den, precision=53) -> float:
+    """sum_a coeffs[a] * sqrt(radicands[a]) / den, den > 0, as a float:
+    the midpoint of the enclosure at the first of p = precision + 2, 2p,
+    4p, ... whose width, times 2**precision, is at most the magnitude of
+    lo + hi.
+
+    The midpoint (lo + hi) / (den * 2**(p+1)) is then within a relative
+    2**-precision of the exact value.  It is one integer ratio, and int
+    true division rounds correctly, as ``float(Fraction)`` does, so the
+    result is ``float(sum(QNum._bounds(p)) / 2)``, OverflowError included.
+    For a nonzero value the width stays sum_{k>1} |c_k| while lo + hi
+    grows with 2**p, so the doubling ends; a rational value is exact at
+    once.
+    """
+    if radicands == (1,):
+        return coeffs[0] / den
+    p = precision + 2
+    while True:
+        lo, hi = _enclose(radicands, coeffs, p)
+        if (hi - lo) << precision <= abs(lo + hi):
+            return (lo + hi) / (den << (p + 1))
+        p *= 2
 
 
 class QNum:
     """Element of Q[sqrt(k) : k squarefree], immutable and hashable.
 
-    Construct from an int, a Fraction, a literal string (same grammar
-    as ``parse``), or a dict {radicand: coefficient}.
+    The value is ``sum_a coeffs[a] * sqrt(radicands[a]) / den``, stored in
+    its canonical integer form: ascending squarefree ``radicands``,
+    nonzero integer ``coeffs`` and one denominator ``den > 0``, with
+    gcd(den, *coeffs) == 1 (zero is ``(), (), 1``).  Construct from an
+    int, a Fraction, a literal string (same grammar as ``parse``), or a
+    dict {radicand: coefficient}.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("radicands", "coeffs", "den", "_hash")
 
     def __init__(self, value=None):
         if value is None:
-            items = ()
+            number = (), (), 1
         elif isinstance(value, QNum):
-            items = value._terms
+            number = value.radicands, value.coeffs, value.den
         elif isinstance(value, (int, Fraction)):
-            c = Fraction(value)
-            items = ((1, c),) if c else ()
+            number = ((1,), (value.numerator,), value.denominator) if value else ((), (), 1)
         elif isinstance(value, str):
-            items = _fractions(*_scan(value))
+            number = _scan(value)
         elif isinstance(value, dict):
             acc: dict[int, Fraction] = {}
             for k, c in value.items():
                 if not isinstance(k, int):
                     raise TypeError(f"radicand must be int, got {k!r}")
                 s, f = squarefree_decompose(k)
-                c = Fraction(c) * s
-                if c:
-                    acc[f] = acc.get(f, Fraction(0)) + c
-            items = tuple(sorted((k, c) for k, c in acc.items() if c))
+                acc[f] = acc.get(f, 0) + Fraction(c) * s
+            den = lcm(*[c.denominator for c in acc.values()])
+            number = _collected(
+                {k: c.numerator * (den // c.denominator) for k, c in acc.items()}, den
+            )
         else:
             raise TypeError(f"cannot build QNum from {type(value).__name__}")
-        self._terms = items
+        self.radicands, self.coeffs, self.den = number
         self._hash = None
 
     @classmethod
-    def _make(cls, items: tuple) -> "QNum":
-        # internal fast path: items already canonical (sorted, squarefree
-        # radicands, no zero coefficients)
+    def _make(cls, radicands, coeffs, den) -> "QNum":
+        # internal fast path: the arguments are already the canonical form
         self = object.__new__(cls)
-        self._terms = items
+        self.radicands, self.coeffs, self.den = radicands, coeffs, den
         self._hash = None
         return self
 
     @classmethod
     def parse(cls, text: str) -> "QNum":
         """Parse the literal grammar; raises ValueError with position."""
-        return cls._make(_fractions(*_scan(text)))
+        return cls._make(*_scan(text))
 
     @property
     def terms(self) -> tuple:
         """Canonical term tuple ((radicand, Fraction), ...), ascending."""
-        return self._terms
+        return tuple((k, Fraction(c, self.den)) for k, c in zip(self.radicands, self.coeffs))
 
     # -- predicates ---------------------------------------------------
 
     def is_rational(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and self._terms[0][0] == 1)
+        return self.radicands in ((), (1,))
 
     def is_integer(self) -> bool:
-        if not self._terms:
-            return True
-        return self.is_rational() and self._terms[0][1].denominator == 1
+        return self.den == 1 and self.is_rational()
 
     def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"not a rational value: {self}")
-        return self._terms[0][1]
+        return Fraction(self.coeffs[0], self.den) if self.coeffs else Fraction(0)
 
     @property
     def denominator(self) -> int:
         """lcm of the coefficient denominators (1 for zero)."""
-        d = 1
-        for _, c in self._terms:
-            d = d * c.denominator // gcd(d, c.denominator)
-        return d
+        return self.den
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.coeffs)
 
     # -- ring arithmetic ----------------------------------------------
 
@@ -234,19 +248,26 @@ class QNum:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for k, c in other._terms:
-            v = acc.get(k, _F0) + c
-            if v:
-                acc[k] = v
-            elif k in acc:
-                del acc[k]
-        return QNum._make(tuple(sorted(acc.items())))
+        # over the lcm of the denominators: self's coefficients times x,
+        # other's times y
+        den = self.den
+        x = y = 1
+        if den != other.den:
+            g = gcd(den, other.den)
+            x, y = other.den // g, den // g
+            den *= x
+        if self.radicands == other.radicands:
+            coeffs = [c * x + e * y for c, e in zip(self.coeffs, other.coeffs)]
+            return QNum._make(*_lowest(self.radicands, coeffs, den))
+        acc = {k: c * x for k, c in zip(self.radicands, self.coeffs)}
+        for k, c in zip(other.radicands, other.coeffs):
+            acc[k] = acc.get(k, 0) + c * y
+        return QNum._make(*_collected(acc, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QNum._make(tuple((k, -c) for k, c in self._terms))
+        return QNum._make(self.radicands, tuple(-c for c in self.coeffs), self.den)
 
     def __pos__(self):
         return self
@@ -267,44 +288,28 @@ class QNum:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for k1, c1 in self._terms:
-            for k2, c2 in other._terms:
+        acc: dict[int, int] = {}
+        for k1, c1 in zip(self.radicands, self.coeffs):
+            for k2, c2 in zip(other.radicands, other.coeffs):
                 # sqrt(k1)*sqrt(k2) = g*sqrt(a*b) with g = gcd, and a, b
                 # coprime squarefree, so a*b is squarefree: no refactoring
                 g = gcd(k1, k2)
                 k = (k1 // g) * (k2 // g)
-                v = acc.get(k, _F0) + c1 * c2 * g
-                if v:
-                    acc[k] = v
-                elif k in acc:
-                    del acc[k]
-        return QNum._make(tuple(sorted(acc.items())))
+                acc[k] = acc.get(k, 0) + c1 * c2 * g
+        return QNum._make(*_collected(acc, self.den * other.den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QNum":
-        """Exact multiplicative inverse.
-
-        Clears one radical prime at a time: multiplying by the
-        conjugate that flips every sqrt containing p leaves a value
-        free of p (the cross terms square p away), and conjugation is a
-        field automorphism so the running denominator stays nonzero.
-        """
-        if not self._terms:
+        """Exact multiplicative inverse: ``_Field.reciprocal`` over the
+        field of this value's radicands."""
+        if not self.coeffs:
             raise ZeroDivisionError("QNum division by zero")
-        num, den = ONE, self
-        while not den.is_rational():
-            k = next(k for k, _ in den._terms if k > 1)
-            conj = den._conjugate(_least_prime_factor(k))
-            num = num * conj
-            den = den * conj
-        return num * QNum(1 / den._terms[0][1])
-
-    def _conjugate(self, p: int) -> "QNum":
-        return QNum._make(
-            tuple((k, -c if k % p == 0 else c) for k, c in self._terms)
-        )
+        field = _Field.over(self.radicands)
+        w, n = field.reciprocal(field.place(self.radicands, self.coeffs, self.den)[0])
+        # 1 / (u / den) = den * w / n
+        den = self.den if n > 0 else -self.den
+        return field.number(tuple([den * x for x in w]), abs(n))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -335,62 +340,22 @@ class QNum:
     # -- order and sign -----------------------------------------------
 
     def sign(self) -> int:
-        """-1, 0 or +1, exact: ``_sign`` on the coefficients over their
-        least common denominator."""
-        terms = self._terms
-        if len(terms) == 1:
-            return 1 if terms[0][1] > 0 else -1
-        radicands, coeffs, _ = self._integer_terms()
-        return _sign(radicands, coeffs)
-
-    def _integer_terms(self) -> tuple[list, list, int]:
-        """(radicands, coeffs, den): the value is
-        sum_a coeffs[a] * sqrt(radicands[a]) / den, with integer
-        coefficients over their least common denominator den > 0.  The
-        scanner gives a literal in this form too."""
-        terms = self._terms
-        if len(terms) == 1:  # the commonest value, already in lowest terms
-            (k, c), = terms
-            return [k], [c.numerator], c.denominator
-        dens = [c.denominator for _, c in terms]
-        den = lcm(*dens)
-        return (
-            [k for k, _ in terms],
-            [c.numerator * (den // e) for (_, c), e in zip(terms, dens)],
-            den,
-        )
-
-    def _enclosure(self, prec: int) -> tuple[int, int, int]:
-        """Integers (lo, hi, den), den > 0, with the value in
-        [lo, hi] / (den * 2**prec): ``_enclose`` on ``_integer_terms``."""
-        radicands, coeffs, den = self._integer_terms()
-        lo, hi = _enclose(radicands, coeffs, prec)
-        return lo, hi, den
+        """-1, 0 or +1, exact: ``_sign`` on the coefficients."""
+        if len(self.coeffs) == 1:
+            return 1 if self.coeffs[0] > 0 else -1
+        return _sign(self.radicands, self.coeffs)
 
     def _bounds(self, prec: int) -> tuple[Fraction, Fraction]:
         """The enclosure at ``prec`` as two Fractions: exact on a rational
         value, else of width sum_{k>1} |c_k| * 2**-prec."""
-        lo, hi, den = self._enclosure(prec)
-        scale = den << prec
+        lo, hi = _enclose(self.radicands, self.coeffs, prec)
+        scale = self.den << prec
         return Fraction(lo, scale), Fraction(hi, scale)
 
     def to_float(self, precision: int = 53) -> float:
-        """The midpoint of the enclosure at p = precision + 2, correctly
-        rounded.
-
-        The midpoint (lo + hi) / (den * 2**(p+1)) lies within
-        ``sum_{k>1} |c_k| * 2**-(p+1)`` of the exact value.  It is one
-        integer ratio, and int true division rounds correctly, as
-        ``float(Fraction)`` does, so the result is that of
-        ``float(sum(self._bounds(p)) / 2)``, OverflowError included.
-        """
-        terms = self._terms
-        if len(terms) == 1 and terms[0][0] == 1:
-            c = terms[0][1]
-            return c.numerator / c.denominator
-        p = precision + 2
-        lo, hi, den = self._enclosure(p)
-        return (lo + hi) / (den << (p + 1))
+        """The value within a relative 2**-precision, rounded once
+        (``_float``)."""
+        return _float(self.radicands, self.coeffs, self.den, precision)
 
     def __float__(self) -> float:
         return self.to_float()
@@ -399,10 +364,10 @@ class QNum:
         return -self if self.sign() < 0 else self
 
     def _cmp(self, other) -> int:
-        other = _coerce(other)
-        if other is None:
+        q = _coerce(other)
+        if q is None:
             raise TypeError(f"cannot compare QNum with {type(other).__name__}")
-        return (self - other).sign()
+        return (self - q).sign()
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -419,11 +384,14 @@ class QNum:
     # -- identity -----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, QNum):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == QNum(other)._terms
-        return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return (
+            self.coeffs == other.coeffs
+            and self.radicands == other.radicands
+            and self.den == other.den
+        )
 
     def __hash__(self):
         if self._hash is None:
@@ -432,19 +400,16 @@ class QNum:
                 # hash(x) == hash(n)
                 self._hash = hash(self.as_fraction())
             else:
-                self._hash = hash(self._terms)
+                self._hash = hash((self.radicands, self.coeffs, self.den))
         return self._hash
 
     # -- text ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return _format(*self._integer_terms())
+        return _format(self.radicands, self.coeffs, self.den)
 
     def __repr__(self) -> str:
         return f"QNum({str(self)!r})"
-
-
-_F0 = Fraction(0)
 
 ZERO = QNum()
 ONE = QNum(1)
@@ -524,7 +489,7 @@ class _Field:
 
     def __init__(self, rows):
         """The field of these rows of QNums."""
-        self._span(_radical_span(k for row in rows for q in row for k, _ in q.terms))
+        self._span(_radical_span(k for row in rows for q in row for k in q.radicands))
 
     @classmethod
     def over(cls, radicands):
@@ -552,11 +517,11 @@ class _Field:
 
     def encode(self, row):
         """The key of a row of QNums."""
-        return self.join([self.place(*q._integer_terms()) for q in row])
+        return self.join([self.place(q.radicands, q.coeffs, q.den) for q in row])
 
     def place(self, radicands, coeffs, den):
         """(coefficients over the basis, den) of the number with these
-        integer terms (the form of ``_integer_terms`` and ``_scan``)."""
+        integer terms (the form a ``QNum`` stores and ``_scan`` gives)."""
         out = [0] * self.d
         for k, c in zip(radicands, coeffs):
             out[self.position[k]] = c
@@ -591,13 +556,13 @@ class _Field:
         and a nonzero integer n, for integer coefficients u of a nonzero
         number.
 
-        As in ``QNum.inverse``, one generator at a time: the running
-        denominator times its conjugate under the flip of a generator it
-        contains is fixed by that flip, so free of the generator, and
-        conjugation is a field automorphism, so it stays nonzero.  After
-        at most one step per generator the denominator is the rational n,
-        and w is the product of the conjugates taken.  For a rational u,
-        w is ``one``.
+        The one inverse (``QNum.inverse`` calls it too) clears one
+        generator at a time: the running denominator times its conjugate
+        under the flip of a generator it contains is fixed by that flip,
+        so free of the generator, and conjugation is a field automorphism,
+        so it stays nonzero.  After at most one step per generator the
+        denominator is the rational n, and w is the product of the
+        conjugates taken.  For a rational u, w is ``one``.
         """
         w, den = self.one, u
         while True:
@@ -621,14 +586,13 @@ class _Field:
         return tuple(self.number(key[i:i + d], den) for i in range(0, len(key) - 1, d))
 
     def number(self, coeffs, den):
-        """sum_a coeffs[a] * sqrt(radicands[a]) / den, for den > 0, as an
-        exact QNum in canonical form."""
+        """sum_a coeffs[a] * sqrt(radicands[a]) / den, for a tuple of
+        integer coefficients and den > 0, not necessarily in lowest terms,
+        as an exact QNum in canonical form."""
         # values repeat a great deal, and QNums are immutable
         q = self._numbers.get((coeffs, den))
         if q is None:
-            q = self._numbers[coeffs, den] = QNum._make(tuple(
-                (k, Fraction(x, den)) for k, x in zip(self.radicands, coeffs) if x
-            ))
+            q = self._numbers[coeffs, den] = QNum._make(*_lowest(self.radicands, coeffs, den))
         return q
 
     def row_text(self, key, texts):
@@ -684,10 +648,8 @@ def _reject(msg: str, at: int):
 
 
 def _scan(text: str) -> tuple[tuple, tuple, int]:
-    """(radicands, coeffs, den) of a literal, scanned one term at a time,
-    in the form ``QNum._integer_terms`` gives: the value is
-    sum_a coeffs[a] * sqrt(radicands[a]) / den over ascending squarefree
-    radicands, no coefficient zero, in lowest terms over den > 0."""
+    """(radicands, coeffs, den) of a literal, scanned one term at a time:
+    the canonical form a ``QNum`` stores."""
     if text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal()):
         # a bare integer, the commonest literal; \d matches the same digits
         c = int(text)
@@ -741,14 +703,24 @@ def _scan(text: str) -> tuple[tuple, tuple, int]:
         op = nxt[0]
     if pos < n:
         _reject(f"expected '+' or '-', got {text[pos]!r}", pos)
-    radicands = tuple(sorted(k for k, c in acc.items() if c))
-    coeffs = tuple(acc[k] for k in radicands)
-    g = gcd(scale, *coeffs)
+    return _collected(acc, scale)
+
+
+def _lowest(radicands, coeffs, den) -> tuple[tuple, tuple, int]:
+    """The canonical form of ``QNum`` of sum_a coeffs[a] *
+    sqrt(radicands[a]) / den, for ascending squarefree radicands and
+    den > 0: without zero coefficients and in lowest terms."""
+    if not all(coeffs):
+        radicands = [k for k, c in zip(radicands, coeffs) if c]
+        coeffs = [c for c in coeffs if c]
+    g = gcd(den, *coeffs)
     if g != 1:
-        coeffs = tuple(c // g for c in coeffs)
-    return radicands, coeffs, scale // g
+        return tuple(radicands), tuple([c // g for c in coeffs]), den // g
+    return tuple(radicands), tuple(coeffs), den
 
 
-def _fractions(radicands, coeffs, den) -> tuple:
-    """QNum terms ((radicand, Fraction), ...) of integer terms over den."""
-    return tuple((k, Fraction(c, den)) for k, c in zip(radicands, coeffs))
+def _collected(acc, den) -> tuple[tuple, tuple, int]:
+    """``_lowest`` of sum_k acc[k] * sqrt(k) / den, for a dict of
+    squarefree radicands k."""
+    radicands = sorted(acc)
+    return _lowest(radicands, [acc[k] for k in radicands], den)

@@ -224,7 +224,9 @@ class _BendBound:
     def __init__(self, field, max_bend):
         self.field = field
         self.max_bend = max_bend
-        self.lo, self.hi, self.den = QNum(max_bend)._enclosure(64)
+        q = QNum(max_bend)
+        self.lo, self.hi = _enclose(q.radicands, q.coeffs, 64)
+        self.den = q.den
 
     def screen(self, key):
         """True or False when the enclosures settle the test, None when they meet."""

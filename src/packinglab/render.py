@@ -18,11 +18,13 @@ With 1/b = w / N for an integer N (_Field.reciprocal: w is a product of
 conjugates of b, the unit when b is rational), the center is bz w / N
 and the radius sign(b) w / N, integer coefficients over one positive
 scale per circle.  Each of cx, cy and r is enclosed once with
-exactnum._enclose at p = 55, the precision QNum.to_float uses, and its
-numeral is the midpoint of that enclosure: the very float to_float gives
-for the exact value, because the enclosure is linear under positive
-integer scaling, negation swaps its ends, and int true division rounds
-correctly.  The fitted viewport and the culling compare the same
+exactnum._enclose at p = 55, the first precision QNum.to_float tries,
+and its numeral is the float to_float gives for the exact value: the
+midpoint of that enclosure when it is narrow enough for to_float
+(exactnum._float), else to_float's own refinement of the exact value.
+The midpoint is to_float's because the enclosure is linear under
+positive integer scaling, negation swaps its ends, and int true division
+rounds correctly.  The fitted viewport and the culling compare the same
 enclosures in integers; where two overlap, the exact sign of the
 difference (exactnum._sign) settles it.
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import _enclose, _Field, _format, _sign
+from .exactnum import _enclose, _Field, _float, _format, _sign
 from .orbit import OrbitCircle, PackingOrbit, generate_packing
 
 CLUSTER_COLOR = "#1f6fb2"
@@ -121,7 +123,8 @@ def _as_circles(source):
     return circles
 
 
-# QNum.to_float's float is the midpoint of the enclosure at this precision
+# the first precision of QNum.to_float, whose float is the midpoint of
+# the enclosure at _P when that enclosure is narrow enough
 _P = 55
 
 
@@ -151,10 +154,19 @@ def _integer_disk(field, key, reciprocals):
 
 def _numerals(shape, font):
     """_fmt of a circle shape's cx, -cy and r, and of 0.6 * r when font:
-    each float is the midpoint of its enclosure, the float QNum.to_float
-    gives for the exact value."""
+    each float is the one QNum.to_float gives for the exact value, the
+    midpoint of its enclosure when exactnum._float takes that, else
+    exactnum._float of the exact value."""
     scale = shape[3] << (_P + 1)
-    cx, cy, r = ((lo + hi) / scale for lo, hi in zip(shape[4::2], shape[5::2]))
+    floats = []
+    for i, (lo, hi) in enumerate(zip(shape[4::2], shape[5::2])):
+        if (hi - lo) << (_P - 2) <= abs(lo + hi):
+            floats.append((lo + hi) / scale)
+        else:
+            _, key, field, s = shape[:4]
+            coeffs, m = _integer_disk(field, key, {})[1 + i]
+            floats.append(_float(field.radicands, [m * c for c in coeffs], s))
+    cx, cy, r = floats
     texts = [_fmt(cx), _fmt(-cy), _fmt(r)]
     if font:
         texts.append(_fmt(0.6 * r))

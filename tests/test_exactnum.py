@@ -1,7 +1,8 @@
+import operator
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -221,14 +222,19 @@ def test_field_inverse(a):
 
 
 @settings(max_examples=200, deadline=None)
-@given(qnums.filter(lambda x: bool(x)), st.sampled_from([(), (7,), (2, 15), (6, 35)]))
-def test_field_reciprocal_matches_inverse(a, extra):
+@given(
+    st.dictionaries(st.sampled_from(RADICANDS), coeffs, min_size=1, max_size=4),
+    st.sampled_from([(), (7,), (2, 15), (6, 35)]),
+)
+def test_field_reciprocal_matches_inverse(terms, extra):
     # in a's own field and in fields with more (or shared) generators
+    a = QNum(terms)
     field = _Field([[a] + [sqrt(k) for k in extra]])
     key = field.encode((a,))
     w, n = field.reciprocal(key[:-1])
     assert isinstance(n, int) and n != 0
-    assert field.number(tuple(w), 1) * QNum(Fraction(key[-1], n)) == a.inverse()
+    got = field.number(tuple(w), 1) * QNum(Fraction(key[-1], n))
+    assert got.terms == reference_of(terms).inverse().terms
     assert (w is field.one) == a.is_rational()
 
 
@@ -304,8 +310,14 @@ def fraction_interval(x, prec):
 
 
 def midpoint_float(x, precision=53):
-    # the Fraction midpoint of the isqrt interval, as to_float once was
-    return float(sum(fraction_interval(x, precision + 2)) / 2)
+    # the Fraction midpoint of the first isqrt interval, at p = precision
+    # + 2, 2p, 4p, ..., whose width is at most 2**-precision |lo + hi|
+    p = precision + 2
+    while True:
+        lo, hi = fraction_interval(x, p)
+        if (hi - lo) * 2 ** precision <= abs(lo + hi):
+            return float((lo + hi) / 2)
+        p *= 2
 
 
 wide_coeffs = st.builds(
@@ -351,6 +363,29 @@ def test_to_float_overflows_where_the_midpoint_does():
             assert x.to_float() == want
             outcomes.add("finite")
     assert outcomes == {"overflow", "finite"}
+
+
+def test_to_float_of_a_near_cancelling_power():
+    # coefficients near 4.6e22 cancel to about 1.08e-23: the enclosure at
+    # p = 55 alone is wider than the value
+    x = (3 - 2 * sqrt(2)) ** 30
+    with mpmath.workdps(60):
+        want = (3 - 2 * mpmath.sqrt(2)) ** 30
+    assert abs(x.to_float() - want) <= want * 2 ** -52
+    assert 1.07e-23 < float(x) < 1.09e-23
+
+
+@pytest.mark.parametrize("unit", UNITS, ids=str)
+def test_to_float_is_relatively_precise_against_mpmath(unit):
+    # u**n at 60 digits, from the power of u itself so that the oracle
+    # suffers none of the cancellation in u**n's coefficients
+    with mpmath.workdps(60):
+        base = mp_value(unit, 60)
+        for n in range(-45, 46, 3):
+            x, want = unit ** n, base ** n
+            for precision in (24, 53, 80):
+                got = x.to_float(precision)
+                assert abs(got - want) <= abs(want) * (2.0 ** -precision + 2.0 ** -52)
 
 
 # -- scanner against the hand parser -----------------------------------
@@ -536,8 +571,8 @@ def test_scanner_matches_reference_parser(text):
     else:
         assert got == want
         assert QNum(text).terms == want
-        radicands, coeffs, den = _scan(text)
-        assert (list(radicands), list(coeffs), den) == QNum(text)._integer_terms()
+        q = QNum(text)
+        assert _scan(text) == (q.radicands, q.coeffs, q.den)
 
 
 @pytest.mark.parametrize(
@@ -624,3 +659,201 @@ def test_formatter_matches_str(number):
 )
 def test_formatter_examples(number, text):
     assert _format(*number) == text
+
+
+# -- the Fraction QNum as the reference -------------------------------
+
+
+def least_prime_factor(n):
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
+class ReferenceQNum:
+    """The QNum of ((radicand, Fraction), ...) terms that the integer form
+    replaced, with its prime-flip inverse: the differential oracle."""
+
+    def __init__(self, terms):
+        self.terms = tuple(sorted((k, Fraction(c)) for k, c in terms if c))
+
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            acc[k] = acc.get(k, 0) + c
+        return ReferenceQNum(acc.items())
+
+    def __neg__(self):
+        return ReferenceQNum((k, -c) for k, c in self.terms)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        acc = {}
+        for k1, c1 in self.terms:
+            for k2, c2 in other.terms:
+                g = gcd(k1, k2)
+                k = (k1 // g) * (k2 // g)
+                acc[k] = acc.get(k, 0) + c1 * c2 * g
+        return ReferenceQNum(acc.items())
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def is_rational(self):
+        return all(k == 1 for k, _ in self.terms)
+
+    def inverse(self):
+        # clear one radical prime at a time: times the conjugate that
+        # flips every sqrt containing p, the denominator is free of p
+        if not self.terms:
+            raise ZeroDivisionError("QNum division by zero")
+        num, den = ReferenceQNum([(1, 1)]), self
+        while not den.is_rational():
+            p = least_prime_factor(next(k for k, _ in den.terms if k > 1))
+            conjugate = ReferenceQNum((k, -c if k % p == 0 else c) for k, c in den.terms)
+            num, den = num * conjugate, den * conjugate
+        return num * ReferenceQNum([(1, 1 / den.terms[0][1])])
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** -n
+        out = ReferenceQNum([(1, 1)])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def sign(self):
+        return 0 if not self.terms else int(mpmath.sign(mp_value(self)))
+
+    def to_float(self, precision=53):
+        # the midpoint of the one enclosure at p = precision + 2
+        return float(sum(fraction_interval(self, precision + 2)) / 2)
+
+    def __hash__(self):
+        if self.is_rational():
+            return hash(self.terms[0][1] if self.terms else 0)
+        return hash(self.terms)
+
+
+def reference_of(terms):
+    """The reference value of a dict {radicand: coefficient}, its radicands
+    reduced by the factorization oracle."""
+    acc = {}
+    for k, c in terms.items():
+        s, f = factor_squarefree(k)
+        acc[f] = acc.get(f, 0) + Fraction(c) * s
+    return ReferenceQNum(acc.items())
+
+
+term_dicts = st.dictionaries(st.sampled_from(RADICANDS + [4, 12, 18]), coeffs, max_size=4)
+
+
+def assert_agrees(q, ref):
+    assert q.terms == ref.terms
+    assert all(type(c) is Fraction for _, c in q.terms)
+    assert str(q) == reference_str(ref)
+    assert q.sign() == ref.sign()
+    assert QNum.parse(str(q)) == q
+    assert reference_parse(str(q)) == ref.terms
+    if ref.is_rational():
+        assert hash(q) == hash(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts, term_dicts, st.integers(-3, 3))
+def test_matches_the_fraction_reference(x, y, n):
+    a, b = QNum(x), QNum(y)
+    ra, rb = reference_of(x), reference_of(y)
+    assert_agrees(a, ra)
+    assert_agrees(a + b, ra + rb)
+    assert_agrees(a - b, ra - rb)
+    assert_agrees(-a, -ra)
+    assert_agrees(a * b, ra * rb)
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    if a:
+        assert_agrees(a.inverse(), ra.inverse())
+        assert_agrees(a ** n, ra ** n)
+        assert_agrees(b / a, rb * ra.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(term_dicts, st.dictionaries(st.sampled_from(RADICANDS + [7, 34]), wide_coeffs, max_size=4)),
+    st.sampled_from([10, 53, 100]),
+)
+def test_to_float_matches_the_reference_where_one_enclosure_suffices(terms, precision):
+    q, ref = QNum(terms), reference_of(terms)
+    lo, hi = fraction_interval(ref, precision + 2)
+    if (hi - lo) * 2 ** precision <= abs(lo + hi):
+        assert q.to_float(precision) == ref.to_float(precision)
+    else:
+        assert q.to_float(precision) == midpoint_float(ref, precision)
+
+
+def canonical(q):
+    return q.radicands, q.coeffs, q.den
+
+
+def test_equal_values_are_equal_however_built():
+    def decoded(coeffs, den):
+        # a fresh field each time, so that no number comes from its cache
+        field = _Field.over([2, 3])
+        assert field.radicands == (1, 2, 3, 6)
+        return field.decode(tuple(coeffs) + (den,))[0]
+
+    def numbered(coeffs, den):
+        return _Field.over([2, 3]).number(tuple(coeffs), den)
+
+    groups = {
+        "0": [ZERO, QNum(), QNum(0), QNum(Fraction(0)), QNum("0"), QNum("0/7+0*sqrt(2)"),
+              QNum({2: 0, 1: Fraction(0, 3)}), sqrt(2) - sqrt(2), numbered([0, 0, 0, 0], 5),
+              decoded([0, 0, 0, 0], 9)],
+        "2": [QNum(2), QNum(Fraction(4, 2)), QNum("2"), QNum("4/2"), QNum({4: 1}),
+              sqrt(2) * sqrt(2), ONE + ONE, QNum(Fraction(1, 2)).inverse(),
+              numbered([4, 0, 0, 0], 2), decoded([6, 0, 0, 0], 3)],
+        "3/2": [QNum(Fraction(3, 2)), QNum("3/2"), QNum("6/4"), QNum({1: Fraction(3, 2)}),
+                QNum({4: Fraction(3, 4)}), QNum(3) / 2, ONE + QNum(Fraction(1, 2)),
+                sqrt(2) * sqrt(2) * Fraction(3, 4), numbered([6, 0, 0, 0], 4),
+                decoded([9, 0, 0, 0], 6)],
+        # (1 + 2 sqrt2)/3, from keys whose coefficients share 2 and 3
+        # with their denominators
+        "(1+2sqrt2)/3": [QNum("1/3+2/3*sqrt(2)"), QNum("2/6+4/6*sqrt(2)"),
+                         QNum({1: Fraction(1, 3), 8: Fraction(1, 3)}), (1 + 2 * sqrt(2)) / 3,
+                         (QNum(3) / (1 + 2 * sqrt(2))).inverse(), numbered([2, 4, 0, 0], 6),
+                         numbered([3, 6, 0, 0], 9), decoded([4, 8, 0, 0], 12)],
+        "sqrt6/2": [sqrt(2) * sqrt(3) / 2, QNum("1/2*sqrt(6)"), QNum({24: Fraction(1, 4)}),
+                    sqrt(6) * Fraction(1, 2), (sqrt(6) / 3).inverse(),
+                    numbered([0, 0, 0, 3], 6), decoded([0, 0, 0, 2], 4)],
+    }
+    forms = set()
+    for name, values in groups.items():
+        form = canonical(values[0])
+        radicands, coeffs, den = form
+        assert list(radicands) == sorted(set(radicands)) and all(coeffs)
+        assert den > 0 and gcd(den, *coeffs) == 1, name
+        for q in values:
+            assert canonical(q) == form, (name, q)
+            assert q == values[0] and hash(q) == hash(values[0]), (name, q)
+        forms.add(form)
+    assert len(forms) == len(groups)
+    assert hash(groups["0"][0]) == hash(0)
+    assert hash(groups["2"][0]) == hash(2)
+    assert hash(groups["3/2"][0]) == hash(Fraction(3, 2))
+    assert groups["3/2"][0] == Fraction(3, 2) and groups["2"][0] == 2
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+@pytest.mark.parametrize("other, name", [(1.5, "float"), ("1", "str")])
+def test_comparison_names_the_other_type(op, other, name):
+    with pytest.raises(TypeError, match="^cannot compare QNum with %s$" % name):
+        op(QNum(1), other)

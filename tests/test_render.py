@@ -487,16 +487,18 @@ def test_well_conditioned_circles_stay_on_the_screen():
 
 def test_radius_with_a_small_conjugate_near_a_boundary():
     # r = K (sqrt10 - 3)**3 has a sqrt(10) coefficient about 9,000 times
-    # r, and QNum.to_float's midpoint sits 3/4 of its error bound above r
-    # (about 1.1e-13 here).  Put r 9.3e-14 below TIE: the exact value
-    # rounds down, to_float rounds up, and only a bound that covers
-    # to_float's full error sees the tie.
+    # r, and the midpoint of its enclosure at p = 55 sits 3/4 of half the
+    # width above r (about 1.1e-13 here).  Put r 9.3e-14 below TIE: the
+    # exact value rounds down, that midpoint rounds up, so to_float must
+    # refine it, and only a bound that covers the enclosure's full width
+    # sees the tie.
     unit = (sqrt(10) - 3) ** 3
     lo, _ = unit._bounds(200)
     target = TIE - Fraction(93, 10 ** 15)
     r = unit * QNum(Fraction(round(target / lo * 10 ** 40), 10 ** 40))
     assert "%.12g" % float(target) == "1.23456789012"
-    assert render._fmt(float(r)) == "1.23456789013"
+    assert render._fmt(float(sum(r._bounds(55)) / 2)) == "1.23456789013"
+    assert render._fmt(float(r)) == "1.23456789012"
     circle = circle_at(0, 0, r, "r")
     assert_matches_oracle([circle], *(RenderOptions(viewport=FAR, labels=m) for m in LABELS_SHOWN))
     # a radius as ill-conditioned, away from any boundary
