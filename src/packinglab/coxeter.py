@@ -4,10 +4,19 @@ A Gram entry g of two walls falls into one of four kinds: 0 means the
 walls are orthogonal (no edge), |g| = 1 tangent (thick edge), |g| > 1
 disjoint at hyperbolic distance arccosh|g| (dashed edge), and
 0 < |g| < 1 an angle pi/n with g = +-cos(pi/n) (n-2 ordinary lines).
-Classification is exact: the cosines representable in the quadratic
-ring, which cover the data's orders {3, 4, 5, 6, 12}, match by QNum
-equality; any other candidate order is ruled out by rigorous interval
-arithmetic, so a value nothing matches raises instead of guessing.
+
+Classification is exact equality of QNums, and needs nothing else.
+cos(pi/n) generates the real cyclotomic field of degree phi(2n)/2
+(Lehmer, Amer. Math. Monthly 40, 1933), whose Galois group is
+(Z/2n)^x / {+-1}.  A QNum lies in a multiquadratic field, whose Galois
+group has exponent 2, so cos(pi/n) is a QNum only when every unit a mod
+2n has a^2 = +-1.  The units mod 2n map onto the units mod each divisor
+m of 2n, so one m with a unit whose square is not +-1 mod m rules n
+out: a primitive root mod a prime m >= 7, 2 mod 9, 15 or 25, or 3 mod
+16 or 20.  What is left is 2n = 10 or 2n dividing 24, so
+n in {3, 4, 5, 6, 12}, the orders of _EXACT_COS.  No entry can equal
+the cosine of any other order, so an entry matching none of the table
+is unclassifiable.
 
 Cluster enumeration follows the separation criterion: a subset S is a
 cluster iff every member meets every wall outside S with |g| >= 1 or
@@ -19,11 +28,8 @@ cuts the search to cliques among angle-free vertices.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath.ctx_iv import MPIntervalContext
 
 from .exactnum import QNum, sqrt
 
@@ -63,7 +69,8 @@ class Disjoint:
     separation: QNum  # the signed exact entry; |separation| = cosh(distance)
 
 
-# cos(pi/n) for the orders whose cosine lies in the quadratic ring
+# cos(pi/n) for every order whose cosine is a QNum (see the module
+# docstring for why there are no others)
 _EXACT_COS = {
     3: QNum(Fraction(1, 2)),
     4: sqrt(2) / 2,
@@ -72,33 +79,16 @@ _EXACT_COS = {
     12: (sqrt(6) + sqrt(2)) / 4,
 }
 
-_MAX_SEPARATION_PREC = 256
-
-
-@functools.lru_cache(maxsize=None)
-def _interval_context() -> MPIntervalContext:
-    """This module's own interval context, built on first use, so setting
-    its precision leaves mpmath.iv alone."""
-    return MPIntervalContext()
-
-
-def _iv_value(x: QNum, iv: MPIntervalContext):
-    total = iv.mpf(0)
-    for k, c in x.terms:
-        t = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-        if k > 1:
-            t = t * iv.sqrt(k)
-        total = total + t
-    return total
-
 
 def classify_entry(g: QNum, max_order: int = 12):
     """Kind of a single off-diagonal Gram entry.
 
-    Matching is on |g| with the sign recorded on the kind.  Raises
-    ValueError for an entry with 0 < |g| < 1 matching no cos(pi/n)
-    for 3 <= n <= max_order: that pair is not part of any Coxeter
-    diagram this toolkit understands.
+    Matching is on |g| with the sign recorded on the kind.  An entry
+    with 0 < |g| < 1 is the angle pi/n for the n <= max_order in
+    _EXACT_COS whose cosine equals |g| exactly; these are the only
+    orders with a cosine in the ring, so ValueError for any other
+    entry: that pair is not part of any Coxeter diagram with orders
+    up to max_order.
     """
     g = QNum(g)
     s = g.sign()
@@ -109,31 +99,9 @@ def classify_entry(g: QNum, max_order: int = 12):
         return Tangent(sign=s)
     if a > 1:
         return Disjoint(separation=g)
-    candidates = []
-    for n in range(3, max_order + 1):
-        exact = _EXACT_COS.get(n)
-        if exact is not None:
-            if a == exact:
-                return Angle(order=n, sign=s)
-        else:
-            candidates.append(n)
-    # nothing matched exactly; rule the remaining orders out rigorously
-    iv = _interval_context()
-    prec = 64
-    while candidates:
-        iv.prec = prec
-        target = _iv_value(a, iv)
-        candidates = [
-            n for n in candidates if 0 in target - iv.cos(iv.pi / n)
-        ]
-        if prec >= _MAX_SEPARATION_PREC:
-            break
-        prec *= 2
-    if candidates:
-        raise ValueError(
-            f"entry {g} is indistinguishable from cos(pi/n) for n in "
-            f"{candidates} at {_MAX_SEPARATION_PREC}-bit precision"
-        )
+    for n, cos in _EXACT_COS.items():
+        if n <= max_order and a == cos:
+            return Angle(order=n, sign=s)
     raise ValueError(
         f"unclassifiable Gram entry {g}: 0 < |g| < 1 but no cos(pi/n) "
         f"matches for n <= {max_order}"

@@ -222,12 +222,11 @@ def double(config: Configuration, j: int, enforce_parity: bool = True) -> Config
     mirror_label = config.labels[j - 1]
 
     if enforce_parity:
+        gram = config.gram()
         for i in range(m):
             if i == j - 1:
                 continue
-            kind = coxeter.classify_entry(
-                geometry.inner(config.rows[i], mirror)
-            )
+            kind = coxeter.classify_entry(gram[i][j - 1])
             if isinstance(kind, coxeter.Angle) and kind.order % 2:
                 raise ValueError(
                     f"cannot double about {mirror_label!r}: row "

@@ -131,10 +131,9 @@ def prove_integral(basis, cluster_rows, mirror_rows):
     )
 
 
-def _kernel_basis(matrix):
-    # canonical basis of {x : matrix . x = 0} from the reduced echelon form
-    reduced, pivots = rref(matrix)
-    cols = len(matrix[0])
+def _kernel_basis(reduced, pivots):
+    # canonical basis of {x : matrix . x = 0} from the matrix's rref
+    cols = len(reduced[0])
     free = [j for j in range(cols) if j not in pivots]
     basis = []
     for f in free:
@@ -162,13 +161,13 @@ def prove_nonintegral(rows):
             % (m, width)
         )
     columns = transpose(rows)
-    _, pivots = rref(columns)
+    reduced, pivots = rref(columns)
     if len(pivots) < width:
         raise ValueError(
             "matrix rank %d < %d; supplement independent orbit rows"
             % (len(pivots), width)
         )
-    basis = _kernel_basis(columns)
+    basis = _kernel_basis(reduced, pivots)
     irrational = [
         (i, j)
         for i, vec in enumerate(basis)

@@ -15,6 +15,9 @@ One route evaluates L, and one independent oracle checks it:
 
 lobachevsky_asymptotic is the same expansion with a caller-chosen term
 count and no angle reduction, for angles near 0.
+
+Only the quadrature needs mpmath, and it imports mpmath on its first
+call, so importing this module (and the CLI) does not load mpmath.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import functools
 import math
 import warnings
 from fractions import Fraction
-
-import mpmath
 
 # Beyond this a handful of unreduced expansion terms is no longer a good
 # substitute for lobachevsky() (the neglected tail is of practical size).
@@ -84,6 +85,8 @@ def lobachevsky_quadrature(theta: float, tol: float = 1e-9) -> float:
     tanh-sinh rule at the current mpmath precision; ValueError if its
     error estimate exceeds tol.
     """
+    import mpmath
+
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     r = reduce_angle(theta)

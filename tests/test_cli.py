@@ -110,6 +110,31 @@ def test_lob_methods_agree(capsys):
     assert max(values) - min(values) < 1e-9
 
 
+LAZY_MPMATH = """
+import contextlib, io, math, sys
+from packinglab import cli
+print("mpmath" in sys.modules)
+for method in ("series", "quadrature"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["lob", "--theta", repr(math.pi / 6), "--method", method]) == 0
+    print(out.getvalue().strip(), "mpmath" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_mpmath_to_the_quadrature():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    got = subprocess.run(
+        [sys.executable, "-c", LAZY_MPMATH],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    ).stdout.split()
+    assert got[0] == "False"
+    series, series_loaded, quadrature, quadrature_loaded = got[1:]
+    assert (series_loaded, quadrature_loaded) == ("False", "True")
+    assert abs(float(series) - float(quadrature)) < 2e-9
+
+
 def test_removed_threads_option_is_a_usage_error(capsys):
     assert cli.run(["pack"] + BI1_ARGS + ["--threads", "2"]) == 2
     assert capsys.readouterr().out == ""

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import iv
 
@@ -38,7 +40,7 @@ def test_classify_disjoint_keeps_entry():
 def test_classify_unmatched_raises():
     with pytest.raises(ValueError, match="unclassifiable"):
         coxeter.classify_entry(QNum("9/10"))
-    # ~cos(pi/8) to 5 digits; interval separation must still reject it
+    # ~cos(pi/8) to 5 digits, and cos(pi/8) is not in the ring
     with pytest.raises(ValueError, match="unclassifiable"):
         coxeter.classify_entry(QNum("92388/100000"))
 
@@ -59,6 +61,37 @@ def test_classify_respects_max_order():
     assert coxeter.classify_entry(g, max_order=12) == Angle(order=12, sign=1)
     with pytest.raises(ValueError):
         coxeter.classify_entry(g, max_order=6)
+
+
+def test_exact_cos_orders_are_those_with_exponent_two_unit_groups():
+    # cos(pi/n) is a QNum iff (Z/2n)^x / {+-1} has exponent 2, i.e. every
+    # unit a mod 2n has a^2 = +-1: the table must hold exactly those n
+    def exponent_two(n):
+        m = 2 * n
+        return all(a * a % m in (1, m - 1) for a in range(1, m) if math.gcd(a, m) == 1)
+
+    assert [n for n in range(3, 2001) if exponent_two(n)] == sorted(coxeter._EXACT_COS)
+
+
+def test_exact_cos_values_match_mpmath():
+    with mpmath.workdps(60):
+        for n, c in coxeter._EXACT_COS.items():
+            exact = mpmath.mpf(0)
+            for k, q in c.terms:
+                exact += mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(k)
+            assert mpmath.almosteq(exact, mpmath.cos(mpmath.pi / n), rel_eps=mpmath.mpf(10) ** -50)
+
+
+def test_near_cosines_of_other_orders_are_unclassifiable():
+    with pytest.raises(ValueError, match=r"unclassifiable .* n <= 60$"):
+        coxeter.classify_entry(QNum("92388/100000"), max_order=60)
+    # within 2**-300 of cos(pi/7), closer than any fixed working precision
+    with mpmath.workprec(400):
+        c = mpmath.cos(mpmath.pi / 7)
+        near = Fraction(int(mpmath.nint(c * 2**310)), 2**310)
+        assert abs(near.numerator / mpmath.mpf(near.denominator) - c) < mpmath.mpf(2) ** -300
+    with pytest.raises(ValueError, match=r"unclassifiable .* n <= 60$"):
+        coxeter.classify_entry(QNum(near), max_order=60)
 
 
 # the 5x5 Gram of the doubled d=1 configuration, row order (2, 3.2, 1, 4, 3.4)
