@@ -11,6 +11,23 @@ negation: the image would be the same wall with reversed orientation,
 which is not a new member of the orbit.  Nor is it reflected in the
 mirror that made it, whose image is its parent, already in the orbit.
 
+Orthogonal mirrors commute, so a circle x = r_i p is not reflected in a
+mirror j that comes before i in the mirror list, is orthogonal to i
+(<m_i, m_j> = 0), and whose image of the parent p is known to be in the
+orbit: j made p, or r_j p was computed and was already seen or kept.
+Each circle carries, for its children, the list of its mirrors whose
+image is not known to be seen: those the bend bound filtered, those
+skipped as equal to the circle, and those skipped by this rule.  The
+output is byte-identical to trying every mirror, words and order
+included.  Since j < i, r_j p was handled before x was appended, so it
+comes before x in breadth-first order and is expanded first; by
+induction on that order, r_i r_j p = r_j x is then already seen or is
+rejected by the bend bound, and either way the full loop would drop it
+here too.  A mirror skipped by the rule is not known to be seen (the
+image r_j p may be one the bound rejected), so it counts as unknown for
+the circle's own children.  Orthogonality is read once per call off the
+compiled integer tables.
+
 The loop runs on integers.  Each call first closes the radicands of
 its rows under products into a fixed multiquadratic basis ({1,2,5,10}
 for Bi(10), {1,2,3,6} for the d=3 entries), writes every row as its
@@ -69,19 +86,21 @@ class OrbitLimits:
 
     A generation bound is always required: an exact-arithmetic orbit
     with only a bend bound is not guaranteed to terminate (coordinates
-    of a generic configuration are not discrete).  ``max_bend`` is None,
-    which disables the bend filter, or a nonnegative int, Fraction or
-    QNum; anything else raises ValueError.
+    of a generic configuration are not discrete).  ``max_generation`` is
+    a nonnegative int, not a bool.  ``max_bend`` is None, which disables
+    the bend filter, or a nonnegative int, Fraction or QNum.  Anything
+    else raises ValueError.
     """
 
     max_generation: int = 6
     max_bend: int | None = 10_000
 
     def __post_init__(self):
-        if not isinstance(self.max_generation, int) or self.max_generation < 0:
+        generations = self.max_generation
+        if isinstance(generations, bool) or not isinstance(generations, int) or generations < 0:
             raise ValueError(
                 "an explicit nonnegative generation limit is required; "
-                "got %r" % (self.max_generation,)
+                "got %r" % (generations,)
             )
         bend = self.max_bend
         if bend is not None and (
@@ -251,6 +270,18 @@ class _BendBound:
         return decided
 
 
+def _commuting(plans):
+    """Per plan position i, the positions j < i of the mirrors orthogonal
+    to mirror i: every functional of plan i vanishes on plan j's key."""
+    return [
+        frozenset(
+            j for j, other in enumerate(plans[:i])
+            if not any(sum([other.key[s] * w for s, w in f]) for f, _ in plan.terms)
+        )
+        for i, plan in enumerate(plans)
+    ]
+
+
 def _generate(cluster, limits, mirrors, mode):
     if limits is None:
         limits = OrbitLimits()
@@ -265,29 +296,37 @@ def _generate(cluster, limits, mirrors, mode):
         OrbitCircle._encoded(field, field.encode(v), 0, str(i + 1))
         for i, v in enumerate(cluster)
     ]
-    # (key, word, position of the mirror that made the circle)
-    frontier = [(c.key, c.word, -1) for c in circles]
-    seen = set(key for key, _, _ in frontier)
+    commuting = _commuting(plans)
+    # (key, word, position of the mirror that made the circle, positions
+    # of the parent's mirrors whose image is not known to be in seen)
+    frontier = [(c.key, c.word, -1, ()) for c in circles]
+    seen = set(key for key, _, _, _ in frontier)
 
     generation = 0
     while frontier and generation < limits.max_generation:
         generation += 1
         parents, frontier = frontier, []
-        for key, word, made_by in parents:
+        for key, word, made_by, unknown in parents:
+            skip = commuting[made_by].difference(unknown) if made_by >= 0 else ()
+            missed = []  # this circle's mirrors whose image is not known to be in seen
             for j, plan in enumerate(plans):
                 # the image in the mirror that made the circle is its parent
-                if j == made_by or key == plan.key or key == plan.negated:
+                if j == made_by:
+                    continue
+                if j in skip or key == plan.key or key == plan.negated:
+                    missed.append(j)
                     continue
                 image = plan.reflect(key)
                 if image in seen:
                     continue
                 if bound is not None and bound.exceeds(image):
+                    missed.append(j)
                     continue
                 seen.add(image)
-                frontier.append((image, "%d.%s" % (plan.index, word), j))
+                frontier.append((image, "%d.%s" % (plan.index, word), j, missed))
         circles.extend(
             OrbitCircle._encoded(field, key, generation, word)
-            for key, word, _ in frontier
+            for key, word, _, _ in frontier
         )
 
     return PackingOrbit(tuple(circles), limits, mode)

@@ -1,5 +1,7 @@
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,8 +87,9 @@ def test_bend_limit_filters():
 
 
 def test_limits_validation():
-    with pytest.raises(ValueError, match="generation limit"):
-        OrbitLimits(max_generation=None)
+    for generations in (None, True, False, -1, 2.0):
+        with pytest.raises(ValueError, match="generation limit"):
+            OrbitLimits(max_generation=generations)
     with pytest.raises(ValueError, match="nonempty"):
         generate_packing((), BI1_COCLUSTER, OrbitLimits(max_generation=1))
     bad = (qv(1, 1, 0, 0),)
@@ -195,7 +198,8 @@ def test_engine_matches_qnum_oracle(entry_id, labels, mode):
     else:
         generate = generate_superpacking
         mirrors = [(k + 1, m) for k, m in enumerate(cluster + cocluster)]
-    depth = 3 if config.dim_n <= 4 else 2
+    # skips chained through commuting mirrors first appear at generation 3
+    depth = 3
     unbounded = OrbitLimits(max_generation=depth, max_bend=None)
     want = qnum_orbit(cluster, mirrors, unbounded, mode)
     assert generate(cluster, cocluster, unbounded) == want
@@ -204,6 +208,114 @@ def test_engine_matches_qnum_oracle(entry_id, labels, mode):
     bounded = OrbitLimits(max_generation=depth, max_bend=reached[len(reached) // 2])
     want = qnum_orbit(cluster, mirrors, bounded, mode)
     assert generate(cluster, cocluster, bounded) == want
+
+
+def test_commuting_skip_keeps_images_of_bend_filtered_intermediates():
+    # mirror 2 (a circle about the origin) is orthogonal to mirrors 3 and
+    # 4, which meet at an angle that is not a right one.  2.1 is kept, so
+    # 3.1 skips its image in mirror 2, r3 r2 of circle 1, which exceeds
+    # the bound (bend -695/9).  For x = 4.3.1 the image of its parent 3.1
+    # in mirror 2 is then not known to be in the orbit, and r2 x, kept as
+    # 2.4.3.1, must be formed; a rule that counted skipped images as known
+    # would drop it.
+    cluster = (qv(-875, -3, 5, 51),)
+    cocluster = (
+        qv(5, "-1/5", 0, 0),
+        qv("-25/6", "-1/6", -1, "-5/6"),
+        qv("25/3", "1/3", 1, "5/3"),
+    )
+    mirrors = [(k + 2, m) for k, m in enumerate(cocluster)]
+    limits = OrbitLimits(max_generation=3, max_bend=Fraction(665, 9))
+    got = generate_packing(cluster, cocluster, limits)
+    assert got == qnum_orbit(cluster, mirrors, limits, "packing")
+    assert "3\t2.4.3.1\t(-9425/9,-665/9,-715/3,-1291/9)\n" in export_tsv(got)
+
+
+PYTHAGOREAN = ((1, 0, 1), (0, 1, 1), (3, 4, 5), (4, 3, 5), (5, 12, 13), (12, 5, 13), (8, 15, 17))
+
+
+def random_unit(rng):
+    a, b, c = rng.choice(PYTHAGOREAN)
+    return (Fraction(a * rng.choice((1, -1)), c), Fraction(b * rng.choice((1, -1)), c))
+
+
+def random_commuting_mirrors(rng):
+    """A circle mirror about the origin and two or three mirrors
+    orthogonal to it, pairwise not orthogonal, in a random order."""
+    radius = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+    circle = sphere((QNum(0), QNum(0)), QNum(radius * rng.choice((1, -1))))
+    while True:
+        others = []
+        for _ in range(rng.randint(2, 3)):
+            u = random_unit(rng)
+            if rng.random() < 0.4:
+                # a line through the origin
+                others.append(hyperplane(tuple(QNum(c) for c in u), 0))
+            else:
+                # |c|^2 - r^2 = R^2 with |c| = R (t^2+1)/2t, r = R (t^2-1)/2t
+                t = Fraction(rng.randint(3, 18), 2)
+                far = radius * (t * t + 1) / (2 * t)
+                r = radius * (t * t - 1) / (2 * t) * rng.choice((1, -1))
+                others.append(sphere(tuple(QNum(far * c) for c in u), QNum(r)))
+        if all(inner(a, b) != 0 for k, a in enumerate(others) for b in others[:k]):
+            break
+    assert all(inner(circle, m) == 0 for m in others)
+    rows = others + [circle]
+    rng.shuffle(rows)
+    return rows
+
+
+def random_circle(rng):
+    center = tuple(QNum(Fraction(rng.randint(-20, 20), rng.randint(1, 4))) for _ in range(2))
+    radius = Fraction(rng.randint(1, 12), rng.randint(1, 40)) * rng.choice((1, 1, -1))
+    return sphere(center, QNum(radius))
+
+
+def test_commuting_skip_matches_qnum_oracle_on_random_mirrors():
+    rng = random.Random(20190308)
+    for _ in range(40):
+        rows = random_commuting_mirrors(rng)
+        mirrors = [(k + 2, m) for k, m in enumerate(rows)]
+        cluster = tuple(random_circle(rng) for _ in range(rng.randint(1, 2)))
+        unbounded = OrbitLimits(max_generation=4, max_bend=None)
+        want = qnum_orbit(cluster, mirrors, unbounded, "packing")
+        assert orbit._generate(cluster, unbounded, mirrors, "packing") == want
+        # bounds at bends the orbit reaches (exact ties) and a random one
+        reached = sorted(set(abs(b) for b in bends(want) if b), key=float)
+        for max_bend in (rng.choice(reached), rng.choice(reached), rng.randint(0, 40)):
+            limits = OrbitLimits(max_generation=4, max_bend=max_bend)
+            want = qnum_orbit(cluster, mirrors, limits, "packing")
+            assert orbit._generate(cluster, limits, mirrors, "packing") == want
+
+
+def benchmark_counts():
+    # the circles per generation that the benchmark pins for its pack workloads
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path))
+    return workloads["PACK_PLANAR_COUNTS"], workloads["PACK_WIDE_COUNTS"]
+
+
+@pytest.mark.parametrize(
+    "entry_id,labels,generations,which,reflections",
+    [
+        # 29,420 and 11,901 reflections when every commuting pair is tried
+        ("bi10-example", ("1", "7"), 7, 0, 25_221),
+        ("d3n13", ("34",), 4, 1, 6_640),
+    ],
+)
+def test_commuting_skip_reflection_counts(monkeypatch, entry_id, labels, generations, which, reflections):
+    calls = [0]
+    reflect_key = orbit._Mirror.reflect
+
+    def counted(plan, key):
+        calls[0] += 1
+        return reflect_key(plan, key)
+
+    monkeypatch.setattr(orbit._Mirror, "reflect", counted)
+    cluster, cocluster, _, _ = catalog.get_builtin(entry_id).configuration.split(labels)
+    got = generate_packing(cluster, cocluster, OrbitLimits(max_generation=generations))
+    assert calls[0] == reflections
+    assert orbit_stats(got).generation_counts == benchmark_counts()[which]
 
 
 def test_compiled_reflection_matches_qnum():
