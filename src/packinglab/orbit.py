@@ -67,17 +67,27 @@ from .geometry import as_vector, form_functional, inner, interior_contains, is_w
 from .groupwords import Configuration
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    # the splitmix64 output function of one 64-bit state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _word(seed, k):
+    """Word k (from 0) of ``splitmix64(seed)``, drawn without the ones before it."""
+    return _mix64((seed + (k + 1) * _GAMMA) & _MASK64)
 
 
 def splitmix64(seed):
     """Yield the splitmix64 stream for a 64-bit seed (portable, cheap)."""
     state = seed & _MASK64
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+        state = (state + _GAMMA) & _MASK64
+        yield _mix64(state)
 
 
 @dataclass(frozen=True)
@@ -531,29 +541,64 @@ def _sample_ratios(box):
     return ratios
 
 
-def _float_point(ratios, words):
-    # int true division rounds correctly, as float(Fraction) does
-    return [(a + c * u) / den for (a, c, den), u in zip(ratios, words)]
-
-
 def _exact_point(ratios, words):
     return tuple(Fraction(a + c * u, den) for (a, c, den), u in zip(ratios, words))
+
+
+def _check_range(ratios, frows):
+    """Raise, before the first sample, any OverflowError a sample could.
+
+    Float rounding is monotone, so a sampled coordinate lies between the
+    floats of its box ends and each term c - b*x between its values
+    there; once every end converts and every term squares to a finite
+    float at both ends, no sample can overflow, whichever terms it reads.
+    """
+    ends = [(a / den, (a + (c << 53)) / den) for a, c, den in ratios]
+    for k, fr in enumerate(frows):
+        b = fr[1]
+        if b == 0.0:
+            continue
+        for c, pair in zip(fr[2:], ends):
+            for x in pair:
+                if not math.isfinite((c - b * x) ** 2):
+                    raise OverflowError(
+                        "wall %d: a squared term is infinite at the box's edge" % (k + 1)
+                    )
 
 
 def verify_empty_interior(config, sample_count, seed, box=None):
     """Sample the bounding box and look for a point interior to every wall.
 
-    Coordinate i of a sample is the exact rational lo + (hi - lo) * u / 2**53,
-    u the 53 high bits of the next word of a seeded splitmix64 stream, so
+    Coordinate j of sample i is the exact rational lo + (hi - lo) * u / 2**53,
+    u the 53 high bits of word i*n + j of the seeded splitmix64 stream, so
     reports reproduce bit for bit.  Per coordinate that point is
     (A + C*u) / D over integers A, C and D fixed by the box, and its float
-    is that one int ratio, correctly rounded as float(Fraction) is,
-    OverflowError included.  Each sample is screened with the float point:
-    only points within 1e-6 of passing every wall are built as Fractions
-    and checked exactly (``exact_checks`` counts them).  A counterexample
-    is therefore exact, but the 1e-6 margin is not a proven bound on the
-    float error, and the box is only sampled, so a True verdict is
-    sampling evidence, not a proof.
+    is that one int ratio, correctly rounded as float(Fraction) is.
+    Each sample is screened with the float point: only points within 1e-6
+    of passing every wall are built as Fractions and checked exactly
+    (``exact_checks`` counts them).  A counterexample is therefore exact,
+    but the 1e-6 margin is not a proven bound on the float error, and the
+    box is only sampled, so a True verdict is sampling evidence, not a
+    proof.
+
+    splitmix64 is counter-based, so each coordinate is drawn when a wall
+    test first reads it, and one no test reads is never drawn.  The walls
+    with b > 0 are screened first, each by q = 1.0 - sum_j (c_j - b x_j)**2
+    summed left to right, stopping at the first prefix with q < -1e-6:
+    every term is >= 0 and float + and - are monotone, so the full sum
+    rejects too, and the coordinates drawn are always a prefix x_0..x_k.
+    Only a point that passes every such wall draws the rest and is
+    screened by the lines (b = 0) and the walls with b < 0.  Each wall's
+    test is a function of the point alone, every sum is an explicit
+    left-to-right loop (builtin sum() of floats is compensated from
+    CPython 3.12), and a point is a candidate exactly when every wall
+    passes, so the report equals that of screening every wall of every
+    fully drawn point in row order.
+
+    Overflow is settled before the first sample: every box end is
+    converted to float, then each b != 0 wall's squared terms are
+    evaluated at both ends, and the first OverflowError is raised (an
+    infinite term raises one too).  Past that check no sample overflows.
     """
     if isinstance(config, Configuration):
         rows = config.rows
@@ -570,26 +615,49 @@ def verify_empty_interior(config, sample_count, seed, box=None):
     ratios = _sample_ratios(box)
 
     frows = [[float(q) for q in r] for r in rows]
-    rng = splitmix64(seed)
+    _check_range(ratios, frows)
+    balls = [(fr[1], fr[2:]) for fr in frows if fr[1] > 0.0]
+    rest = [fr for fr in frows if not fr[1] > 0.0]
     exact_checks = 0
-    for _ in range(sample_count):
-        words = [next(rng) >> 11 for _ in ratios]
-        fpoint = _float_point(ratios, words)
+    for i in range(sample_count):
+        first = i * n  # coordinate j is word i*n + j
+        xs = []
         candidate = True
-        for fr in frows:
+        for b, bz in balls:
+            d2 = 0.0
+            for j, c in enumerate(bz):
+                if j == len(xs):
+                    a, w, den = ratios[j]
+                    xs.append((a + w * (_word(seed, first + j) >> 11)) / den)
+                d2 += (c - b * xs[j]) ** 2
+                if 1.0 - d2 < -1e-6:
+                    candidate = False
+                    break
+            if not candidate:
+                break
+        if not candidate:
+            continue
+        for j in range(len(xs), n):
+            a, w, den = ratios[j]
+            xs.append((a + w * (_word(seed, first + j) >> 11)) / den)
+        for fr in rest:
             bh, b = fr[0], fr[1]
+            s = 0.0
             if b == 0.0:
-                q = sum(c * x for c, x in zip(fr[2:], fpoint)) - 0.5 * bh
+                for c, x in zip(fr[2:], xs):
+                    s += c * x
+                q = s - 0.5 * bh
             else:
-                d2 = sum((c - b * x) ** 2 for c, x in zip(fr[2:], fpoint))
-                q = (1.0 - d2) * (1.0 if b > 0 else -1.0)
+                for c, x in zip(fr[2:], xs):
+                    s += (c - b * x) ** 2
+                q = s - 1.0  # -(1.0 - s), exactly
             if q < -1e-6:
                 candidate = False
                 break
         if not candidate:
             continue
         exact_checks += 1
-        point = _exact_point(ratios, words)
+        point = _exact_point(ratios, [_word(seed, first + j) >> 11 for j in range(n)])
         if all(interior_contains(r, point) for r in rows):
             return EmptyInteriorReport(
                 False, sample_count, seed, box, point, exact_checks

@@ -1,3 +1,4 @@
+import math
 import random
 import runpy
 from fractions import Fraction
@@ -703,10 +704,17 @@ def empty_interior_oracle(rows, sample_count, seed, box):
         candidate = True
         for fr in frows:
             bh, b = fr[0], fr[1]
+            # explicit left-to-right sums: builtin sum() of floats is
+            # compensated from CPython 3.12
             if b == 0.0:
-                q = sum(c * x for c, x in zip(fr[2:], fpoint)) - 0.5 * bh
+                s = 0.0
+                for c, x in zip(fr[2:], fpoint):
+                    s += c * x
+                q = s - 0.5 * bh
             else:
-                d2 = sum((c - b * x) ** 2 for c, x in zip(fr[2:], fpoint))
+                d2 = 0.0
+                for c, x in zip(fr[2:], fpoint):
+                    d2 += (c - b * x) ** 2
                 q = (1.0 - d2) * (1.0 if b > 0 else -1.0)
             if q < -1e-6:
                 candidate = False
@@ -727,12 +735,13 @@ def assert_sampler_matches_oracle(rows, sample_count, seed, box):
     got = verify_empty_interior(rows, sample_count, seed, box=box)
     # field by field: verdict, exact_checks, counterexample, box, ...
     assert got == want
-    # the points themselves: floats bit for bit, exact points equal
+    # the points themselves, coordinate j of sample i drawn as word i*n + j:
+    # floats bit for bit, exact points equal
     ratios = orbit._sample_ratios(want.box)
-    rng = orbit.splitmix64(seed)
-    for fpoint, point in drawn:
-        words = [next(rng) >> 11 for _ in ratios]
-        assert [x.hex() for x in orbit._float_point(ratios, words)] == [
+    n = len(ratios)
+    for i, (fpoint, point) in enumerate(drawn):
+        words = [orbit._word(seed, i * n + j) >> 11 for j in range(n)]
+        assert [((a + c * u) / den).hex() for (a, c, den), u in zip(ratios, words)] == [
             x.hex() for x in fpoint
         ]
         assert orbit._exact_point(ratios, words) == point
@@ -782,6 +791,9 @@ def test_empty_interior_matches_fraction_oracle_on_boxes(rows, box, seed):
     [
         ((Fraction(10**400), Fraction(10**400 + 1)), (0, 1)),
         ((0, 1), (-(10**400), 0)),
+        # coordinate 0 alone rejects every sample, so a draw that stops at
+        # the first rejecting term would never read coordinate 1
+        ((5, 6), (10**200, 10**200 + 1)),
     ],
 )
 def test_empty_interior_overflow_matches_fraction_oracle(box):
@@ -790,3 +802,77 @@ def test_empty_interior_overflow_matches_fraction_oracle(box):
     with pytest.raises(OverflowError) as got:
         verify_empty_interior(UNIT_DISK, 10, 0, box=box)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", [0, -5, 7, 2**64 + 3])
+def test_splitmix64_word_by_index_matches_stream(seed):
+    rng = orbit.splitmix64(seed)
+    for k in range(5000):
+        assert orbit._word(seed, k) == next(rng)
+
+
+def test_empty_interior_infinite_term_raises_before_sampling():
+    # b * x overflows to inf at the box's far end: (c - b x)**2 is inf there
+    # without an exception, and some sample inside could overflow instead
+    tiny = (sphere((QNum(0), QNum(0)), Fraction(1, 10**200)),)
+    with pytest.raises(OverflowError, match="wall 1"):
+        verify_empty_interior(tiny, 10, 0, box=((0, 10**200), (0, 1)))
+
+
+def test_empty_interior_screen_sums_left_to_right():
+    # 2/3 * 3e16 + 1/3 * 3 - 2/3 * 3e16: summed left to right the 1 is lost
+    # (sum() gives 0.0 on CPython 3.10 and 3.11, 1.0 from 3.12 on)
+    line = hyperplane((Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)), Fraction(1, 2))
+    big = 3 * 10**16
+    box = ((big, big), (3, 3), (-big, -big))
+    terms = [2 / 3 * big, 1 / 3 * 3, 2 / 3 * -big]
+    assert (terms[0] + terms[1]) + terms[2] == 0.0
+    assert math.fsum(terms) == 1.0
+    # the exact point is interior (2/3 big + 1 - 2/3 big = 1 > 1/2), but the
+    # float screen sees 0 - 1/2 and rejects it on every Python version
+    assert interior_contains(line, (big, 3, -big))
+    want, _ = empty_interior_oracle((line,), 5, 0, box)
+    assert (want.verdict, want.exact_checks) == (True, 0)
+    assert verify_empty_interior((line,), 5, 0, box=box) == want
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def sampler_walls(draw):
+    n = draw(st.integers(2, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["ball", "outward", "line"]))
+        if kind == "line":
+            k = draw(st.integers(0, n - 1))
+            normal = [0] * n
+            if draw(st.booleans()):
+                normal[k] = draw(st.sampled_from([1, -1]))
+            else:  # a unit normal off the axes
+                normal[k], normal[(k + 1) % n] = Fraction(3, 5), Fraction(-4, 5)
+            distance = Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+            rows.append(hyperplane(normal, distance, draw(st.sampled_from([1, -1]))))
+        else:
+            center = [draw(small_fractions) for _ in range(n)]
+            radius = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 3)))
+            rows.append(sphere(center, radius if kind == "ball" else -radius))
+    box = []
+    for _ in range(n):
+        lo = draw(small_fractions)
+        hi = draw(st.one_of(small_fractions, st.just(lo)))  # reversed or degenerate too
+        box.append((lo, hi))
+    return tuple(rows), tuple(box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    walls=sampler_walls(),
+    seed=st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64, 2**66)),
+    samples=st.integers(1, 120),
+)
+def test_empty_interior_matches_fraction_oracle_on_random_walls(walls, seed, samples):
+    rows, box = walls
+    want, _ = empty_interior_oracle(rows, samples, seed, box)
+    assert verify_empty_interior(rows, samples, seed, box=box) == want
