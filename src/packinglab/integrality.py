@@ -243,9 +243,14 @@ def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
     """Spot-check that conjugated bend matrices stay bounded rational.
 
     Every bend matrix of a mirror word is V . R_word . V^-1 with R_word
-    integral, so entry denominators divide lcm-den(V) * lcm-den(V^-1).
-    Random seeded words verify the bound empirically; the identity word
-    is always included.
+    integral.  With L1 = lcm-den(V) and L2 = lcm-den(V^-1), L1 V and
+    L2 V^-1 are integral, so L1 L2 times the bend matrix is an integral
+    product and every entry denominator divides ``derived_bound`` =
+    L1 * L2 (the product, which can exceed lcm(L1, L2)).  Random seeded
+    words verify the bound empirically; the identity word is always
+    included.  The products run through ``_matrix.mat_mul``, on integers
+    over the field of the entries (rational for an integral basis, so
+    plain integer arithmetic).
     """
     rows = _checked_rows(basis, "basis")
     if len(rows) != len(rows[0]):
@@ -259,9 +264,8 @@ def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
             raise ValueError("mirror %d has a non-integral reflection matrix" % (k + 1))
         reflections.append(r)
 
-    bound = math.lcm(
-        *(e.denominator for row in v for e in row),
-        *(e.denominator for row in v_inv for e in row),
+    bound = math.lcm(*(e.denominator for row in v for e in row)) * math.lcm(
+        *(e.denominator for row in v_inv for e in row)
     )
     rng = splitmix64(seed)
     observed = 1

@@ -503,27 +503,43 @@ class EmptyInteriorReport:
 
 
 def _derived_box(rows):
-    lo = None
-    hi = None
-    n = len(rows[0]) - 2
-    for r in rows:
-        b = r[1]
-        if b.sign() <= 0:
-            continue  # lines and outward circles do not bound a box
-        radius = b.inverse()
-        center = [bz / b for bz in r[2:]]
-        clo = [(c - radius)._bounds(64)[0] for c in center]
-        chi = [(c + radius)._bounds(64)[1] for c in center]
+    """Per coordinate (lo, hi) Fractions enclosing every wall with b > 0.
+
+    With a wall row encoded as x / D over one field and b = u / D, the
+    reciprocal 1/u = w / m gives its box ends (bz_j -+ 1) / b as
+    (x_j -+ D) * w / m, and each end is rounded outward to the enclosure
+    of that number at 64 bits: the same Fractions as ``QNum._bounds(64)``
+    of the canonical number, since the enclosure scales with its
+    coefficients.
+    """
+    balls = [r for r in rows if r[1].sign() > 0]  # lines and outward circles do not bound a box
+    if not balls:
+        raise ValueError(
+            "no interior-bounding circle to derive a sample box from; "
+            "pass box= explicitly"
+        )
+    field = _Field(balls)
+    d, radicands, multiply = field.d, field.radicands, field.multiply
+    lo = hi = None
+    for r in balls:
+        key = field.encode(r)
+        den = key[-1]
+        w, m = field.reciprocal(key[d:2 * d])
+        if m < 0:
+            w, m = [-c for c in w], -m
+        scale = m << 64
+        clo, chi = [], []
+        for j in range(2 * d, len(key) - 1, d):
+            x = list(key[j:j + d])
+            x[0] -= den  # radicand 1 is the first basis element
+            clo.append(Fraction(_enclose(radicands, multiply(x, w), 64)[0], scale))
+            x[0] += 2 * den
+            chi.append(Fraction(_enclose(radicands, multiply(x, w), 64)[1], scale))
         if lo is None:
             lo, hi = clo, chi
         else:
             lo = [min(a, b2) for a, b2 in zip(lo, clo)]
             hi = [max(a, b2) for a, b2 in zip(hi, chi)]
-    if lo is None:
-        raise ValueError(
-            "no interior-bounding circle to derive a sample box from; "
-            "pass box= explicitly"
-        )
     return tuple((a, b2) for a, b2 in zip(lo, hi))
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,20 @@ def test_bounded_rational_bi1():
     assert report.observed_max_denominator == 1
     assert report.ok
     assert report.derived_bound == 2  # V inverse has halves; B still integral
+
+
+def test_bounded_rational_bound_is_the_product_of_the_lcms():
+    # dilated by 3, V has thirds and V^-1 sixths: lcm(3, 6) = 6 < 3 * 6,
+    # and a word reaches denominator 9, above the lcm and within the product
+    basis = rescale(BI1, 3)
+    v_inv = integrality.mat_inverse(basis)
+    l1 = math.lcm(*(e.denominator for row in basis for e in row))
+    l2 = math.lcm(*(e.denominator for row in v_inv for e in row))
+    assert (l1, l2) == (3, 6)
+    report = check_bounded_rational(basis, BI1, word_count=6, word_length=5, seed=1)
+    assert report.derived_bound == l1 * l2 == 18
+    assert report.observed_max_denominator == 9 > math.lcm(l1, l2)
+    assert report.ok
 
 
 def test_bounded_rational_rejects_non_integral_reflection():

@@ -748,6 +748,45 @@ def assert_sampler_matches_oracle(rows, sample_count, seed, box):
     return got
 
 
+def qnum_derived_box(rows):
+    # the box in QNum arithmetic: 1/b, the center bz/b and the enclosure
+    # of center -+ radius at 64 bits, per wall with b > 0
+    lo = hi = None
+    for r in rows:
+        b = r[1]
+        if b.sign() <= 0:
+            continue
+        radius = b.inverse()
+        center = [bz / b for bz in r[2:]]
+        clo = [(c - radius)._bounds(64)[0] for c in center]
+        chi = [(c + radius)._bounds(64)[1] for c in center]
+        if lo is None:
+            lo, hi = clo, chi
+        else:
+            lo = [min(a, b2) for a, b2 in zip(lo, clo)]
+            hi = [max(a, b2) for a, b2 in zip(hi, chi)]
+    return tuple((a, b2) for a, b2 in zip(lo, hi))
+
+
+@pytest.mark.parametrize("entry_id", catalog.list_builtin())
+def test_derived_box_matches_qnum_oracle(entry_id):
+    rows = catalog.get_builtin(entry_id).configuration.rows
+    assert orbit._derived_box(rows) == qnum_derived_box(rows)
+
+
+def test_derived_box_irrational_and_negative_reciprocals():
+    # bends 1 + sqrt(2) and sqrt(2) - 3: an irrational 1/b, and one whose
+    # conjugate product is negative
+    rows = (
+        sphere((QNum("1/3"), R2), (R2 - 1)),
+        sphere((R2, QNum(-2)), QNum(1) / (R2 + 3)),
+        sphere((QNum(0), QNum(0)), QNum(-5)),
+    )
+    assert orbit._derived_box(rows) == qnum_derived_box(rows)
+    with pytest.raises(ValueError, match="no interior-bounding circle"):
+        orbit._derived_box(rows[2:])
+
+
 @pytest.mark.parametrize("seed,samples", [(0, 400), (-5, 400), (7, 2000)])
 @pytest.mark.parametrize("entry_id", catalog.list_builtin())
 def test_empty_interior_matches_fraction_oracle_on_builtins(entry_id, seed, samples):
