@@ -43,9 +43,10 @@ and the render compare enclosures.
 
 For bulk work on many rows over one field, ``_Field`` fixes a
 multiquadratic basis and writes each row as integers over that basis
-with one common denominator; orbit generation, the Gram matrix and the
-render run on that encoding (the render also multiplies and takes
-reciprocals in it).  ``_Field.reciprocal`` is the one inverse:
+with one common denominator; orbit generation, the Gram matrix, the
+render, the sampler's box and the matrix kernels (``_matrix.mat_mul``
+and ``rref``) run on that encoding (the render, the box and the
+kernels also multiply and take reciprocals in it).  ``_Field.reciprocal`` is the one inverse:
 ``QNum.inverse`` runs it over the field of the value's own radicands.
 Orbit rows stay encoded through the TSV and the render, and are decoded
 to QNums only where a caller asks for them; the Gram decodes each entry

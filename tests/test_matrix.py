@@ -1,5 +1,4 @@
 import io
-import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -297,18 +296,3 @@ def test_certificates_match_oracle_on_builtins(monkeypatch, entry_id):
         slow = outcomes()
     assert fast == slow
 
-
-def test_certificates_compared_include_proofs():
-    # the comparison above meets proofs, not only errors
-    verdicts = set()
-    for entry_id in catalog.list_builtin():
-        status, out, _ = _run(["prove-nonintegral", "--config", "builtin:" + entry_id])
-        if status == 0:
-            verdicts.add(json.loads(out)["verdict"])
-    assert "nonintegral-proven" in verdicts
-    status, out, _ = _run(
-        ["check-integrality", "--config", "builtin:bi1-cluster3", "--cluster", "3", "--seed", "0"]
-    )
-    assert status == 0 and json.loads(out)["certificate"]["verdict"] == "integral-proven"
-    status, out, _ = _run(["growth-probe", "--config", "builtin:bi1-cluster3", "--word", "2.1"])
-    assert status == 0
