@@ -6,6 +6,13 @@ a free-text source note.  Entries are validated on construction: every row
 must have norm -1, a stored Gram must match the computed one cell for cell,
 and cluster labels must name actual rows.
 
+``from_json`` reads a document through one literal table: each distinct
+literal (a string, or a JSON int) is scanned once into a QNum, which every
+row cell and Gram cell spelling it shares (QNums are immutable).  The table
+lives for one call; nothing is cached between loads.  The stored Gram's
+literals are scanned only after the rows have been proved, so a bad row
+is reported before a bad Gram literal.
+
 The JSON schema is {id, n, d, rows, labels, words, gram, clusters, source},
 in that order.  Scalars use the exact-literal grammar of exactnum; `n` is
 the ambient dimension (rows carry n+2 coordinates); `d` is the quadratic
@@ -54,7 +61,10 @@ class CatalogEntry:
     def __post_init__(self):
         cfg = self.configuration
         if self.gram is not None:
-            stored = tuple(tuple(QNum(c) for c in row) for row in self.gram)
+            # the cells are QNums already (from_json scans the literals)
+            stored = tuple(tuple(row) for row in self.gram)
+            if not all(isinstance(c, QNum) for row in stored for c in row):
+                raise TypeError("gram cells must be QNums")
             object.__setattr__(self, "gram", stored)
             computed = cfg.gram()
             bad = _gram_mismatch(computed, stored)
@@ -88,11 +98,23 @@ class CatalogEntry:
         return self.configuration.gram()
 
 
-def _parse_rows(doc):
+def _literal(table, c):
+    """QNum(c), scanned once per distinct string or int literal of the
+    document whose table this is; any other JSON value goes to QNum as
+    it is, to raise its usual error."""
+    if type(c) is not str and type(c) is not int:
+        return QNum(c)
+    q = table.get(c)
+    if q is None:
+        q = table[c] = QNum(c)
+    return q
+
+
+def _parse_rows(doc, table):
     rows = []
     for i, row in enumerate(doc["rows"]):
         try:
-            rows.append(tuple(QNum(c) for c in row))
+            rows.append(tuple(_literal(table, c) for c in row))
         except ValueError as err:
             raise ValueError("row %d: %s" % (i, err)) from err
     return tuple(rows)
@@ -108,7 +130,8 @@ def from_json(text: str) -> CatalogEntry:
     extra = [k for k in doc if k not in SCHEMA_FIELDS]
     if extra:
         raise ValueError("unknown fields: %s" % ", ".join(sorted(extra)))
-    rows = _parse_rows(doc)
+    table = {}
+    rows = _parse_rows(doc, table)
     for i, row in enumerate(rows):
         if len(row) != doc["n"] + 2:
             raise ValueError(
@@ -122,11 +145,13 @@ def from_json(text: str) -> CatalogEntry:
         form_d=doc["d"],
         defining_words=None if doc["words"] is None else tuple(doc["words"]),
     )
-    # CatalogEntry parses the Gram's literals and makes the clusters tuples
+    gram = doc["gram"]
+    if gram is not None:
+        gram = tuple(tuple(_literal(table, c) for c in row) for row in gram)
     return CatalogEntry(
         id=doc["id"],
         configuration=cfg,
-        gram=doc["gram"],
+        gram=gram,
         clusters=doc["clusters"],
         source=doc["source"],
     )
@@ -169,9 +194,10 @@ def _data_dir():
 
 
 def list_builtin() -> tuple:
-    base = _data_dir()
+    """The ids of the data directory's ``<id>.json`` files, sorted."""
     try:
-        names = [p.name for p in base.iterdir()]
+        with os.scandir(_data_dir()) as found:
+            names = [p.name for p in found if p.is_file()]
     except (FileNotFoundError, NotADirectoryError):
         return ()
     return tuple(sorted(
@@ -180,16 +206,17 @@ def list_builtin() -> tuple:
 
 
 def get_builtin(entry_id: str) -> CatalogEntry:
-    base = _data_dir()
-    target = base.joinpath(entry_id + ".json")
-    try:
-        text = target.read_text(encoding="utf-8")
-    except FileNotFoundError:
+    """The entry of a listed id, proved from its file on every call.
+
+    Only ids that ``list_builtin`` lists are read, so an id cannot name
+    a path outside the data directory; any other id is a KeyError.
+    """
+    available = list_builtin()
+    if entry_id not in available:
         raise KeyError(
-            "no catalog entry %r; available: %s"
-            % (entry_id, ", ".join(list_builtin()))
-        ) from None
-    return from_json(text)
+            "no catalog entry %r; available: %s" % (entry_id, ", ".join(available))
+        )
+    return from_json(_data_dir().joinpath(entry_id + ".json").read_text(encoding="utf-8"))
 
 
 @dataclasses.dataclass(frozen=True)

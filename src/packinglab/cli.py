@@ -43,6 +43,12 @@ EPILOG = (
     "Configurations: builtin:<id> or a catalog JSON path.  Set "
     "PACKINGLAB_CATALOG to use a different builtin data directory."
 )
+# the OrbitLimits contract, for pack, super and render
+MAX_BEND_HELP = (
+    "keep the circles reached through circles with |bend| <= this; with a "
+    "mirror of negative bend that can miss some orbit circles of |bend| <= "
+    "it (negative disables the bound)"
+)
 
 
 def _load_entry(spec):
@@ -366,7 +372,7 @@ def _add_out(p):
 def _add_orbit_args(p):
     p.add_argument("--cluster", required=True, type=_labels_arg, help="comma-separated row labels")
     p.add_argument("--generations", type=int, default=6)
-    p.add_argument("--max-bend", type=int, default=10_000, help="negative disables the bound")
+    p.add_argument("--max-bend", type=int, default=10_000, help=MAX_BEND_HELP)
 
 
 def _build_parser():
@@ -465,7 +471,7 @@ def _build_parser():
     p.add_argument("--config", help="render this entry's cluster orbit plus cocluster")
     p.add_argument("--cluster", type=_labels_arg, help="cluster labels for --config mode")
     p.add_argument("--generations", type=int, default=4)
-    p.add_argument("--max-bend", type=int, default=10_000)
+    p.add_argument("--max-bend", type=int, default=10_000, help=MAX_BEND_HELP)
     p.add_argument("--labels", choices=("none", "bends", "labels"), default="none")
     p.add_argument("--viewport", type=_viewport_arg, help="xlo,xhi,ylo,yhi (rationals)")
     p.add_argument("--max-circles", type=int)

@@ -70,8 +70,28 @@ def norm(v) -> QNum:
 
 
 def is_wall(v) -> bool:
-    """True iff the vector is normalized to norm -1."""
-    return norm(v) == MINUS_ONE
+    """True iff the vector is normalized to norm -1 (``key_is_wall`` on
+    its key over its own field)."""
+    v = as_vector(v)
+    field = _Field((v,))
+    return key_is_wall(field, field.encode(v))
+
+
+def key_is_wall(field, key) -> bool:
+    """True iff the row encoded as x / D over the field has norm -1.
+
+    This is the Gram's diagonal formula read off the key's own
+    coefficients: 2<v, v> D^2 = 2 x_0 x_1 - 2 sum_{i>=2} x_i^2, products
+    taken in the field, so the row is a wall exactly when x_0 x_1 -
+    sum x_i^2 has coefficients (-D^2, 0, ..., 0).
+    """
+    d = field.d
+    total = field.multiply(key[:d], key[d:2 * d])
+    for i in range(2 * d, len(key) - 1, d):
+        x = key[i:i + d]
+        for c, t in enumerate(field.multiply(x, x)):
+            total[c] -= t
+    return total[0] == -key[-1] ** 2 and not any(total[1:])
 
 
 def sphere(center, radius) -> tuple:
@@ -164,8 +184,10 @@ def form_functional(field, key) -> tuple:
     """
     d, product = field.d, field.product
     y = key[:-1]
-    functionals = [{} for _ in range(d)]
-    # 2<v,m> = v0 m1 + v1 m0 - 2 sum_{i>=2} vi mi: (v slot, m slot, weight)
+    functionals = [[] for _ in range(d)]
+    # 2<v,m> = v0 m1 + v1 m0 - 2 sum_{i>=2} vi mi: (v slot, m slot, weight).
+    # Each v slot meets one m coordinate, and sqrt(r_a) sqrt(r_b) lands on
+    # a different basis element for each b, so no (c, slot) repeats.
     pairs = [(0, 1, 1), (1, 0, 1)] + [(i, i, -2) for i in range(2, len(y) // d)]
     for i, j, weight in pairs:
         for b in range(d):
@@ -173,19 +195,18 @@ def form_functional(field, key) -> tuple:
             if coeff:
                 for a in range(d):
                     c, g = product[a][b]
-                    slot = i * d + a
-                    functionals[c][slot] = functionals[c].get(slot, 0) + g * coeff
-    return tuple(
-        tuple((s, w) for s, w in functional.items() if w) for functional in functionals
-    )
+                    functionals[c].append((i * d + a, g * coeff))
+    return tuple(tuple(functional) for functional in functionals)
 
 
 def gram(rows) -> _matrix.Matrix:
     """Pairwise inner products of a configuration (symmetric, exact).
 
-    The rows are encoded over one integer field basis; each row's
-    2<., m> is compiled once (form_functional), and each cell is
-    evaluated on integers and decoded once into a canonical QNum.
+    The rows are encoded over one integer field basis, and each row
+    keeps the list of its nonzero key slots.  Each row's 2<., m> is
+    compiled once (form_functional) and indexed by slot, so a cell sums
+    only over the other row's nonzero slots, on integers, and is decoded
+    once into a canonical QNum.
     """
     rows = tuple(as_vector(r) for r in rows)
     for w in rows:
@@ -193,13 +214,21 @@ def gram(rows) -> _matrix.Matrix:
             raise ValueError(f"dimension mismatch: {len(rows[0])} vs {len(w)}")
     field = _Field(rows)
     keys = [field.encode(r) for r in rows]
+    nonzero = [[(s, x) for s, x in enumerate(key[:-1]) if x] for key in keys]
+    d = field.d
     out = [[None] * len(rows) for _ in rows]
     for j, m in enumerate(keys):
-        functionals = form_functional(field, m)
+        # slot -> ((basis element c, weight), ...) of m's functionals
+        by_slot = {}
+        for c, functional in enumerate(form_functional(field, m)):
+            for s, w in functional:
+                by_slot.setdefault(s, []).append((c, w))
         for i in range(j + 1):
-            v = keys[i]
-            t = tuple(sum([v[s] * w for s, w in f]) for f in functionals)
-            out[i][j] = out[j][i] = field.number(t, 2 * v[-1] * m[-1])
+            t = [0] * d
+            for s, x in nonzero[i]:
+                for c, w in by_slot.get(s, ()):
+                    t[c] += x * w
+            out[i][j] = out[j][i] = field.number(tuple(t), 2 * keys[i][-1] * m[-1])
     return tuple(tuple(r) for r in out)
 
 

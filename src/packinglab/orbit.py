@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import QNum, _enclose, _Field, _scan
-from .geometry import as_vector, form_functional, inner, interior_contains, is_wall
+from .geometry import as_vector, form_functional, inner, interior_contains, key_is_wall
 from .groupwords import Configuration
 
 _MASK64 = (1 << 64) - 1
@@ -100,6 +100,15 @@ class OrbitLimits:
     a nonnegative int, not a bool.  ``max_bend`` is None, which disables
     the bend filter, or a nonnegative int, Fraction or QNum.  Anything
     else raises ValueError.
+
+    The bend bound B prunes the search: an image with |bend| > B is
+    neither kept nor reflected (the cluster circles are always kept).  So
+    the orbit holds the circles reached through circles with |bend| <= B.
+    Once a mirror has negative bend, that need not be every orbit circle
+    of |bend| <= B within the generation bound: on d3n13 {34}, whose
+    mirror 35 has bend (sqrt(2)-sqrt(6))/2, 8 of the 102 circles of
+    |bend| <= 20 within 3 generations are reached only through a larger
+    bend, among them word 13.20.1 of bend 44*sqrt(2)-19*sqrt(6).
     """
 
     max_generation: int = 6
@@ -185,9 +194,17 @@ class PackingOrbit:
 
 
 def _checked_rows(rows, what):
+    """The rows as inversive vectors, each proved to have norm -1.
+
+    The rows are encoded over one field, and each key is checked on its
+    own coefficients by ``geometry.key_is_wall``, the check ``is_wall``
+    makes.  Rows are checked one by one, so their lengths may differ;
+    the error names the first failing row, counting from 1.
+    """
     out = tuple(as_vector(r) for r in rows)
+    field = _Field(out)
     for i, r in enumerate(out):
-        if not is_wall(r):
+        if not key_is_wall(field, field.encode(r)):
             raise ValueError("%s row %d does not have norm -1" % (what, i + 1))
     return out
 

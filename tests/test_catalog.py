@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -174,3 +175,39 @@ def test_builtin_lookup_uses_env_override(tmp_path, monkeypatch):
 def test_env_override_replaces_rather_than_extends(tmp_path, monkeypatch):
     monkeypatch.setenv("PACKINGLAB_CATALOG", str(tmp_path / "absent"))
     assert catalog.list_builtin() == ()
+
+
+def test_builtin_ids_cannot_leave_the_data_directory(tmp_path, monkeypatch):
+    with pytest.raises(KeyError, match=r"no catalog entry '\.\./catalog/d3n3'; available: bi1"):
+        catalog.get_builtin("../catalog/d3n3")
+    base = tmp_path / "catalog"
+    (base / "sub").mkdir(parents=True)
+    (base / "folder.json").mkdir()
+    catalog.save(tangent_entry(), base / "tangent4.json")
+    catalog.save(tangent_entry(), base / "sub" / "tangent4.json")
+    catalog.save(tangent_entry(), tmp_path / "outside.json")
+    monkeypatch.setenv("PACKINGLAB_CATALOG", str(base))
+    assert catalog.list_builtin() == ("tangent4",)
+    for entry_id in ("../outside", "sub/tangent4", str(tmp_path / "outside"), "folder", "./tangent4"):
+        with pytest.raises(KeyError, match=r"^\"no catalog entry .*; available: tangent4\"$"):
+            catalog.get_builtin(entry_id)
+    assert catalog.get_builtin("tangent4").id == "tangent4"
+
+
+def test_each_load_reads_its_file_again(tmp_path, monkeypatch):
+    # nothing survives a load: an edit between two loads is seen
+    shutil.copytree(catalog._data_dir(), tmp_path, dirs_exist_ok=True)
+    monkeypatch.setenv("PACKINGLAB_CATALOG", str(tmp_path))
+    path = tmp_path / "d3n3.json"
+    first = catalog.get_builtin("d3n3")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["source"] = "edited"
+    doc["gram"][0][2] = doc["gram"][2][0] = "1/2*sqrt(4)"  # the same value, spelled anew
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    second = catalog.get_builtin("d3n3")
+    assert second.source == "edited" and first.source != "edited"
+    assert second.gram == first.gram
+    doc["gram"][0][2] = "2"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^gram mismatch at cell \(0, 2\): stored 2, computed 1$"):
+        catalog.get_builtin("d3n3")

@@ -202,9 +202,34 @@ def field_rows(draw):
     return draw(st.lists(row, min_size=1, max_size=4))
 
 
+@st.composite
+def sparse_field_rows(draw):
+    # mostly-zero rows: the Gram sums only over nonzero key slots
+    size = draw(st.integers(min_value=3, max_value=8))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        row = [ZERO] * size
+        for k in draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=2, unique=True)):
+            row[k] = draw(field_scalars)
+        rows.append(tuple(row))
+    return rows
+
+
 @settings(max_examples=100, deadline=None)
-@given(field_rows())
+@given(st.one_of(field_rows(), sparse_field_rows()))
 def test_gram_matches_inner_oracle_on_field_rows(rows):
+    assert_gram_matches_oracle(rows)
+
+
+def test_gram_matches_inner_oracle_on_single_nonzero_coordinates():
+    rows = [
+        qv(0, 0, 0, 0, 1),
+        qv(0, 0, sqrt(3), 0, 0),
+        qv(Fraction(1, 2), 0, 0, 0, 0),
+        qv(0, sqrt(6) / 4, 0, 0, 0),
+        qv(0, 0, 0, 0, 0),
+        geometry.hyperplane((0, 0, 1), 0),
+    ]
     assert_gram_matches_oracle(rows)
 
 

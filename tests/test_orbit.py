@@ -114,6 +114,27 @@ def test_limits_accept_max_bend(max_bend):
         assert all(abs(c.vector[1]) <= max_bend for c in got.circles if c.generation)
 
 
+def test_max_bend_keeps_what_is_reached_through_small_bends():
+    # d3n13 {34}: the mirror 35 has bend (sqrt(2)-sqrt(6))/2 < 0, so bends
+    # can fall from parent to child, and 8 of the 102 circles of |bend| <=
+    # 20 within 3 generations are reached only through a larger bend
+    entry = catalog.get_builtin("d3n13")
+    cluster, cocluster, _, _ = entry.configuration.split(("34",))
+    full = generate_packing(cluster, cocluster, OrbitLimits(max_generation=3, max_bend=None))
+    small = {c.word: c for c in full.circles if abs(c.vector[1]) <= 20}
+    assert len(small) == 102
+    for generations in (3, 5):
+        bounded = generate_packing(cluster, cocluster, OrbitLimits(generations, max_bend=20))
+        kept = {c.vector for c in bounded.circles}
+        missed = sorted(w for w, c in small.items() if c.vector not in kept)
+        assert missed == sorted([
+            "13.20.1", "13.16.13.1", "13.19.13.1", "13.19.16.1",
+            "13.2.20.1", "13.7.20.1", "21.13.20.1", "13.19.22.1",
+        ])
+    assert str(small["13.20.1"].vector[1]) == "44*sqrt(2)-19*sqrt(6)"
+    assert str(entry.configuration.rows[entry.configuration.position("35")][1]) == "1/2*sqrt(2)-1/2*sqrt(6)"
+
+
 def closure_oracle(cluster, mirrors, max_bend, rounds):
     # independent quadratic closure: reflect everything in everything,
     # a fixed number of rounds (a pure bend-bounded fixpoint need not
