@@ -514,7 +514,9 @@ class _Field:
             )
             for ra in self.radicands
         )
+        # caches of the values and the literals of numbers read so far
         self._numbers = {}
+        self._literals = {}
 
     def encode(self, row):
         """The key of a row of QNums."""
@@ -596,15 +598,14 @@ class _Field:
             q = self._numbers[coeffs, den] = QNum._make(*_lowest(self.radicands, coeffs, den))
         return q
 
-    def row_text(self, key, texts):
-        """``str`` of each coordinate of an encoded row, joined by commas.
-        texts is the caller's cache, per denominator, of the literals
-        formatted so far: each distinct (den, coefficients) is formatted
-        once."""
+    def row_text(self, key):
+        """``str`` of each coordinate of an encoded row, joined by commas:
+        the row as the orbit TSV prints it.  Each distinct (den,
+        coefficients) is formatted once per field."""
         d, den = self.d, key[-1]
-        known = texts.get(den)
+        known = self._literals.get(den)
         if known is None:
-            known = texts[den] = _Literals(self.radicands, den)
+            known = self._literals[den] = _Literals(self.radicands, den)
         return ",".join([known[key[i:i + d]] for i in range(0, len(key) - 1, d)])
 
 

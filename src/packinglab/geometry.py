@@ -202,18 +202,30 @@ def form_functional(field, key) -> tuple:
 def gram(rows) -> _matrix.Matrix:
     """Pairwise inner products of a configuration (symmetric, exact).
 
-    The rows are encoded over one integer field basis, and each row
-    keeps the list of its nonzero key slots.  Each row's 2<., m> is
-    compiled once (form_functional) and indexed by slot, so a cell sums
-    only over the other row's nonzero slots, on integers, and is decoded
-    once into a canonical QNum.
+    The rows are encoded over one integer field basis, each distinct
+    coordinate object placed once, and each row keeps the list of its
+    nonzero key slots.  Each row's 2<., m> is compiled once
+    (form_functional) and indexed by slot, so a cell sums only over the
+    other row's nonzero slots, on integers, and is decoded once into a
+    canonical QNum.
     """
     rows = tuple(as_vector(r) for r in rows)
     for w in rows:
         if len(w) != len(rows[0]):
             raise ValueError(f"dimension mismatch: {len(rows[0])} vs {len(w)}")
     field = _Field(rows)
-    keys = [field.encode(r) for r in rows]
+    # a catalog load shares one QNum per distinct literal, so each
+    # distinct object is placed over the field once
+    placed = {}
+    keys = []
+    for r in rows:
+        numbers = []
+        for q in r:
+            number = placed.get(id(q))
+            if number is None:
+                number = placed[id(q)] = field.place(q.radicands, q.coeffs, q.den)
+            numbers.append(number)
+        keys.append(field.join(numbers))
     nonzero = [[(s, x) for s, x in enumerate(key[:-1]) if x] for key in keys]
     d = field.d
     out = [[None] * len(rows) for _ in rows]

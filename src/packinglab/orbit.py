@@ -50,10 +50,14 @@ number a reflected first in mirror m_1, then m_2, and so on.
 
 Orbits serialize to tab-separated text, one circle per line:
 ``generation <tab> word <tab> (coord,coord,...)`` with coordinates in
-canonical exact form, ``str`` of each QNum.  ``export_tsv`` prints them
-from the keys with ``exactnum._format``, and ``parse_tsv`` scans them
-back into integers and keys over one field of the file's radicands;
-neither goes through QNum.
+canonical exact form, ``str`` of each QNum; ``OrbitCircle.text`` is the
+part between the parentheses.  ``export_tsv`` prints it, formatted from
+the keys with ``exactnum._format`` (each distinct number once per
+field), and ``parse_tsv`` scans the literals back into integers and keys
+over one field of the file's radicands; neither goes through QNum.
+``parse_tsv`` checks each distinct literal once, when it first scans
+it, against ``_format`` of its number: a row whose literals all match
+keeps the file's own text, so a canonical file is not formatted again.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QNum, _enclose, _Field, _scan
+from .exactnum import QNum, _enclose, _Field, _format, _scan
 from .geometry import as_vector, form_functional, inner, interior_contains, key_is_wall
 from .groupwords import Configuration
 
@@ -142,22 +146,36 @@ class OrbitCircle:
     decoded from the key on first access.  ``key`` and ``field`` are None
     on a circle built from a vector.  Equality and hashing are on
     (vector, generation, word).
+
+    ``text`` is the row as ``export_tsv`` prints it between the
+    parentheses: ``str`` of each coordinate, joined by commas.  A circle
+    that ``parse_tsv`` read from a row of canonical literals keeps that
+    row's own text; any other circle formats it from its key (each
+    distinct number once per field) or its vector when it is read.
     """
 
-    __slots__ = ("_vector", "generation", "word", "key", "field")
+    __slots__ = ("_vector", "generation", "word", "key", "field", "_text")
 
     def __init__(self, vector, generation, word):
         self._vector = vector
         self.generation = generation
         self.word = word
-        self.key = self.field = None
+        self.key = self.field = self._text = None
 
     @classmethod
-    def _encoded(cls, field, key, generation, word):
+    def _encoded(cls, field, key, generation, word, text=None):
         self = object.__new__(cls)
         self._vector, self.generation, self.word = None, generation, word
-        self.field, self.key = field, key
+        self.field, self.key, self._text = field, key, text
         return self
+
+    @property
+    def text(self):
+        if self._text is not None:
+            return self._text
+        if self.field is None:
+            return ",".join([str(q) for q in self._vector])
+        return self.field.row_text(self.key)
 
     @property
     def vector(self):
@@ -425,20 +443,9 @@ def orbit_stats(orbit):
 
 
 def export_tsv(orbit):
-    """The orbit as text, one line per circle (see the module docstring).
-
-    A coordinate is printed as ``str`` of the exact number.  For circles
-    that carry a key it is formatted from the key's integers, each
-    distinct (denominator, coefficients) once per field.
-    """
-    texts = {}  # field -> the row_text cache over it
-    lines = []
-    for c in orbit.circles:
-        if c.field is None:
-            coords = ",".join(str(q) for q in c.vector)
-        else:
-            coords = c.field.row_text(c.key, texts.setdefault(c.field, {}))
-        lines.append("%d\t%s\t(%s)" % (c.generation, c.word, coords))
+    """The orbit as text, one line per circle (see the module docstring):
+    each circle's ``text`` between parentheses."""
+    lines = ["%d\t%s\t(%s)" % (c.generation, c.word, c.text) for c in orbit.circles]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -447,17 +454,24 @@ def parse_tsv(text):
 
     Each distinct coordinate text is scanned once into integers, and the
     rows are encoded over one exactnum._Field of the file's radicands, so
-    the circles carry keys and decode their vectors only when read.  A
-    malformed line raises ValueError naming it: a wrong field count, a
-    generation that is not a nonnegative integer, a coordinate literal
-    outside the grammar (with the scanner's message and position), fewer
-    than 3 coordinates, or a row length unlike the first row's.
+    the circles carry keys and decode their vectors only when read.  When
+    a literal is first scanned it is also checked to be canonical, the
+    text ``str`` gives for its number; a row whose literals all are keeps
+    the file's own text as its circle's ``text``, and any other row's text
+    is formatted from its key when read, so export_tsv and render never
+    see a non-canonical spelling.  A malformed line raises ValueError
+    naming it: a wrong field count, a generation that is not a string of
+    ASCII digits, a coordinate literal outside the grammar (with the
+    scanner's message and position), fewer than 3 coordinates, or a row
+    length unlike the first row's.
     """
     scanned = {}  # coordinate text -> its index in numbers
     numbers = []
+    noncanonical = set()  # literals scanned so far that str spells otherwise
     # per line, few objects for the collector to trace: the generations,
-    # the words, and the coordinates' indices in numbers in one flat list
-    generations, words, flat = [], [], []
+    # the words, the row texts (None when not canonical) and the
+    # coordinates' indices in numbers in one flat list
+    generations, words, texts, flat = [], [], [], []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.isspace():
@@ -466,18 +480,16 @@ def parse_tsv(text):
         if len(parts) != 3:
             raise ValueError("orbit line %d: expected 3 tab fields" % lineno)
         gen, word, coords = parts
-        try:
-            generation = int(gen)
-        except ValueError:
-            generation = -1
-        if generation < 0:
+        # int() would also take "+3", " 3", "1_0" and other scripts' digits
+        if not (gen.isascii() and gen.isdigit()):
             raise ValueError(
                 "orbit line %d: generation must be a nonnegative integer, got %r"
                 % (lineno, gen)
             )
         if not (coords.startswith("(") and coords.endswith(")")):
             raise ValueError("orbit line %d: malformed coordinate tuple" % lineno)
-        row = coords[1:-1].split(",")
+        inner = coords[1:-1]
+        row = inner.split(",")
         if len(row) != width:
             if len(row) < 3:
                 raise ValueError(
@@ -493,19 +505,25 @@ def parse_tsv(text):
             i = scanned.get(part)
             if i is None:
                 try:
-                    numbers.append(_scan(part))
+                    number = _scan(part)
                 except ValueError as e:
                     raise ValueError("orbit line %d: %s" % (lineno, e)) from None
-                i = scanned[part] = len(numbers) - 1
+                if _format(*number) != part:
+                    noncanonical.add(part)
+                i = scanned[part] = len(numbers)
+                numbers.append(number)
             flat.append(i)
-        generations.append(generation)
+        generations.append(int(gen))
         words.append(word)
+        texts.append(inner if not noncanonical or noncanonical.isdisjoint(row) else None)
     field = _Field.over(k for radicands, _, _ in numbers for k in radicands)
     numbers = [field.place(*number) for number in numbers]
     flat = [numbers[i] for i in flat]
     return tuple(
-        OrbitCircle._encoded(field, field.join(flat[r * width:(r + 1) * width]), generation, word)
-        for r, (generation, word) in enumerate(zip(generations, words))
+        OrbitCircle._encoded(
+            field, field.join(flat[r * width:(r + 1) * width]), generation, word, row_text
+        )
+        for r, (generation, word, row_text) in enumerate(zip(generations, words, texts))
     )
 
 

@@ -11,9 +11,11 @@ Dedup, every decision and every numeral are exact, and made in
 integers.  Every row is one key over one multiquadratic basis
 (exactnum._Field): the circles' own keys when they all carry one over a
 common field, as an orbit's or a parsed TSV's circles do, else each row
-encoded over the field of all the rows.  The canonical text comes from
-the keys too, each distinct number formatted once with
-exactnum._format, the printer behind str(QNum); dedup is on the key.
+encoded over the field of all the rows.  The canonical text is each
+circle's OrbitCircle.text: the file's own row when parse_tsv found all
+its literals canonical, else formatted from the key with
+exactnum._format, the printer behind str(QNum), each distinct number
+once per field.  Dedup is on the key.
 With 1/b = w / N for an integer N (_Field.reciprocal: w is a product of
 conjugates of b, the unit when b is rational), the center is bz w / N
 and the radius sign(b) w / N, integer coefficients over one positive
@@ -24,9 +26,18 @@ midpoint of that enclosure when it is narrow enough for to_float
 (exactnum._float), else to_float's own refinement of the exact value.
 The midpoint is to_float's because the enclosure is linear under
 positive integer scaling, negation swaps its ends, and int true division
-rounds correctly.  The fitted viewport and the culling compare the same
-enclosures in integers; where two overlap, the exact sign of the
-difference (exactnum._sign) settles it.
+rounds correctly.  Each circle element is printed with one '%.12g'
+format over x + 0.0, which maps -0.0 to 0.0 as _fmt does.
+
+The fitted viewport and the culling compare the same enclosures in
+integers; where two overlap, the exact sign of the difference
+(exactnum._sign) settles it.  The fitted box finds the four lower bounds
+on its extremes in one pass over the circles, then each extreme exactly
+among the circles that reach its bound.  It is the extremes padded by 5%
+and rounded to floats, and when four exact comparisons show that each
+rounded edge lies on or beyond its extreme, no circle can lie outside
+it, so only the lines are culled; when they do not (a padding below
+float resolution), every circle is culled as in a given viewport.
 
 A viewport must be drawable in floats: RenderOptions refuses one, and
 the fitted viewport raises for one, whose edges, width or height are
@@ -35,6 +46,7 @@ zero as a float.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,7 +67,9 @@ class RenderOptions:
     viewport is an exact rational box ((xlo, xhi), (ylo, yhi)); None
     means fit to the circles present.  cocluster_words routes circles
     (matched by their full word) to COCLUSTER_COLOR, every other circle
-    is CLUSTER_COLOR; strokes are width/400 of the viewport.
+    is CLUSTER_COLOR; strokes are width/400 of the viewport.  max_circles
+    is None or a positive int, not a bool: only the first that many
+    visible rows, in canonical order, are drawn.
     """
 
     viewport: tuple | None = None
@@ -82,8 +96,9 @@ class RenderOptions:
                     raise ValueError("viewport must be a nondegenerate box")
             _check_drawable(box)
             object.__setattr__(self, "viewport", box)
-        if self.max_circles is not None and self.max_circles < 1:
-            raise ValueError("max_circles must be positive")
+        count = self.max_circles
+        if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 1):
+            raise ValueError("max_circles must be None or a positive int; got %r" % (count,))
 
 
 def _check_drawable(box):
@@ -152,25 +167,22 @@ def _integer_disk(field, key, reciprocals):
     return abs(n), (x, t), (y, t), (w, t * key[-1] * sign)
 
 
-def _numerals(shape, font):
-    """_fmt of a circle shape's cx, -cy and r, and of 0.6 * r when font:
-    each float is the one QNum.to_float gives for the exact value, the
-    midpoint of its enclosure when exactnum._float takes that, else
-    exactnum._float of the exact value."""
+def _floats(shape):
+    """cx, cy and r of a circle shape as floats: each the one
+    QNum.to_float gives for the exact value, the midpoint of its enclosure
+    when exactnum._float takes that, else exactnum._float of the exact
+    value."""
     scale = shape[3] << (_P + 1)
     floats = []
-    for i, (lo, hi) in enumerate(zip(shape[4::2], shape[5::2])):
+    for i in (4, 6, 8):
+        lo, hi = shape[i], shape[i + 1]
         if (hi - lo) << (_P - 2) <= abs(lo + hi):
             floats.append((lo + hi) / scale)
         else:
             _, key, field, s = shape[:4]
-            coeffs, m = _integer_disk(field, key, {})[1 + i]
+            coeffs, m = _integer_disk(field, key, {})[i // 2 - 1]
             floats.append(_float(field.radicands, [m * c for c in coeffs], s))
-    cx, cy, r = floats
-    texts = [_fmt(cx), _fmt(-cy), _fmt(r)]
-    if font:
-        texts.append(_fmt(0.6 * r))
-    return texts
+    return floats
 
 
 def _slots(axis, side):
@@ -227,21 +239,46 @@ def _clip_line(normal, offset, box):
     )
 
 
-def _extreme(circles, axis, side):
+# the (axis, side) of the fitted box's four edges: xlo, xhi, ylo, yhi
+_EDGES = ((0, -1), (0, 1), (1, -1), (1, 1))
+
+
+def _floors(circles):
+    """Per edge of _EDGES, the largest floor, over circle shapes, of the
+    lower end of the enclosure of side * center + radius along the axis,
+    in units of 2**-_P: a lower bound on that extreme.  All four come from
+    one pass, which builds no container per circle."""
+    # -inf lies below every floor and compares exactly with ints
+    x0 = x1 = y0 = y1 = -math.inf
+    for _, _, _, s, xlo, xhi, ylo, yhi, r, _ in circles:
+        t = (r - xhi) // s
+        if t > x0:
+            x0 = t
+        t = (xlo + r) // s
+        if t > x1:
+            x1 = t
+        t = (r - yhi) // s
+        if t > y0:
+            y0 = t
+        t = (ylo + r) // s
+        if t > y1:
+            y1 = t
+    return x0, x1, y0, y1
+
+
+def _extreme(circles, axis, side, floor):
     """The exact min (side -1) of center - radius or max (side +1) of
     center + radius along an axis, over circle shapes.
 
-    The largest floor of 2**_P times the lower ends of the enclosures of
-    side * center + radius is a lower bound on the extreme; only the
-    circles whose enclosure reaches it can attain the extreme, and they
-    alone are compared exactly.
+    floor is the lower bound _floors gives for this extreme: only the
+    circles whose enclosure of side * center + radius reaches it can
+    attain the extreme, and they alone are compared exactly.
     """
-    a, b = _slots(axis, side)
-    top = max((side * shape[a] + shape[8]) // shape[3] for shape in circles)
+    b = _slots(axis, side)[1]
     field = circles[0][2]
     best = None
     for shape in circles:
-        if side * shape[b] + shape[9] >= top * shape[3]:
+        if side * shape[b] + shape[9] >= floor * shape[3]:
             scale, value = _exact_reach(shape, axis, side)
             if best is None or _sign(
                 field.radicands, [v * best[0] - u * scale for v, u in zip(value, best[1])]
@@ -252,13 +289,22 @@ def _extreme(circles, axis, side):
 
 
 def _auto_viewport(shapes):
+    """(box, holds): the fitted box, the exact extremes of the circles
+    padded by 5% and rounded to floats, and whether it is proved to hold
+    every circle.
+
+    It does when each rounded edge lies on or beyond its exact extreme,
+    four exact comparisons: then no circle reaches past an edge, so none
+    is culled.  Rounding can undo a padding below float resolution, and
+    then holds is False.
+    """
     circles = [shape for shape in shapes if shape[0] == "circle"]
     if not circles:
         raise ValueError("a viewport is required when the input has no circles")
-    xlo = _extreme(circles, 0, -1)
-    xhi = _extreme(circles, 0, 1)
-    ylo = _extreme(circles, 1, -1)
-    yhi = _extreme(circles, 1, 1)
+    xlo, xhi, ylo, yhi = [
+        _extreme(circles, axis, side, floor)
+        for (axis, side), floor in zip(_EDGES, _floors(circles))
+    ]
     pad_x = (xhi - xlo) * Fraction(1, 20)
     pad_y = (yhi - ylo) * Fraction(1, 20)
     if pad_x.sign() == 0:
@@ -270,7 +316,9 @@ def _auto_viewport(shapes):
         box.append((Fraction(float(lo)), Fraction(float(hi))))
     box = tuple(box)
     _check_drawable(box)
-    return box
+    (bxlo, bxhi), (bylo, byhi) = box
+    holds = xlo >= bxlo and xhi <= bxhi and ylo >= bylo and yhi <= byhi
+    return box, holds
 
 
 def _circle_outside(shape, tests):
@@ -300,10 +348,10 @@ def render_svg(source, opts=None):
     if not circles:
         raise ValueError("nothing to draw")
     kept = _kept(circles)
-    box = opts.viewport
+    box, holds = opts.viewport, False
     if box is None:
-        box = _auto_viewport([shape for _, shape in kept])
-    visible = _visible(kept, box)
+        box, holds = _auto_viewport([shape for _, shape in kept])
+    visible = _visible(kept, box, holds)
     if opts.max_circles is not None:
         visible = visible[: opts.max_circles]
     return _document(visible, box, opts)
@@ -321,21 +369,19 @@ def _keys(circles):
     return field, [c.key for c in circles]
 
 
-def _canonical(circles, field, keys):
-    """(circle, key) pairs in canonical order, one per distinct row: by
-    generation, then by the text of the exact row, each distinct number
-    of which is formatted once (exactnum._format)."""
-    texts = {}
+def _canonical(circles, keys):
+    """The positions of the circles in canonical order, one per distinct
+    row: by generation, then by the text of the exact row,
+    OrbitCircle.text."""
     order = sorted(
-        range(len(circles)),
-        key=lambda i: (circles[i].generation, field.row_text(keys[i], texts)),
+        range(len(circles)), key=lambda i: (circles[i].generation, circles[i].text)
     )
     seen = set()
     kept = []
     for i in order:
         if keys[i] not in seen:
             seen.add(keys[i])
-            kept.append((circles[i], keys[i]))
+            kept.append(i)
     return kept
 
 
@@ -357,7 +403,8 @@ def _kept(circles):
     reciprocals = {}  # of each distinct bend
     enclosures = {}  # of each distinct coefficient tuple
     shapes = []
-    for c, key in _canonical(circles, field, keys):
+    for i in _canonical(circles, keys):
+        c, key = circles[i], keys[i]
         if not any(key[d:2 * d]):
             # wall with b = 0: the line {p : p . bz = b^/2}, bz a unit normal
             vector = c.vector
@@ -377,22 +424,26 @@ def _kept(circles):
     return shapes
 
 
-def _visible(kept, box):
+def _visible(kept, box, holds=False):
+    """The (circle, shape) pairs of kept that reach into the box.  holds
+    says the box is proved to hold every circle (_auto_viewport), so only
+    the lines are tested."""
     # (axis, side, slots, p, q) for side * center + radius < side * edge = p / q
     tests = [
         (axis, side, *_slots(axis, side), side * edge.numerator, edge.denominator)
         for axis, edges in enumerate(box)
         for side, edge in zip((1, -1), edges)
     ]
-    return [
-        (c, shape)
-        for c, shape in kept
-        if not (
-            _circle_outside(shape, tests)
-            if shape[0] == "circle"
-            else _line_outside(shape[1], shape[2], box)
-        )
-    ]
+    visible = []
+    for pair in kept:
+        shape = pair[1]
+        if shape[0] == "circle":
+            outside = not holds and _circle_outside(shape, tests)
+        else:
+            outside = _line_outside(shape[1], shape[2], box)
+        if not outside:
+            visible.append(pair)
+    return visible
 
 
 def _document(visible, box, opts):
@@ -415,15 +466,16 @@ def _document(visible, box, opts):
                 text = c.word
             else:
                 text = None
-            numerals = _numerals(shape, text is not None)
+            # one format per element; x + 0.0 maps -0.0 to 0.0, as _fmt does
+            cx, cy, r = _floats(shape)
             shapes_out.append(
-                '<circle cx="%s" cy="%s" r="%s" stroke="%s"/>' % (*numerals[:3], color)
+                '<circle cx="%.12g" cy="%.12g" r="%.12g" stroke="%s"/>'
+                % (cx + 0.0, -cy + 0.0, r + 0.0, color)
             )
             if text is not None:
-                x, y, _, size = numerals
                 labels_out.append(
-                    '<text x="%s" y="%s" dy="0.35em" font-size="%s">%s</text>'
-                    % (x, y, size, _escape(text))
+                    '<text x="%.12g" y="%.12g" dy="0.35em" font-size="%.12g">%s</text>'
+                    % (cx + 0.0, -cy + 0.0, 0.6 * r + 0.0, _escape(text))
                 )
         else:
             ends = _clip_line(shape[1], shape[2], box)

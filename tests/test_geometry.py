@@ -233,6 +233,41 @@ def test_gram_matches_inner_oracle_on_single_nonzero_coordinates():
     assert_gram_matches_oracle(rows)
 
 
+def test_gram_places_each_distinct_coordinate_object_once(monkeypatch):
+    # a catalog load shares one QNum per distinct literal: d3n13's 308
+    # row coordinates are 26 objects
+    rows = catalog.get_builtin("d3n13").configuration.rows
+    objects = {id(q) for row in rows for q in row}
+    assert sum(len(row) for row in rows) == 308 and len(objects) == 26
+    placed = []
+    place = geometry._Field.place
+
+    def counted(self, radicands, coeffs, den):
+        placed.append((radicands, coeffs, den))
+        return place(self, radicands, coeffs, den)
+
+    monkeypatch.setattr(geometry._Field, "place", counted)
+    g = geometry.gram(rows)
+    assert len(placed) == 26
+    monkeypatch.undo()
+    assert g == gram_oracle(rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(field_scalars, min_size=1, max_size=4), st.data())
+def test_gram_on_rows_sharing_coordinate_objects(pool, data):
+    # rows drawn from a small pool of objects, plus equal values that are
+    # distinct objects
+    size = data.draw(st.integers(min_value=3, max_value=5))
+    rows = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        picks = data.draw(st.lists(st.integers(0, 2 * len(pool) - 1), min_size=size, max_size=size))
+        rows.append(tuple(
+            pool[k] if k < len(pool) else pool[k - len(pool)] + 0 for k in picks
+        ))
+    assert_gram_matches_oracle(rows)
+
+
 def test_gram_edge_cases():
     assert geometry.gram(()) == ()
     with pytest.raises(ValueError, match="dimension mismatch: 4 vs 3"):

@@ -623,6 +623,12 @@ def test_orbit_circles_decode_their_vectors_once():
         ("0\t1\t(0,2,0,1)\n-1\t1\t(0,2,0,1)\n", "orbit line 2: generation must be a nonnegative integer, got '-1'"),
         ("0\t1\t(0,2,0,1)\n\nx\t1\t(0,2,0,1)\n", "orbit line 3: generation must be a nonnegative integer, got 'x'"),
         ("1.5\t1\t(0,2,0,1)\n", "orbit line 1: generation must be a nonnegative integer, got '1.5'"),
+        # int() takes these, and they would re-export as 3, 3, 10 and 3
+        ("+3\t1\t(0,2,0,1)\n", "orbit line 1: generation must be a nonnegative integer, got '+3'"),
+        (" 3\t1\t(0,2,0,1)\n", "orbit line 1: generation must be a nonnegative integer, got ' 3'"),
+        ("0\t1\t(0,2,0,1)\n1_0\t1\t(0,2,0,1)\n", "orbit line 2: generation must be a nonnegative integer, got '1_0'"),
+        ("\u0663\t1\t(0,2,0,1)\n", "orbit line 1: generation must be a nonnegative integer, got '\u0663'"),
+        ("\t1\t(0,2,0,1)\n", "orbit line 1: generation must be a nonnegative integer, got ''"),
         ("0\t1\t(0,2,0,1)\n1\t2\t(0,2,1)\n", "orbit line 2: expected 4 coordinates, as on the first row, got 3"),
         ("0\t1\t(0,2)\n", "orbit line 1: an inversive vector needs at least 3 entries"),
         ("0\t1\t(0,2,0,1)\n0\t2\t(0,2,0,1/0)\n", "orbit line 2: QNum syntax error at position 2: zero denominator"),

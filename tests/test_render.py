@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from packinglab import catalog, exactnum, render
+from packinglab import orbit as orbit_module
 from packinglab.exactnum import ONE, QNum, sqrt
 from packinglab.geometry import as_vector
 from packinglab.orbit import OrbitCircle, OrbitLimits, export_tsv, generate_packing, parse_tsv
@@ -269,13 +270,21 @@ def assert_matches_oracle(circles, *options):
     got_kept = render._kept(circles)
     assert [c for c, _ in got_kept] == [c for c, _ in kept]
     for opts in options or (RenderOptions(),):
-        box = opts.viewport
+        box, holds = opts.viewport, False
         if box is None:
             box = exact_viewport([shape for _, shape in kept])
-            assert render._auto_viewport([shape for _, shape in got_kept]) == box
+            got_box, holds = render._auto_viewport([shape for _, shape in got_kept])
+            assert got_box == box
         want = exact_visible(kept, box)
         got = render._visible(got_kept, box)
         assert [c for c, _ in got] == [c for c, _ in want]
+        if holds:
+            # a fitted box proved to hold every circle skips their culling,
+            # and keeps what culling them keeps
+            assert [c for c, s in want if s[0] == "circle"] == [
+                c for c, s in got_kept if s[0] == "circle"
+            ]
+            assert render._visible(got_kept, box, holds) == got
         want_svg = exact_document(want[: opts.max_circles], box, opts)
         assert render_svg(circles, opts) == want_svg
     return want
@@ -431,6 +440,51 @@ def test_fitted_viewport_floats_cannot_draw_is_refused():
     assert render_svg([tiny], RenderOptions(viewport=((-1, 1), (-1, 1)))).count("<circle") == 1
 
 
+def test_fitted_box_below_float_resolution_still_culls():
+    # floats near y = 2**60 are 128 apart below it and 256 above, so the
+    # 5% padding of a figure 200 high rounds away and the fitted box's top
+    # edge, 2**60, falls below the extreme 2**60 + 100: the proof fails,
+    # and the circle wholly above 2**60 is culled as the oracle culls it
+    circles = [
+        circle_at(0, 2 ** 60, 100, "a"),
+        circle_at(200, 2 ** 60, 100, "b"),
+        circle_at(100, 2 ** 60 + 98, 1, "c"),
+    ]
+    box, holds = render._auto_viewport([s for _, s in render._kept(circles)])
+    assert not holds and box[1] == (2 ** 60 - 128, 2 ** 60)
+    visible = assert_matches_oracle(circles, RenderOptions(labels="labels"))
+    assert [c.word for c, _ in visible] == ["a", "b"]
+
+
+def test_fitted_extremes_past_a_wide_enclosure():
+    # v = 10**15 (3 - 2 sqrt2)**20 is about 0.49 with coefficients near
+    # 1e30, so its enclosure at p = 55 is about 3e13 wide; each of the four
+    # lower bounds must come from the lower ends, or the circle that
+    # attains the extreme is passed over
+    v = QNum(10 ** 15) * (3 - 2 * sqrt(2)) ** 20
+    circles = [
+        circle_at(v, v, 1, "wide"),
+        circle_at(Fraction(3, 5), Fraction(3, 5), 1, "high"),
+        circle_at(Fraction(3, 10), Fraction(3, 10), 1, "low"),
+    ]
+    assert_matches_oracle(circles, RenderOptions(labels="labels"))
+
+
+def test_max_circles_is_a_positive_int():
+    for bad in (2.5, 1.0, True, False, 0, -3, "3", Fraction(3)):
+        with pytest.raises(ValueError, match="max_circles must be None or a positive int"):
+            RenderOptions(max_circles=bad)
+    assert RenderOptions(max_circles=1).max_circles == 1
+    rows = [UNIT, OrbitCircle(circle_row(0, 2, 0, 2), 1, "a")]
+    assert render_svg(rows, RenderOptions(max_circles=1)).count("<circle") == 1
+
+
+def test_one_format_per_element_matches_fmt():
+    # the document formats x + 0.0 with %.12g, where _fmt maps -0.0 to 0.0
+    for x in (0.0, -0.0, 1.0, -1.5, 1 / 3, -2 / 3, 1e-300, -5e-324, 1.234567890125, -1e300, 2.0 ** 60):
+        assert "%.12g" % (x + 0.0) == render._fmt(x)
+
+
 # -- numerals and decisions at their rounding and tie boundaries -------
 
 
@@ -440,6 +494,8 @@ def test_pack_planar_figure_matches_exact_oracle():
     orbit = generate_packing(inside, outside, OrbitLimits(max_generation=7))
     circles = parse_tsv(export_tsv(orbit))
     assert len(circles) == 13267
+    # the fitted box holds every circle, so render culls only lines
+    assert render._auto_viewport([s for _, s in render._kept(circles)])[1]
     visible = assert_matches_oracle(
         circles,
         RenderOptions(viewport=((0, 1), (0, 1)), labels="labels"),
@@ -525,11 +581,13 @@ def test_near_cancelling_bend_takes_the_exact_route():
 
 
 def test_kept_formats_each_distinct_number_once(monkeypatch):
+    # across parse_tsv and render: parse_tsv formats each distinct literal
+    # once to check that it is canonical, and render reads the rows' text
     cfg = catalog.get_builtin("bi1-cluster3").configuration
     orbit = generate_packing(
         [cfg.row("3")], [cfg.row("1"), cfg.row("2"), cfg.row("4")], OrbitLimits(4)
     )
-    circles = parse_tsv(export_tsv(orbit))
+    text = export_tsv(orbit)
     formatted = []
     to_text = exactnum._format
 
@@ -538,11 +596,15 @@ def test_kept_formats_each_distinct_number_once(monkeypatch):
         return to_text(radicands, coeffs, den)
 
     monkeypatch.setattr(exactnum, "_format", counted)
+    monkeypatch.setattr(orbit_module, "_format", counted)
+    circles = parse_tsv(text)
+    svg = render_svg(circles)
     kept = render._kept(circles)
     assert len(formatted) == len(set(formatted)) == len({q for c in circles for q in c.vector})
     assert len(formatted) < sum(len(c.vector) for c in circles)
     monkeypatch.undo()
     assert [c for c, _ in kept] == [c for c, _ in exact_kept(circles)]
+    assert svg == render_svg(orbit)
 
 
 def noncanonical(text, line):
@@ -568,6 +630,45 @@ def test_noncanonical_literals_render_as_their_canonical_twin(labels):
     opts = RenderOptions(labels=labels)
     want = render_svg(parse_tsv(canonical), opts)
     assert render_svg(parse_tsv(twin), opts) == want
+
+
+def respelled(literal, k):
+    """The same number as literal, not canonical: -0 for 0, else with
+    whitespace, an unreduced fraction or a radicand that is not
+    squarefree, by k."""
+    if literal == "0":
+        return "-0"
+    return (" %s ", "%s+2/4-1/2", "sqrt(12)-2*sqrt(3)+%s")[k % 3] % literal
+
+
+@pytest.mark.parametrize("labels", render.LABEL_MODES)
+def test_rows_mixing_canonical_and_noncanonical_literals(labels):
+    cfg = catalog.get_builtin("bi10-example").configuration
+    inside, outside, _, _ = cfg.split(["1", "7"])
+    canonical = export_tsv(generate_packing(inside, outside, OrbitLimits(max_generation=3)))
+    lines, respelt = [], []
+    for i, line in enumerate(canonical.splitlines()):
+        gen, word, coords = line.split("\t")
+        parts = coords[1:-1].split(",")
+        if i % 3:  # one literal of the row respelled, the others kept
+            j = parts.index("0") if "0" in parts else i % len(parts)
+            parts[j] = respelled(parts[j], i // 3)
+        lines.append("%s\t%s\t(%s)" % (gen, word, ",".join(parts)))
+        respelt.append(lines[-1] != line)
+    assert sum(respelt) > len(lines) // 2 and not all(respelt)
+    assert any("-0" in line.split("\t")[2].split(",") for line in lines)
+    twin = "\n".join(lines) + "\n"
+    circles = parse_tsv(twin)
+    # export prints the canonical text, never the file's spelling
+    assert export_tsv(orbit_module.PackingOrbit(circles, None, "packing")) == canonical
+    # a row of canonical literals keeps the file's text, any other is rebuilt
+    for c, line, changed in zip(circles, canonical.splitlines(), respelt):
+        assert c.text == line.split("\t")[2][1:-1]
+        assert (c._text is None) == changed
+    opts = RenderOptions(labels=labels)
+    want = render_svg(parse_tsv(canonical), opts)
+    assert render_svg(circles, opts) == want
+    assert render_svg(parse_tsv("\n".join(reversed(lines))), opts) == want
 
 
 def test_render_reuses_common_keys():
