@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, convert, coxeter, lobachevsky, polygraph
-from .geometry import bend_matrix
+from .geometry import bend_matrices
 from .groupwords import double
 from .integrality import (
     certificate_to_json,
@@ -98,6 +98,9 @@ def _wall_position(config, text):
 
 
 def _cmd_validate(args):
+    if args.samples is not None and args.seed is None:
+        sys.stderr.write("packinglab validate: error: --samples requires --seed\n")
+        return 2
     entry = _load_entry(args.config)
     report = catalog.validate(entry)
     for c in report.checks:
@@ -167,18 +170,13 @@ def _cmd_clusters(args):
     return 0
 
 
-def _cmd_pack(args):
+def _cmd_orbit(args):
+    # pack or super; generate_packing is looked up when called, so a
+    # replacement of the module attribute (a tracer's span) takes effect
+    generate = generate_packing if args.command == "pack" else generate_superpacking
     config = _load_config(args.config)
     cluster, cocluster, _, _ = config.split(args.cluster)
-    orbit = generate_packing(cluster, cocluster, _limits(args))
-    _emit(export_tsv(orbit), args.out)
-    return 0
-
-
-def _cmd_super(args):
-    config = _load_config(args.config)
-    cluster, cocluster, _, _ = config.split(args.cluster)
-    orbit = generate_superpacking(cluster, cocluster, _limits(args))
+    orbit = generate(cluster, cocluster, _limits(args))
     _emit(export_tsv(orbit), args.out)
     return 0
 
@@ -232,7 +230,7 @@ def _cmd_prove_nonintegral(args):
 
 def _cmd_growth_probe(args):
     config = _load_config(args.config)
-    matrices = [bend_matrix(config.rows, m) for m in config.rows]
+    matrices = bend_matrices(config.rows, config.rows)
     word = [int(part) for part in args.word.split(".")]
     cert = denominator_growth_probe(matrices, word, iterations=args.iterations)
     _emit(certificate_to_json(cert) + "\n", args.out)
@@ -383,7 +381,7 @@ def _build_parser():
     _add_config(p)
     p.add_argument("--samples", type=int, help="also sample the cluster interiors")
     p.add_argument("--seed", type=int, help="sampling seed (required with --samples)")
-    p.set_defaults(func=_cmd_validate, needs_seed="samples")
+    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("gram", help="print the Gram matrix")
     _add_config(p)
@@ -407,13 +405,13 @@ def _build_parser():
     _add_config(p)
     _add_orbit_args(p)
     _add_out(p)
-    p.set_defaults(func=_cmd_pack)
+    p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("super", help="cluster orbit under all reflections")
     _add_config(p)
     _add_orbit_args(p)
     _add_out(p)
-    p.set_defaults(func=_cmd_super)
+    p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("check-integrality", help="integrality certificate for a cluster")
     _add_config(p)
@@ -509,10 +507,6 @@ def run(argv=None):
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if getattr(args, "needs_seed", None) == "samples":
-        if args.samples is not None and args.seed is None:
-            sys.stderr.write("packinglab validate: error: --samples requires --seed\n")
-            return 2
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as e:

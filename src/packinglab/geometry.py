@@ -16,6 +16,13 @@ and every wall vector satisfies <v, v> = -1 exactly.
 
 Matrices act on the right throughout: vectors are rows, a reflection is
 v -> v * R, and matrix products transcribe in reading order.
+
+The bend matrix of a mirror m in a square wall basis V is
+B_m = V R_m V^-1 (B_m V = V R_m).  A word's matrix is the product of its
+letters', B_w = B_{i1} ... B_{ik} = V R_{i1} ... R_{ik} V^-1.  An
+isometry S of the form, such as the conformal rescaling
+diag(f, 1/f, 1, ..., 1), leaves B as it is: V S and m S give
+R' = S^-1 R S, so B' = V S S^-1 R S S^-1 V^-1 = B.
 """
 
 from __future__ import annotations
@@ -161,17 +168,21 @@ def reflect(v, mirror) -> tuple:
     return tuple(x + c * y for x, y in zip(v, mirror))
 
 
-def bend_matrix(basis, mirror) -> _matrix.Matrix:
-    """B with B V = V R: the reflection written in the basis of V's rows.
+def bend_matrices(basis, mirrors) -> tuple:
+    """B_m = V R_m V^-1 for each mirror m, from one inverse of the square
+    (n+2) x (n+2) basis V; none, and an empty result, with no mirrors.
 
-    basis is a square (n+2) x (n+2) arrangement of inversive vectors;
-    ValueError when it is singular.
+    ValueError, in this order: the basis is not square; a mirror does not
+    have norm -1; the basis is singular.
     """
     v = tuple(tuple(row) for row in basis)
     if any(len(row) != len(v) for row in v):
         raise ValueError(f"basis must be square, got {len(v)} rows")
-    r = reflection_matrix(mirror)
-    return _matrix.mat_mul(_matrix.mat_mul(v, r), _matrix.mat_inverse(v))
+    reflections = [reflection_matrix(m) for m in mirrors]
+    if not reflections:
+        return ()
+    v_inv = _matrix.mat_inverse(v)
+    return tuple(_matrix.mat_mul(_matrix.mat_mul(v, r), v_inv) for r in reflections)
 
 
 def form_functional(field, key) -> tuple:

@@ -2,9 +2,11 @@
 
 Three certificate families, all exact:
 
-* integral-proven: after an internal conformal rescaling, every bend
-  matrix of the mirror walls is integral and the cluster bends are
-  integers, so every orbit bend is an integer combination of integers.
+* integral-proven: every bend matrix of the mirror walls is integral
+  and the cluster bends over their common factor f are integers, so
+  every orbit bend is an integer combination of integers.  The basis is
+  not rescaled by f: that conformal rescaling is an isometry, and an
+  isometry leaves every bend matrix as it is, B' = B (geometry).
 * nonintegral-proven: the left nullspace of an overdetermined
   coordinate matrix, in canonical reduced echelon form, contains an
   irrational entry; the nullspace is then not defined over the
@@ -20,14 +22,15 @@ canonical exact text grammar, so a verdict can be archived and replayed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
-from ._matrix import as_matrix, identity, mat_inverse, mat_mul, rref, transpose
+from ._matrix import as_matrix, mat_inverse, mat_mul, rref, transpose
 from .exactnum import QNum, sqrt
-from .geometry import as_vector, bend_matrix, reflection_matrix
-from .orbit import _checked_rows, splitmix64
+from .geometry import as_vector, bend_matrices, reflection_matrix
+from .orbit import _checked_rows, _word
 
 VERDICTS = ("integral-proven", "nonintegral-proven", "growth-evidence", "inconclusive")
 
@@ -92,9 +95,10 @@ def prove_integral(basis, cluster_rows, mirror_rows):
     """Certificate that the packing of the cluster is integral.
 
     basis: square wall matrix; cluster_rows/mirror_rows: 1-based row
-    indices.  Rescales by the cluster bends' common factor, then demands
-    every mirror bend matrix be integral and every cluster bend an
-    integer; the bend matrices are the replayable witnesses.
+    indices.  Divides the cluster bends by their common factor, then
+    demands every one be an integer and every mirror bend matrix (which
+    that rescaling leaves as it is) be integral; the bend matrices are
+    the replayable witnesses.
     """
     rows = _checked_rows(basis, "basis")
     if len(rows) != len(rows[0]):
@@ -110,24 +114,23 @@ def prove_integral(basis, cluster_rows, mirror_rows):
             "inconclusive", None, (),
             "cluster bends mix radical parts; no integral rescaling exists",
         )
-    scaled = rescale(rows, factor)
-    if not all(scaled[i - 1][1].is_integer() for i in cluster_rows):
+    inv = factor.inverse()
+    scaled_bends = [b * inv for b in cluster_bends]
+    if not all(b.is_integer() for b in scaled_bends):
         return IntegralityCertificate(
             "inconclusive", factor, (), "cluster bends not integral after rescaling"
         )
-    matrices = []
-    for i in mirror_rows:
-        b = bend_matrix(scaled, scaled[i - 1])
+    matrices = bend_matrices(rows, [rows[i - 1] for i in mirror_rows])
+    for i, b in zip(mirror_rows, matrices):
         if not _integral_matrix(b):
             return IntegralityCertificate(
                 "inconclusive", factor, (),
                 "bend matrix of mirror row %d has a non-integral entry" % i,
             )
-        matrices.append(b)
     return IntegralityCertificate(
-        "integral-proven", factor, tuple(matrices),
+        "integral-proven", factor, matrices,
         "mirror rows %s give integral bend matrices; cluster bends %s"
-        % (list(mirror_rows), [str(scaled[i - 1][1]) for i in cluster_rows]),
+        % (list(mirror_rows), [str(b) for b in scaled_bends]),
     )
 
 
@@ -240,46 +243,42 @@ class BoundedRationalReport:
 
 
 def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0):
-    """Spot-check that conjugated bend matrices stay bounded rational.
+    """Spot-check that the bend matrices of mirror words stay bounded rational.
 
     Every bend matrix of a mirror word is V . R_word . V^-1 with R_word
     integral.  With L1 = lcm-den(V) and L2 = lcm-den(V^-1), L1 V and
     L2 V^-1 are integral, so L1 L2 times the bend matrix is an integral
     product and every entry denominator divides ``derived_bound`` =
     L1 * L2 (the product, which can exceed lcm(L1, L2)).  Random seeded
-    words verify the bound empirically; the identity word is always
-    included.  The products run through ``_matrix.mat_mul``, on integers
-    over the field of the entries (rational for an integral basis, so
-    plain integer arithmetic).
+    words (letter j of word t is element t * word_length + j of the
+    seed's splitmix64 stream) verify the bound empirically; a word's
+    matrix is the product of its letters' bend matrices, B_w =
+    B_{i1} ... B_{ik} = V R_w V^-1.  The products run through
+    ``_matrix.mat_mul``, on integers over the field of the entries
+    (rational for an integral basis, so plain integer arithmetic).
     """
     rows = _checked_rows(basis, "basis")
     if len(rows) != len(rows[0]):
         raise ValueError("basis must be square")
-    v = as_matrix(rows)
-    v_inv = mat_inverse(v)
-    reflections = []
-    for k, m in enumerate(_checked_rows(mirrors, "mirror")):
-        r = reflection_matrix(m)
-        if not _integral_matrix(r):
+    v_inv = mat_inverse(rows)
+    mirrors = _checked_rows(mirrors, "mirror")
+    for k, m in enumerate(mirrors):
+        if not _integral_matrix(reflection_matrix(m)):
             raise ValueError("mirror %d has a non-integral reflection matrix" % (k + 1))
-        reflections.append(r)
+    matrices = bend_matrices(rows, mirrors)
 
-    bound = math.lcm(*(e.denominator for row in v for e in row)) * math.lcm(
+    bound = math.lcm(*(e.denominator for row in rows for e in row)) * math.lcm(
         *(e.denominator for row in v_inv for e in row)
     )
-    rng = splitmix64(seed)
     observed = 1
-    words = [[]]
-    words += [
-        [next(rng) % len(reflections) for _ in range(word_length)]
-        for _ in range(word_count)
-    ]
-    for letters in words:
-        r_word = identity(len(rows))
-        for i in letters:
-            r_word = mat_mul(r_word, reflections[i])
-        b = mat_mul(mat_mul(v, r_word), v_inv)
-        observed = max(observed, *(e.denominator for row in b for e in row))
+    for t in range(word_count):
+        letters = [
+            matrices[_word(seed, t * word_length + j) % len(matrices)]
+            for j in range(word_length)
+        ]
+        if letters:
+            b = functools.reduce(mat_mul, letters)
+            observed = max(observed, *(e.denominator for row in b for e in row))
     return BoundedRationalReport(bound, observed, word_count, word_length, seed)
 
 

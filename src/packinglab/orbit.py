@@ -82,16 +82,9 @@ def _mix64(z):
 
 
 def _word(seed, k):
-    """Word k (from 0) of ``splitmix64(seed)``, drawn without the ones before it."""
+    """Word k (from 0) of the splitmix64 stream of a 64-bit seed (portable,
+    cheap), drawn without the ones before it."""
     return _mix64((seed + (k + 1) * _GAMMA) & _MASK64)
-
-
-def splitmix64(seed):
-    """Yield the splitmix64 stream for a 64-bit seed (portable, cheap)."""
-    state = seed & _MASK64
-    while True:
-        state = (state + _GAMMA) & _MASK64
-        yield _mix64(state)
 
 
 @dataclass(frozen=True)
@@ -383,10 +376,9 @@ def _check_disjoint_sample(orbit, pairs=32):
     n = len(circles)
     if n < 2:
         return
-    rng = splitmix64(0)
-    for _ in range(min(pairs, n * (n - 1) // 2)):
-        i = next(rng) % n
-        j = next(rng) % n
+    for t in range(min(pairs, n * (n - 1) // 2)):
+        i = _word(0, 2 * t) % n
+        j = _word(0, 2 * t + 1) % n
         if i == j:
             continue
         p = inner(circles[i].vector, circles[j].vector)

@@ -357,11 +357,11 @@ def list_builtin():
 
 
 def builtin(name):
-    root = resources.files("packinglab").joinpath("data/polyhedra")
-    path = root.joinpath(name + ".json")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
+    """The polyhedron of a listed name; any other name is a KeyError, so a
+    name cannot reach a file outside the data directory."""
+    available = list_builtin()
+    if name not in available:
         raise KeyError("no builtin polyhedron %r (have: %s)"
-                       % (name, ", ".join(list_builtin())))
-    return from_json(text)
+                       % (name, ", ".join(available)))
+    root = resources.files("packinglab").joinpath("data/polyhedra")
+    return from_json(root.joinpath(name + ".json").read_text(encoding="utf-8"))

@@ -202,13 +202,15 @@ def _exact_reach(shape, axis, side):
 
 
 def _line_outside(normal, offset, box):
-    # all four corners strictly on one side
+    # no corners strictly on both sides and at most one on the line: it
+    # misses the box or only touches a corner, which _clip_line cannot place
     (xlo, xhi), (ylo, yhi) = box
-    signs = set()
-    for cx in (xlo, xhi):
-        for cy in (ylo, yhi):
-            signs.add((normal[0] * cx + normal[1] * cy - offset).sign())
-    return signs == {1} or signs == {-1}
+    signs = [
+        (normal[0] * cx + normal[1] * cy - offset).sign()
+        for cx in (xlo, xhi)
+        for cy in (ylo, yhi)
+    ]
+    return not (1 in signs and -1 in signs) and signs.count(0) < 2
 
 
 def _clip_line(normal, offset, box):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from packinglab import catalog, cli, convert, coxeter, polygraph
-from packinglab.geometry import bend_matrix
+from packinglab.geometry import bend_matrices
 from packinglab.groupwords import double
 from packinglab.integrality import (
     certificate_to_json,
@@ -41,6 +41,33 @@ def test_orbit_commands_match_library(capsys, command, generate):
     assert cli.run([command] + BI1_ARGS) == 0
     want = export_tsv(generate(*bi1_split(), OrbitLimits(max_generation=3)))
     assert capsys.readouterr().out == want
+
+
+def test_orbit_commands_call_the_module_attribute(capsys, monkeypatch):
+    # pack and super share one handler, which looks generate_packing up
+    # when called: a replacement of cli.generate_packing (a tracer's span)
+    # sees every pack request and no super request
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return generate_packing(*args)
+
+    monkeypatch.setattr(cli, "generate_packing", spy)
+    assert cli.run(["pack"] + BI1_ARGS) == 0
+    assert len(calls) == 1
+    assert cli.run(["super"] + BI1_ARGS) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("config", ["builtin:bi1-cluster3", "no/such/catalog.json"])
+def test_validate_samples_without_seed_is_a_usage_error(capsys, config):
+    # checked before the entry is loaded, so a missing file is not reached
+    assert cli.run(["validate", "--config", config, "--samples", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "packinglab validate: error: --samples requires --seed\n"
 
 
 def test_render_from_tsv_matches_library(capsys, tmp_path):
@@ -225,7 +252,7 @@ def test_growth_probe_matches_library(capsys):
     argv = ["growth-probe", "--config", "builtin:bi1-cluster3", "--word", "2.1"]
     assert cli.run(argv) == 0
     rows = catalog.get_builtin("bi1-cluster3").configuration.rows
-    cert = denominator_growth_probe([bend_matrix(rows, m) for m in rows], [2, 1])
+    cert = denominator_growth_probe([bend_matrices(rows, [m])[0] for m in rows], [2, 1])
     assert cert.witnesses == (1,) * 12
     assert capsys.readouterr().out == certificate_to_json(cert) + "\n"
 
@@ -313,6 +340,19 @@ def test_catalog_show_unknown_entry_is_a_domain_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["kind"] == "KeyError"
+
+
+def test_glue_builtin_path_is_unknown_polyhedron(capsys):
+    # a builtin: name that walks into the catalog directory is refused by
+    # name, not read and then rejected for its contents
+    argv = ["glue", "--kind", "face", "--a", "builtin:../catalog/bi10-example",
+            "--b", "builtin:tetrahedron", "--at-a", "0", "--at-b", "0"]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "KeyError"
+    assert err["error"].startswith("no builtin polyhedron '../catalog/bi10-example'")
 
 
 # -- double, glue, convert, check-integrality against the library ------

@@ -137,7 +137,7 @@ STRIP_BASIS = (
 
 def test_bend_matrix_strip_packing():
     mirror = geometry.hyperplane((-1, 0), 0, 1)
-    b = geometry.bend_matrix(STRIP_BASIS, mirror)
+    b = geometry.bend_matrices(STRIP_BASIS, [mirror])[0]
     assert b == _matrix.as_matrix(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [2, 2, 2, -1]]
     )
@@ -148,7 +148,42 @@ def test_bend_matrix_strip_packing():
 def test_bend_matrix_singular_basis():
     bad = (STRIP_BASIS[0],) * 4
     with pytest.raises(ValueError, match="singular"):
-        geometry.bend_matrix(bad, geometry.hyperplane((-1, 0), 0, 1))
+        geometry.bend_matrices(bad, [geometry.hyperplane((-1, 0), 0, 1)])[0]
+
+
+def test_bend_matrices_error_precedence():
+    # non-square basis first, then a mirror whose norm is not -1, then a
+    # singular basis
+    mirror = geometry.hyperplane((-1, 0), 0, 1)
+    not_wall = (ONE, ONE, ZERO, ZERO)
+    singular = (STRIP_BASIS[0],) * 4
+    with pytest.raises(ValueError, match=r"^basis must be square, got 3 rows$"):
+        geometry.bend_matrices(STRIP_BASIS[:3], [not_wall])
+    with pytest.raises(ValueError, match=r"^basis must be square, got 4 rows$"):
+        geometry.bend_matrices(STRIP_BASIS[:3] + ((ONE,) * 3,), [mirror])
+    with pytest.raises(ValueError, match=r"^mirror must have norm -1, got 1$"):
+        geometry.bend_matrices(singular, [mirror, not_wall])
+    with pytest.raises(ValueError, match=r"^singular matrix$"):
+        geometry.bend_matrices(singular, [mirror])
+    # no mirror, no inverse: nothing to report on a singular basis
+    assert geometry.bend_matrices(singular, []) == ()
+
+
+def test_bend_matrices_are_each_mirrors_matrix():
+    # one call over the four walls gives each wall's own B with B V = V R,
+    # the same matrix as a call on that wall alone
+    matrices = geometry.bend_matrices(STRIP_BASIS, STRIP_BASIS)
+    assert len(matrices) == 4
+    for b, m in zip(matrices, STRIP_BASIS):
+        r = geometry.reflection_matrix(m)
+        assert _matrix.mat_mul(b, STRIP_BASIS) == _matrix.mat_mul(STRIP_BASIS, r)
+        assert geometry.bend_matrices(STRIP_BASIS, [m]) == (b,)
+    # a word's matrix is the product of its letters' matrices
+    b_word = _matrix.mat_mul(matrices[1], matrices[3])
+    r_word = _matrix.mat_mul(
+        geometry.reflection_matrix(STRIP_BASIS[1]), geometry.reflection_matrix(STRIP_BASIS[3])
+    )
+    assert _matrix.mat_mul(b_word, STRIP_BASIS) == _matrix.mat_mul(STRIP_BASIS, r_word)
 
 
 def test_gram_strip_packing():

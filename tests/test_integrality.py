@@ -1,13 +1,16 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from packinglab import integrality
-from packinglab._matrix import as_matrix, mat_mul
+from packinglab import _matrix, catalog, cli, integrality, orbit
+from packinglab._matrix import as_matrix, identity, mat_inverse, mat_mul
 from packinglab.exactnum import QNum, sqrt
 from packinglab.geometry import gram, hyperplane, is_wall, reflection_matrix, sphere
 from packinglab.integrality import (
+    BoundedRationalReport,
+    IntegralityCertificate,
     certificate_from_json,
     certificate_to_json,
     check_bounded_rational,
@@ -280,3 +283,200 @@ def test_certificate_json_round_trip():
         assert certificate_to_json(back) == text
     with pytest.raises(ValueError, match="verdict"):
         certificate_from_json('{"verdict": "nope", "rescale_factor": null, "witnesses": [], "detail": ""}')
+
+
+# -- the bend-matrix route against the earlier routes ---------------------
+#
+# Oracles: copies of the routes the certificates took before every bend
+# matrix came from geometry.bend_matrices.  prove_integral rescaled the
+# whole basis and inverted it once per mirror; check_bounded_rational
+# multiplied reflection matrices from the identity and conjugated each
+# word's product by the basis, the identity word included.
+
+
+def one_bend_matrix(basis, mirror):
+    v = tuple(tuple(row) for row in basis)
+    if any(len(row) != len(v) for row in v):
+        raise ValueError(f"basis must be square, got {len(v)} rows")
+    r = reflection_matrix(mirror)
+    return mat_mul(mat_mul(v, r), mat_inverse(v))
+
+
+def rescaled_prove_integral(basis, cluster_rows, mirror_rows):
+    rows = orbit._checked_rows(basis, "basis")
+    if len(rows) != len(rows[0]):
+        raise ValueError("basis must be square")
+    for idx in list(cluster_rows) + list(mirror_rows):
+        if not 1 <= idx <= len(rows):
+            raise ValueError("row index %d out of range" % idx)
+    factor = find_integral_rescaling([rows[i - 1][1] for i in cluster_rows])
+    if factor is None:
+        return IntegralityCertificate(
+            "inconclusive", None, (),
+            "cluster bends mix radical parts; no integral rescaling exists",
+        )
+    scaled = rescale(rows, factor)
+    if not all(scaled[i - 1][1].is_integer() for i in cluster_rows):
+        return IntegralityCertificate(
+            "inconclusive", factor, (), "cluster bends not integral after rescaling"
+        )
+    matrices = []
+    for i in mirror_rows:
+        b = one_bend_matrix(scaled, scaled[i - 1])
+        if not all(e.is_integer() for row in b for e in row):
+            return IntegralityCertificate(
+                "inconclusive", factor, (),
+                "bend matrix of mirror row %d has a non-integral entry" % i,
+            )
+        matrices.append(b)
+    return IntegralityCertificate(
+        "integral-proven", factor, tuple(matrices),
+        "mirror rows %s give integral bend matrices; cluster bends %s"
+        % (list(mirror_rows), [str(scaled[i - 1][1]) for i in cluster_rows]),
+    )
+
+
+def conjugated_bounded_rational(basis, mirrors, word_count, word_length, seed):
+    rows = orbit._checked_rows(basis, "basis")
+    if len(rows) != len(rows[0]):
+        raise ValueError("basis must be square")
+    v = as_matrix(rows)
+    v_inv = mat_inverse(v)
+    reflections = []
+    for k, m in enumerate(orbit._checked_rows(mirrors, "mirror")):
+        r = reflection_matrix(m)
+        if not all(e.is_integer() for row in r for e in row):
+            raise ValueError("mirror %d has a non-integral reflection matrix" % (k + 1))
+        reflections.append(r)
+    bound = math.lcm(*(e.denominator for row in v for e in row)) * math.lcm(
+        *(e.denominator for row in v_inv for e in row)
+    )
+    rng = (orbit._word(seed, k) for k in itertools.count())
+    observed = 1
+    words = [[]] + [
+        [next(rng) % len(reflections) for _ in range(word_length)]
+        for _ in range(word_count)
+    ]
+    for letters in words:
+        r_word = identity(len(rows))
+        for i in letters:
+            r_word = mat_mul(r_word, reflections[i])
+        b = mat_mul(mat_mul(v, r_word), v_inv)
+        observed = max(observed, *(e.denominator for row in b for e in row))
+    return BoundedRationalReport(bound, observed, word_count, word_length, seed)
+
+
+BI1_CONFIG = catalog.get_builtin("bi1-cluster3").configuration
+# (basis, mirrors): bi1-cluster3 with its cocluster {1, 2, 4}; the strip
+# basis with all four walls; and a rational, non-integral basis (thirds
+# and fifths) with the integral walls
+SPOT_CASES = {
+    "bi1-cluster3": (BI1_CONFIG.rows, BI1_CONFIG.split(["3"])[1]),
+    "strip": (BI1, BI1),
+    "rational": (rescale(BI1, QNum("3/5")), BI1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPOT_CASES))
+@pytest.mark.parametrize("word_length", range(1, 7))
+def test_bounded_rational_matches_conjugation_oracle(case, word_length):
+    basis, mirrors = SPOT_CASES[case]
+    for seed in range(50):
+        want = conjugated_bounded_rational(basis, mirrors, 3, word_length, seed)
+        assert check_bounded_rational(basis, mirrors, 3, word_length, seed) == want
+
+
+@pytest.mark.parametrize("word_count, word_length", [(0, 5), (4, 0), (-2, -3), (-1, 4)])
+def test_bounded_rational_empty_words_match_oracle(word_count, word_length):
+    # no word, or only empty words: the identity's denominators are 1
+    for basis, mirrors in SPOT_CASES.values():
+        want = conjugated_bounded_rational(basis, mirrors, word_count, word_length, 3)
+        got = check_bounded_rational(basis, mirrors, word_count, word_length, 3)
+        assert got == want
+        assert got.observed_max_denominator == 1
+
+
+def test_bounded_rational_seeds_observe_the_rational_basis():
+    # the oracle comparison means something: the rational basis reaches
+    # denominators above 1 on some seed
+    basis, mirrors = SPOT_CASES["rational"]
+    seen = {check_bounded_rational(basis, mirrors, 3, 4, seed).observed_max_denominator
+            for seed in range(10)}
+    assert max(seen) > 1
+
+
+def cluster_choices(rows):
+    # every nonempty proper subset as the cluster, the rest as mirrors
+    k = len(rows)
+    for size in range(1, k):
+        for cluster in itertools.combinations(range(1, k + 1), size):
+            yield list(cluster), [i for i in range(1, k + 1) if i not in cluster]
+
+
+@pytest.mark.parametrize("factor", [None, QNum(2), QNum("1/5"), sqrt(2)])
+def test_prove_integral_matches_rescaled_oracle(factor):
+    verdicts = []
+    for entry_id in ("bi1-cluster3", "d1n3-base"):
+        rows = catalog.get_builtin(entry_id).configuration.rows
+        if factor is not None:
+            rows = rescale(rows, factor)
+        for cluster, mirrors in cluster_choices(rows):
+            want = rescaled_prove_integral(rows, cluster, mirrors)
+            got = prove_integral(rows, cluster, mirrors)
+            assert certificate_to_json(got) == certificate_to_json(want)
+            verdicts.append(got.verdict)
+    assert len(verdicts) == 28
+    if factor is None:
+        assert verdicts.count("integral-proven") == 15
+        assert verdicts.count("inconclusive") == 13
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of mat_mul and mat_inverse calls, through every name the
+    library calls them by."""
+    counts = {"mat_mul": 0, "mat_inverse": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        fn = getattr(_matrix, name)
+        monkeypatch.setattr(_matrix, name, counting(name, fn))
+        monkeypatch.setattr(integrality, name, counting(name, fn))
+    return counts
+
+
+def test_bounded_rational_multiplies_bend_matrices(counted):
+    # bi1-cluster3 {3}: 3 bend matrices (2 products each) and 20 words of
+    # 4 products; the conjugation route took 142
+    basis, mirrors = SPOT_CASES["bi1-cluster3"]
+    check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
+    assert counted["mat_mul"] == 3 * 2 + 20 * 4 == 86
+
+
+def test_prove_integral_takes_one_inverse(counted):
+    cert = prove_integral(BI1, cluster_rows=[3], mirror_rows=[1, 2, 4])
+    assert cert.verdict == "integral-proven"
+    assert counted["mat_inverse"] == 1
+
+
+def test_prove_integral_without_mirrors_takes_no_inverse(counted):
+    # as before the bend-matrix route: no mirror, no inverse, so even a
+    # singular basis is proved integral on its cluster bends alone
+    singular = (BI1[0], BI1[0], BI1[2], BI1[3])
+    for basis in (BI1, singular):
+        got = prove_integral(basis, cluster_rows=[3], mirror_rows=[])
+        assert got == rescaled_prove_integral(basis, [3], [])
+        assert got.verdict == "integral-proven" and got.witnesses == ()
+    assert counted["mat_inverse"] == 0
+
+
+def test_growth_probe_takes_one_inverse(counted, capsys):
+    argv = ["growth-probe", "--config", "builtin:bi1-cluster3", "--word", "2.1"]
+    assert cli.run(argv) == 0
+    assert counted["mat_inverse"] == 1
+    assert capsys.readouterr().out.startswith("{")

@@ -7,7 +7,7 @@ import pytest
 
 from packinglab import _matrix, catalog, cli, integrality
 from packinglab.exactnum import ONE, QNum, ZERO, sqrt
-from packinglab.geometry import bend_matrix
+from packinglab.geometry import bend_matrices
 
 
 # -- the QNum-object oracle: one QNum product per step ----------------
@@ -286,7 +286,7 @@ def test_certificates_match_oracle_on_builtins(monkeypatch, entry_id):
 
     def outcomes():
         got = [_run(argv) for argv in commands]
-        got += [_outcome(bend_matrix, basis, m) for m in mirrors]
+        got += [_outcome(lambda b, m: bend_matrices(b, [m])[0], basis, m) for m in mirrors]
         got.append(_outcome(integrality.check_bounded_rational, basis, mirrors[:1], 4, 3, 1))
         return got
 

@@ -460,6 +460,27 @@ def test_disjoint_sample_check_raises():
         orbit._check_disjoint_sample(overlapping)
 
 
+def test_disjoint_sample_draws_pairs_from_the_stream(monkeypatch):
+    # pair t is elements 2t and 2t + 1 of the seed-0 splitmix64 stream,
+    # modulo the circle count; i == j draws are skipped
+    got = generate_packing(BI1_CLUSTER, BI1_COCLUSTER, OrbitLimits(max_generation=3))
+    vectors = [c.vector for c in got.circles]  # decoded once, then cached
+    assert [id(v) for v in vectors] == [id(c.vector) for c in got.circles]
+    index = {id(v): k for k, v in enumerate(vectors)}
+    pairs = []
+
+    def spy(v, w):
+        pairs.append((index[id(v)], index[id(w)]))
+        return inner(v, w)
+
+    monkeypatch.setattr(orbit, "inner", spy)
+    orbit._check_disjoint_sample(got)
+    n = len(got.circles)
+    rng = splitmix64(0)
+    want = [(next(rng) % n, next(rng) % n) for _ in range(32)]
+    assert pairs == [(i, j) for i, j in want if i != j]
+
+
 def test_superpacking_contains_packing():
     limits = OrbitLimits(max_generation=3)
     pack = generate_packing(BI1_CLUSTER, BI1_COCLUSTER, limits)
@@ -682,6 +703,18 @@ def test_empty_interior_supplied_box():
         verify_empty_interior(cfg, 10, seed=1)
 
 
+def splitmix64(seed):
+    """The splitmix64 stream of a 64-bit seed, one state step per word,
+    written out apart from orbit._word as its reference."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
 def unit_fraction(word):
     # 53 high bits as an exact dyadic fraction in [0, 1)
     return Fraction(word >> 11, 1 << 53)
@@ -701,7 +734,7 @@ def test_empty_interior_prefilter_matches_exact():
             rows.append(sphere((QNum(cx), QNum(cy)), r))
         box = ((-5, 5), (-5, 5))
         rep = verify_empty_interior(rows, 300, seed=23, box=box)
-        gen = orbit.splitmix64(23)
+        gen = splitmix64(23)
         hit = None
         for _ in range(300):
             point = tuple(
@@ -721,7 +754,7 @@ def empty_interior_oracle(rows, sample_count, seed, box):
     (float point, exact point) of every sample drawn."""
     box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
     frows = [[float(q) for q in r] for r in rows]
-    rng = orbit.splitmix64(seed)
+    rng = splitmix64(seed)
     drawn = []
     exact_checks = 0
     for _ in range(sample_count):
@@ -870,9 +903,17 @@ def test_empty_interior_overflow_matches_fraction_oracle(box):
     assert str(got.value) == str(want.value)
 
 
+def test_splitmix64_reference_stream():
+    # the published first outputs of splitmix64 from seed 0
+    rng = splitmix64(0)
+    assert [next(rng) for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
+
+
 @pytest.mark.parametrize("seed", [0, -5, 7, 2**64 + 3])
 def test_splitmix64_word_by_index_matches_stream(seed):
-    rng = orbit.splitmix64(seed)
+    rng = splitmix64(seed)
     for k in range(5000):
         assert orbit._word(seed, k) == next(rng)
 

@@ -76,6 +76,16 @@ def test_builtin_seeds():
         builtin("cube")
 
 
+@pytest.mark.parametrize(
+    "name", ["../catalog/bi10-example", "../polyhedra/tetrahedron", "tetrahedron.json", ""]
+)
+def test_builtin_reads_only_listed_names(name):
+    # a name is checked against list_builtin before any file is opened,
+    # so a path-like name is the usual "no builtin polyhedron" error
+    with pytest.raises(KeyError, match="no builtin polyhedron"):
+        builtin(name)
+
+
 def test_json_round_trip():
     tet = builtin("tetrahedron")
     assert from_json(to_json(tet)) == tet

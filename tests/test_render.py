@@ -44,6 +44,55 @@ def test_line_fully_outside_viewport_is_dropped():
     assert "<line" not in svg
 
 
+def test_line_touching_a_corner_takes_no_circle_slot():
+    # x + y = 2 meets the box (0,1)x(0,1) only at its corner (1, 1): it is
+    # culled, so with max_circles=1 the slot goes to the circle behind it
+    corner = OrbitCircle(as_vector((2 * sqrt(2), QNum(0), sqrt(2) / 2, sqrt(2) / 2)), 0, "m")
+    inside = OrbitCircle(circle_row(-3, 4, 2, 2), 1, "1.m")
+    box = ((0, 1), (0, 1))
+    full = render_svg([corner, inside], RenderOptions(viewport=box))
+    assert "<line" not in full and full.count("<circle") == 1
+    assert render_svg([corner, inside], RenderOptions(viewport=box, max_circles=1)) == full
+    assert render._line_outside(*render._kept([corner])[0][1][1:], box)
+    assert render._clip_line(*render._kept([corner])[0][1][1:], box) is None
+
+
+H = sqrt(2) / 2
+EDGE_BOX = ((-1, 1), (0, 1))
+UNIT_BOX = ((0, 1), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "row, box, kind",
+    [
+        # along an edge: two corners on the line
+        ((0, 0, 0, 1), EDGE_BOX, "drawn"),
+        ((2, 0, 0, 1), EDGE_BOX, "drawn"),
+        ((2, 0, 1, 0), EDGE_BOX, "drawn"),
+        # through two opposite corners
+        ((0, 0, H, -H), UNIT_BOX, "drawn"),
+        ((sqrt(2), 0, H, H), UNIT_BOX, "drawn"),
+        # through one corner only
+        ((0, 0, H, H), UNIT_BOX, "corner"),
+        ((2 * sqrt(2), 0, H, H), UNIT_BOX, "corner"),
+        ((sqrt(2), 0, H, -H), UNIT_BOX, "corner"),
+        ((-sqrt(2), 0, -H, H), UNIT_BOX, "corner"),
+        # off the box
+        ((4, 0, 1, 0), EDGE_BOX, "missed"),
+        ((-1, 0, 0, 1), EDGE_BOX, "missed"),
+    ],
+)
+def test_line_outside_agrees_with_clip(row, box, kind):
+    # _visible keeps exactly the lines _clip_line can place: a line that
+    # only touches a corner is culled, not kept and dropped later
+    wall = OrbitCircle(as_vector(row), 0, "m")
+    (_, shape), = render._kept([wall])
+    assert render._line_outside(shape[1], shape[2], box) is (kind != "drawn")
+    if kind != "missed":
+        assert (render._clip_line(shape[1], shape[2], box) is None) is (kind == "corner")
+    assert ("<line" in render_svg([wall], RenderOptions(viewport=box))) is (kind == "drawn")
+
+
 def test_input_order_does_not_matter():
     rows = [
         OrbitCircle(circle_row(-1, 1, 0, 0), 0, "1"),
