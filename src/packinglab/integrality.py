@@ -255,13 +255,16 @@ def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
     matrix is the product of its letters' bend matrices, B_w =
     B_{i1} ... B_{ik} = V R_w V^-1.  The products run through
     ``_matrix.mat_mul``, on integers over the field of the entries
-    (rational for an integral basis, so plain integer arithmetic).
+    (rational for an integral basis, so plain integer arithmetic).  With
+    no mirror there is no letter to draw, and ValueError is raised.
     """
     rows = _checked_rows(basis, "basis")
     if len(rows) != len(rows[0]):
         raise ValueError("basis must be square")
     v_inv = mat_inverse(rows)
     mirrors = _checked_rows(mirrors, "mirror")
+    if not mirrors:
+        raise ValueError("need at least one mirror to draw words from")
     for k, m in enumerate(mirrors):
         if not _integral_matrix(reflection_matrix(m)):
             raise ValueError("mirror %d has a non-integral reflection matrix" % (k + 1))

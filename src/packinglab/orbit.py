@@ -609,6 +609,71 @@ def _check_range(ratios, frows):
                     )
 
 
+_UNITS = 1 << 53  # the u of a sample coordinate lie in [0, _UNITS)
+# a term |c - b x| above this fails its ball's screen alone: R**2 is
+# 1 + 2.000001e-6, well past the screen's 1 + 1e-6
+_R = 1.000001
+
+
+def _first(passes, guess):
+    """The least u in [0, _UNITS) with passes(u), or _UNITS if none, for
+    passes monotone (False, then True) on [0, _UNITS): a doubling search
+    out from guess, then bisection."""
+    lo = hi = min(max(guess, 0), _UNITS - 1)
+    step = 1
+    if passes(hi):
+        lo = hi - 1
+        while lo >= 0 and passes(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, -1)
+    else:
+        hi = lo + 1
+        while hi < _UNITS and not passes(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+        hi = min(hi, _UNITS)
+    # lo fails (or is -1), hi passes (or is _UNITS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _window(balls, j, ratio):
+    """The u in [0, _UNITS), as lo <= u <= hi, at which coordinate j has
+    every ball's term |c_j - b x| <= _R, x = (A + C*u) / D drawn as the
+    sampler draws it; lo > hi when there is none.  The full range when
+    C <= 0."""
+    a, c, den = ratio
+    lo, hi = 0, _UNITS - 1
+    if c <= 0:
+        return lo, hi
+
+    def guess(x):
+        # the real u at which the float x is drawn
+        try:
+            p, q = x.as_integer_ratio()
+        except OverflowError:  # x is infinite: search from u = 0
+            return 0
+        return (p * den - q * a) // (q * c)
+
+    for b, bz in balls:
+        cj = bz[j]
+        # c_j - b x falls as u grows, so each side is one search; a ball
+        # that the current edge already satisfies costs one evaluation
+        if not cj - b * ((a + c * lo) / den) <= _R:
+            lo = _first(lambda u: cj - b * ((a + c * u) / den) <= _R, guess((cj - _R) / b))
+        if cj - b * ((a + c * hi) / den) < -_R:
+            hi = _first(lambda u: cj - b * ((a + c * u) / den) < -_R, guess((cj + _R) / b)) - 1
+        if lo > hi:
+            break
+    return lo, hi
+
+
 def verify_empty_interior(config, sample_count, seed, box=None):
     """Sample the bounding box and look for a point interior to every wall.
 
@@ -624,24 +689,38 @@ def verify_empty_interior(config, sample_count, seed, box=None):
     box is only sampled, so a True verdict is sampling evidence, not a
     proof.
 
-    splitmix64 is counter-based, so each coordinate is drawn when a wall
-    test first reads it, and one no test reads is never drawn.  The walls
-    with b > 0 are screened first, each by q = 1.0 - sum_j (c_j - b x_j)**2
-    summed left to right, stopping at the first prefix with q < -1e-6:
-    every term is >= 0 and float + and - are monotone, so the full sum
-    rejects too, and the coordinates drawn are always a prefix x_0..x_k.
-    Only a point that passes every such wall draws the rest and is
-    screened by the lines (b = 0) and the walls with b < 0.  Each wall's
-    test is a function of the point alone, every sum is an explicit
-    left-to-right loop (builtin sum() of floats is compensated from
-    CPython 3.12), and a point is a candidate exactly when every wall
-    passes, so the report equals that of screening every wall of every
-    fully drawn point in row order.
+    The screen: a wall with b > 0 (a ball) passes when
+    q = 1.0 - sum_j (c_j - b x_j)**2 >= -1e-6, a line (b = 0) when
+    sum_j c_j x_j - bh/2 >= -1e-6, and a wall with b < 0 when the sum of
+    its squared terms minus 1.0 is.  Every sum is an explicit left-to-right
+    loop (builtin sum() of floats is compensated from CPython 3.12), and a
+    point is a candidate exactly when every wall passes.  A ball's loop
+    stops at the first prefix with q < -1e-6: every term is >= 0 and float
+    + and - are monotone, so the full sum rejects too.
+
+    Most samples are settled on integers before any float is formed.
+    Coordinate j has a window W_j, the u in [0, 2**53) at which every ball
+    has |c_j - b x_j| <= R = 1.000001, its x_j drawn as above.  Each float
+    step (int true division, b * x, c - y) is monotone in u, so each
+    ball's set is one interval whose two edges are found by monotone
+    searches: doubling out from the real-number estimate, then bisection.
+    A ball's prefix sums are at least each of its terms, so a sample the
+    screen passes has 1.0 - t**2 >= -1e-6 for every ball term t, which
+    puts |t| below sqrt(1 + 1e-6) (about 1.0000005) plus the rounding of
+    ``** 2``, far below R.  A sample with some u_j outside W_j is
+    therefore one the screen rejects, and it is dropped at the first such
+    u_j.  W_j is built the first time a sample reads coordinate j (the
+    full range when C <= 0), and an empty W_j rejects every sample that
+    remains, so the report is returned at once.  splitmix64 is
+    counter-based, so each u is drawn when first read, and a sample inside
+    every window is screened as above, so the report equals that of
+    screening every wall of every sample in row order.
 
     Overflow is settled before the first sample: every box end is
     converted to float, then each b != 0 wall's squared terms are
     evaluated at both ends, and the first OverflowError is raised (an
-    infinite term raises one too).  Past that check no sample overflows.
+    infinite term raises one too).  Past that check no sample and no
+    window search overflows.
     """
     if isinstance(config, Configuration):
         rows = config.rows
@@ -661,48 +740,52 @@ def verify_empty_interior(config, sample_count, seed, box=None):
     _check_range(ratios, frows)
     balls = [(fr[1], fr[2:]) for fr in frows if fr[1] > 0.0]
     rest = [fr for fr in frows if not fr[1] > 0.0]
+    windows = []
     exact_checks = 0
     for i in range(sample_count):
         first = i * n  # coordinate j is word i*n + j
-        xs = []
-        candidate = True
-        for b, bz in balls:
-            d2 = 0.0
-            for j, c in enumerate(bz):
-                if j == len(xs):
-                    a, w, den = ratios[j]
-                    xs.append((a + w * (_word(seed, first + j) >> 11)) / den)
-                d2 += (c - b * xs[j]) ** 2
-                if 1.0 - d2 < -1e-6:
-                    candidate = False
-                    break
-            if not candidate:
+        us = []
+        for j in range(n):
+            if j == len(windows):
+                windows.append(_window(balls, j, ratios[j]))
+                if windows[j][0] > windows[j][1]:
+                    return EmptyInteriorReport(True, sample_count, seed, box, None, exact_checks)
+            lo, hi = windows[j]
+            u = _word(seed, first + j) >> 11
+            if u < lo or u > hi:
                 break
-        if not candidate:
-            continue
-        for j in range(len(xs), n):
-            a, w, den = ratios[j]
-            xs.append((a + w * (_word(seed, first + j) >> 11)) / den)
-        for fr in rest:
-            bh, b = fr[0], fr[1]
-            s = 0.0
-            if b == 0.0:
-                for c, x in zip(fr[2:], xs):
-                    s += c * x
-                q = s - 0.5 * bh
-            else:
-                for c, x in zip(fr[2:], xs):
-                    s += (c - b * x) ** 2
-                q = s - 1.0  # -(1.0 - s), exactly
-            if q < -1e-6:
-                candidate = False
-                break
-        if not candidate:
-            continue
-        exact_checks += 1
-        point = _exact_point(ratios, [_word(seed, first + j) >> 11 for j in range(n)])
-        if all(interior_contains(r, point) for r in rows):
-            return EmptyInteriorReport(
-                False, sample_count, seed, box, point, exact_checks
-            )
+            us.append(u)
+        else:
+            xs = [(a + w * u) / den for (a, w, den), u in zip(ratios, us)]
+            if _screen(balls, rest, xs):
+                exact_checks += 1
+                point = _exact_point(ratios, us)
+                if all(interior_contains(r, point) for r in rows):
+                    return EmptyInteriorReport(
+                        False, sample_count, seed, box, point, exact_checks
+                    )
     return EmptyInteriorReport(True, sample_count, seed, box, None, exact_checks)
+
+
+def _screen(balls, rest, xs):
+    """The float screen of one point: True when every wall passes."""
+    for b, bz in balls:
+        d2 = 0.0
+        for c, x in zip(bz, xs):
+            d2 += (c - b * x) ** 2
+            if 1.0 - d2 < -1e-6:
+                return False
+    for fr in rest:
+        bh, b = fr[0], fr[1]
+        s = 0.0
+        if b == 0.0:
+            for c, x in zip(fr[2:], xs):
+                s += c * x
+            q = s - 0.5 * bh
+        else:
+            for c, x in zip(fr[2:], xs):
+                s += (c - b * x) ** 2
+            q = s - 1.0  # -(1.0 - s), exactly
+        if q < -1e-6:
+            return False
+    return True

@@ -226,6 +226,20 @@ def test_domain_error_is_one_json_line(capsys):
     assert json.loads(lines[0])["kind"] == "ValueError"
 
 
+def test_check_integrality_cluster_of_every_row_is_a_domain_error(capsys):
+    # no cocluster mirror is left for the spot check's words
+    argv = [
+        "check-integrality", "--config", "builtin:bi1-cluster3",
+        "--cluster", "1,2,3,4", "--seed", "0",
+    ]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"kind": "ValueError", "error": "need at least one mirror to draw words from"}
+    ]
+
+
 RATIONAL = "left nullspace is defined over the rationals"
 
 

@@ -269,6 +269,14 @@ def test_bounded_rational_rejects_non_integral_reflection():
         check_bounded_rational(BI1, rows)
 
 
+@pytest.mark.parametrize("word_count, word_length", [(20, 5), (0, 5), (3, 0)])
+def test_bounded_rational_needs_a_mirror(word_count, word_length):
+    # a cluster of every row leaves no mirror: refused before any letter is
+    # drawn, whatever the word count
+    with pytest.raises(ValueError, match="need at least one mirror to draw words from"):
+        check_bounded_rational(BI1, (), word_count, word_length)
+
+
 def test_certificate_json_round_trip():
     for cert in (
         prove_integral(BI1, cluster_rows=[3], mirror_rows=[1, 2, 4]),

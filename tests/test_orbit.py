@@ -983,3 +983,275 @@ def test_empty_interior_matches_fraction_oracle_on_random_walls(walls, seed, sam
     rows, box = walls
     want, _ = empty_interior_oracle(rows, samples, seed, box)
     assert verify_empty_interior(rows, samples, seed, box=box) == want
+
+
+# -- integer windows of the sampler -------------------------------------
+
+
+def parent_empty_interior(rows, sample_count, seed, box=None):
+    """The sampler as it was before the integer windows: every sample's
+    coordinates drawn as floats while the balls are screened, each ball
+    stopping at its first rejecting prefix."""
+    rows = tuple(rows)
+    if box is None:
+        box = orbit._derived_box(rows)
+    box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
+    n = len(rows[0]) - 2
+    ratios = orbit._sample_ratios(box)
+    frows = [[float(q) for q in r] for r in rows]
+    orbit._check_range(ratios, frows)
+    balls = [(fr[1], fr[2:]) for fr in frows if fr[1] > 0.0]
+    rest = [fr for fr in frows if not fr[1] > 0.0]
+    exact_checks = 0
+    for i in range(sample_count):
+        first = i * n
+        xs = []
+        candidate = True
+        for b, bz in balls:
+            d2 = 0.0
+            for j, c in enumerate(bz):
+                if j == len(xs):
+                    a, w, den = ratios[j]
+                    xs.append((a + w * (orbit._word(seed, first + j) >> 11)) / den)
+                d2 += (c - b * xs[j]) ** 2
+                if 1.0 - d2 < -1e-6:
+                    candidate = False
+                    break
+            if not candidate:
+                break
+        if not candidate:
+            continue
+        for j in range(len(xs), n):
+            a, w, den = ratios[j]
+            xs.append((a + w * (orbit._word(seed, first + j) >> 11)) / den)
+        for fr in rest:
+            bh, b = fr[0], fr[1]
+            s = 0.0
+            if b == 0.0:
+                for c, x in zip(fr[2:], xs):
+                    s += c * x
+                q = s - 0.5 * bh
+            else:
+                for c, x in zip(fr[2:], xs):
+                    s += (c - b * x) ** 2
+                q = s - 1.0
+            if q < -1e-6:
+                candidate = False
+                break
+        if not candidate:
+            continue
+        exact_checks += 1
+        point = orbit._exact_point(
+            ratios, [orbit._word(seed, first + j) >> 11 for j in range(n)]
+        )
+        if all(interior_contains(r, point) for r in rows):
+            return orbit.EmptyInteriorReport(False, sample_count, seed, box, point, exact_checks)
+    return orbit.EmptyInteriorReport(True, sample_count, seed, box, None, exact_checks)
+
+
+@pytest.mark.parametrize("entry_id", catalog.list_builtin())
+def test_empty_interior_matches_parent_loop_on_builtins(entry_id):
+    config = catalog.get_builtin(entry_id).configuration
+    for seed in list(range(40)) + [2**64 - 1]:
+        want = parent_empty_interior(config.rows, 2000, seed)
+        assert verify_empty_interior(config, 2000, seed) == want
+    box = orbit._derived_box(config.rows)
+    for seed in range(3):
+        want, _ = empty_interior_oracle(config.rows, 2000, seed, box)
+        assert verify_empty_interior(config, 2000, seed) == want
+
+
+UNITS = 1 << 53
+
+
+def term_passes(b, c, ratio, u):
+    a, w, den = ratio
+    return abs(c - b * ((a + w * u) / den)) <= orbit._R
+
+
+def one_term_screen_rejects(b, c, ratio, u):
+    # the ball's screen after this one term: any other terms only add to it
+    a, w, den = ratio
+    return 1.0 - (c - b * ((a + w * u) / den)) ** 2 < -1e-6
+
+
+def bisection_window(balls, j, ratio):
+    """The window by plain 53-step bisection of each ball's two edges."""
+    def first(passes):
+        lo, hi = -1, UNITS
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+        return hi
+
+    lo, hi = 0, UNITS - 1
+    if ratio[1] <= 0:
+        return lo, hi
+    for b, bz in balls:
+        a, w, den = ratio
+        lo = max(lo, first(lambda u: bz[j] - b * ((a + w * u) / den) <= orbit._R))
+        hi = min(hi, first(lambda u: bz[j] - b * ((a + w * u) / den) < -orbit._R) - 1)
+    return lo, hi
+
+
+def random_balls_and_box(rng, scale):
+    # one to three balls of radius ~scale near the origin, and their
+    # derived box or a random one around, across or beside them
+    n = rng.randint(1, 3)
+
+    def number(top, den):
+        return Fraction(rng.randint(-top, top), rng.randint(1, den)) * scale
+
+    rows = [
+        sphere([number(40, 9) for _ in range(n)], abs(number(40, 40)) or scale)
+        for _ in range(rng.randint(1, 3))
+    ]
+    if rng.random() < 0.5:
+        return rows, orbit._derived_box(rows)
+    box = []
+    for _ in range(n):
+        lo = number(90, 9)
+        box.append((lo, lo + abs(number(90, 9)) + scale))
+    return rows, tuple(box)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 10**9), Fraction(1), Fraction(10**12)])
+def test_window_edges_are_tight(scale):
+    rng = random.Random(str(scale))
+    empty = nonempty = 0
+    for _ in range(60):
+        rows, box = random_balls_and_box(rng, scale)
+        ratios = orbit._sample_ratios(box)
+        balls = [(float(r[1]), [float(c) for c in r[2:]]) for r in rows]
+        for j, ratio in enumerate(ratios):
+            lo, hi = orbit._window(balls, j, ratio)
+            want = bisection_window(balls, j, ratio)
+            if want[0] > want[1]:
+                assert lo > hi
+                empty += 1
+                continue
+            nonempty += 1
+            assert (lo, hi) == want
+            # each edge passes every ball, its outer neighbour fails one,
+            # and that ball's one-term screen rejects the neighbour
+            for edge, outer in ((lo, lo - 1), (hi, hi + 1)):
+                assert all(term_passes(b, bz[j], ratio, edge) for b, bz in balls)
+                if 0 <= outer < UNITS:
+                    failing = [(b, bz) for b, bz in balls if not term_passes(b, bz[j], ratio, outer)]
+                    assert failing
+                    assert all(one_term_screen_rejects(b, bz[j], ratio, outer) for b, bz in failing)
+            # samples across the box outside a ball's own window are
+            # rejected by that ball's one-term screen
+            for b, bz in balls:
+                own = orbit._window([(b, bz)], j, ratio)
+                for _ in range(20):
+                    u = rng.randrange(UNITS)
+                    if not own[0] <= u <= own[1]:
+                        assert one_term_screen_rejects(b, bz[j], ratio, u)
+                    else:
+                        assert term_passes(b, bz[j], ratio, u)
+    assert empty > 10 and nonempty > 20
+
+
+def test_window_is_full_for_boxes_of_zero_and_negative_width():
+    balls = [(1.0, [0.25, -0.5])]
+    for box in (((Fraction(1, 3), Fraction(1, 3)), (0, 1)), ((3, -3), (0, 1))):
+        ratio = orbit._sample_ratios(box)[0]
+        assert ratio[1] <= 0
+        assert orbit._window(balls, 0, ratio) == (0, UNITS - 1)
+
+
+def test_window_search_seed_past_float_range_falls_back():
+    # (c - R) / b is inf: the estimate has no integer ratio, and the
+    # search starts from u = 0; no u passes, so the window is empty
+    ratio = orbit._sample_ratios(((0, 1),))[0]
+    balls = [(1e-308, [10.0])]
+    assert (10.0 - orbit._R) / 1e-308 == math.inf
+    lo, hi = orbit._window(balls, 0, ratio)
+    want_lo, want_hi = bisection_window(balls, 0, ratio)
+    assert lo > hi and want_lo > want_hi
+    # and on the upper edge: (c + R) / b is inf, and every u passes
+    balls = [(1e-308, [-0.5])]
+    assert (-0.5 + orbit._R) / 1e-308 > 0
+    assert orbit._window(balls, 0, ratio) == (0, UNITS - 1)
+
+
+def test_empty_window_returns_before_any_draw(monkeypatch):
+    # two disjoint unit disks: no x lies within both balls' terms
+    rows = (sphere((-10, 0), 1), sphere((10, 0), 1))
+    draws = []
+    word = orbit._word
+    monkeypatch.setattr(orbit, "_word", lambda seed, k: draws.append(k) or word(seed, k))
+    rep = verify_empty_interior(rows, 500, 3)
+    assert (rep.verdict, rep.exact_checks, draws) == (True, 0, [])
+    monkeypatch.setattr(orbit, "_word", word)
+    assert rep == parent_empty_interior(rows, 500, 3)
+
+
+def test_overflow_is_raised_before_any_window_or_draw(monkeypatch):
+    calls = []
+    monkeypatch.setattr(orbit, "_word", lambda *a: calls.append(a))
+    monkeypatch.setattr(orbit, "_window", lambda *a: calls.append(a))
+    with pytest.raises(OverflowError):
+        verify_empty_interior(UNIT_DISK, 10, 0, box=((5, 6), (10**200, 10**200 + 1)))
+    tiny = (sphere((QNum(0), QNum(0)), Fraction(1, 10**200)),)
+    with pytest.raises(OverflowError, match="wall 1"):
+        verify_empty_interior(tiny, 10, 0, box=((0, 10**200), (0, 1)))
+    assert calls == []
+
+
+OUTWARD = (
+    sphere((0, 0), 1),
+    sphere((Fraction(1, 2), 0), Fraction(-1, 10)),
+    sphere((0, Fraction(-1, 3)), Fraction(-1, 5)),
+)
+# an outward sphere left of the box: its term (x + 5) is above R at every
+# sampled x, yet every point of the box is outside it
+FAR_OUTWARD = (sphere((0, 0), 1), sphere((-5, 0), -1))
+
+
+@pytest.mark.parametrize(
+    "rows, box",
+    [
+        # a ball with outward spheres inside it: interior points lie far
+        # from the outward spheres, whose terms must not be windowed
+        (OUTWARD, None),
+        (OUTWARD[:2], ((Fraction(-1, 2), 1), (-1, Fraction(1, 7)))),
+        (FAR_OUTWARD, None),
+        # lines only: no ball, every window full
+        (LINES, ((Fraction(-1, 3), Fraction(2, 7)), (Fraction(-5, 3), Fraction(1, 9)))),
+        (LINES, ((-2, 2), (0, 0))),
+        # zero and negative widths
+        (UNIT_DISK, ((Fraction(1, 3), Fraction(1, 3)), (Fraction(-1, 10), Fraction(1, 10)))),
+        (UNIT_DISK, ((Fraction(1, 3), Fraction(-2, 5)), (2, Fraction(-7, 3)))),
+        (UNIT_DISK, ((Fraction(1, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(-1, 2)))),
+        # tiny and huge scales
+        ((sphere((0, 0), Fraction(1, 10**9)), sphere((Fraction(3, 10**9), 0), Fraction(2, 10**9))), None),
+        ((sphere((0, 0), 10**12), sphere((3 * 10**12, 0), 2 * 10**12)), None),
+        ((sphere((0, 0), 10**12), sphere((10**12, 0), 10**12)), None),
+        # a window emptied by two disjoint balls
+        ((sphere((-10, 0), 1), sphere((10, 0), 1)), None),
+    ],
+    ids=[
+        "outward", "outward-box", "far-outward", "lines", "lines-flat", "zero-width", "negative-width",
+        "reversed", "scale-1e-9", "scale-1e12", "scale-1e12-overlap", "empty-window",
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_empty_interior_matches_parent_loop_on_edge_cases(rows, box, seed):
+    want = parent_empty_interior(rows, 2000, seed, box)
+    assert verify_empty_interior(rows, 2000, seed, box=box) == want
+    if box is None:
+        box = orbit._derived_box(rows)
+    assert empty_interior_oracle(rows, 300, seed, box)[0] == verify_empty_interior(
+        rows, 300, seed, box=box
+    )
+
+
+@pytest.mark.parametrize("rows", [OUTWARD, FAR_OUTWARD], ids=["outward", "far-outward"])
+def test_outward_spheres_leave_a_counterexample(rows):
+    # the comparisons above mean something: interior points are found
+    # where an outward sphere's term is far above R
+    rep = verify_empty_interior(rows, 2000, 0)
+    assert not rep.verdict
+    assert all(interior_contains(r, rep.counterexample) for r in rows)
