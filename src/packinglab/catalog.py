@@ -14,11 +14,13 @@ literals are scanned only after the rows have been proved, so a bad row
 is reported before a bad Gram literal.
 
 The JSON schema is {id, n, d, rows, labels, words, gram, clusters, source},
-in that order.  Scalars use the exact-literal grammar of exactnum; `n` is
-the ambient dimension (rows carry n+2 coordinates); `d` is the quadratic
-form the data came from, when there is one.  The writer is canonical
-(UTF-8, LF, two-space indent), so save(load(f)) is byte-identical on
-canonical files.  PACKINGLAB_CATALOG overrides the builtin data directory.
+in that order, and each field's JSON type is checked before any literal
+is scanned.  Cells are strings or integers (not bools) in the
+exact-literal grammar of exactnum; `n` is the ambient dimension (rows
+carry n+2 coordinates); `d` is the quadratic form the data came from,
+when there is one.  The writer is canonical (UTF-8, LF, two-space
+indent), so save(load(f)) is byte-identical on canonical files.
+PACKINGLAB_CATALOG overrides the builtin data directory.
 """
 
 import dataclasses
@@ -31,9 +33,33 @@ from . import coxeter
 from .exactnum import QNum
 from .groupwords import Configuration
 
-SCHEMA_FIELDS = (
-    "id", "n", "d", "rows", "labels", "words", "gram", "clusters", "source",
-)
+_NULL = type(None)
+# Each schema field's JSON type, in schema order, and its wording.  A type
+# is a Python type (a bool is not an int), [t] for a list of t, or a tuple
+# of choices.  A row's cells are checked as they are scanned, so that the
+# error names the row.
+_FIELD_TYPES = {
+    "id": (str, "a string"),
+    "n": (int, "an integer"),
+    "d": ((int, _NULL), "an integer or null"),
+    "rows": ([list], "a list of lists"),
+    "labels": ([str], "a list of strings"),
+    "words": (([(str, _NULL)], _NULL), "a list of strings and nulls, or null"),
+    "gram": (([[(str, int)]], _NULL), "a list of lists of strings and integers, or null"),
+    "clusters": (([[str]], _NULL), "a list of lists of strings, or null"),
+    "source": (str, "a string"),
+}
+SCHEMA_FIELDS = tuple(_FIELD_TYPES)
+
+
+def _has_type(value, spec):
+    if type(spec) is list:
+        return type(value) is list and all(_has_type(v, spec[0]) for v in value)
+    if type(spec) is tuple:
+        return type(value) in spec or any(
+            type(s) is list and _has_type(value, s) for s in spec
+        )
+    return type(value) is spec
 
 
 def _gram_mismatch(computed, stored):
@@ -100,10 +126,9 @@ class CatalogEntry:
 
 def _literal(table, c):
     """QNum(c), scanned once per distinct string or int literal of the
-    document whose table this is; any other JSON value goes to QNum as
-    it is, to raise its usual error."""
+    document whose table this is; any other JSON value is a ValueError."""
     if type(c) is not str and type(c) is not int:
-        return QNum(c)
+        raise ValueError("a cell must be a string or an integer, not %s" % json.dumps(c))
     q = table.get(c)
     if q is None:
         q = table[c] = QNum(c)
@@ -130,6 +155,9 @@ def from_json(text: str) -> CatalogEntry:
     extra = [k for k in doc if k not in SCHEMA_FIELDS]
     if extra:
         raise ValueError("unknown fields: %s" % ", ".join(sorted(extra)))
+    for name, (spec, wording) in _FIELD_TYPES.items():
+        if not _has_type(doc[name], spec):
+            raise ValueError("field %r must be %s" % (name, wording))
     table = {}
     rows = _parse_rows(doc, table)
     for i, row in enumerate(rows):

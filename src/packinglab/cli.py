@@ -4,7 +4,7 @@ Every subcommand is a thin pipeline over one module; all numeric output
 is in the exact-number grammar (decimal floats only where the quantity
 itself is a float, as in `lob`), so output diffs cleanly and can be
 parsed back.  Exit codes: 0 success, 1 domain error (a one-line JSON
-object on stderr), 2 usage error.
+object on stderr; numbers past float range are one), 2 usage error.
 
 Configurations are addressed as `builtin:<id>` or a path to a catalog
 JSON file; the PACKINGLAB_CATALOG environment variable points builtin
@@ -185,12 +185,12 @@ def _cmd_check_integrality(args):
     config = _load_config(args.config)
     _, cocluster, positions, rest = config.split(args.cluster)
     cert = prove_integral(
-        config.rows,
+        config,
         [p + 1 for p in positions],
         [p + 1 for p in rest],
     )
     spot = check_bounded_rational(
-        config.rows,
+        config,
         cocluster,
         word_count=args.words,
         word_length=args.word_length,
@@ -213,16 +213,16 @@ def _cmd_check_integrality(args):
 
 def _cmd_prove_nonintegral(args):
     config = _load_config(args.config)
-    # add reflected images of the walls, one generation deeper at a time,
-    # until there are two more rows than columns or the depth runs out;
-    # long wall lists (d3n13 has 22 rows) must not pay for --depth
-    # generations up front
-    rows = config.rows
+    # the loaded Configuration (its rows proved on load), or else the orbit
+    # of all its walls, one generation deeper at a time, until there are two
+    # more rows than columns or the depth runs out; long wall lists (d3n13
+    # has 22 rows) must not pay for --depth generations up front
+    rows, vectors = config, config.rows
     depth = 0
-    while len(rows) < config.dim_n + 4 and depth < args.depth:
+    while len(vectors) < config.dim_n + 4 and depth < args.depth:
         depth += 1
-        orbit = generate_superpacking(config.rows, (), OrbitLimits(depth, None))
-        rows = [c.vector for c in orbit.circles]
+        orbit = generate_superpacking(config, (), OrbitLimits(depth, None))
+        rows = vectors = [c.vector for c in orbit.circles]
     cert = prove_nonintegral(rows)
     _emit(certificate_to_json(cert) + "\n", args.out)
     return 0
@@ -509,7 +509,7 @@ def run(argv=None):
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, OverflowError) as e:
         message = e.args[0] if isinstance(e, KeyError) and e.args else str(e)
         sys.stderr.write(
             json.dumps({"kind": type(e).__name__, "error": str(message)}) + "\n"

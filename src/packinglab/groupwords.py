@@ -153,7 +153,7 @@ class Configuration:
     _gram: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(geometry.as_vector(r) for r in self.rows))
         object.__setattr__(self, "labels", tuple(self.labels))
         if self.defining_words is not None:
             object.__setattr__(

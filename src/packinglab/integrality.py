@@ -94,11 +94,11 @@ def _integral_matrix(m):
 def prove_integral(basis, cluster_rows, mirror_rows):
     """Certificate that the packing of the cluster is integral.
 
-    basis: square wall matrix; cluster_rows/mirror_rows: 1-based row
-    indices.  Divides the cluster bends by their common factor, then
-    demands every one be an integer and every mirror bend matrix (which
-    that rescaling leaves as it is) be integral; the bend matrices are
-    the replayable witnesses.
+    basis: square wall matrix, a Configuration or rows; cluster_rows and
+    mirror_rows: 1-based row indices.  Divides the cluster bends by their
+    common factor, then demands every one be an integer and every mirror
+    bend matrix (which that rescaling leaves as it is) be integral; the
+    bend matrices are the replayable witnesses.
     """
     rows = _checked_rows(basis, "basis")
     if len(rows) != len(rows[0]):
@@ -149,7 +149,7 @@ def _kernel_basis(reduced, pivots):
 
 
 def prove_nonintegral(rows):
-    """Certificate from an overdetermined m x (n+2) wall matrix, m > n+2.
+    """Certificate from an m x (n+2) wall matrix, m > n+2: Configuration or rows.
 
     The left nullspace {g : g.rows = 0} is computed exactly in canonical
     reduced form; an irrational entry there proves the packing admits no
@@ -245,11 +245,11 @@ class BoundedRationalReport:
 def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0):
     """Spot-check that the bend matrices of mirror words stay bounded rational.
 
-    Every bend matrix of a mirror word is V . R_word . V^-1 with R_word
-    integral.  With L1 = lcm-den(V) and L2 = lcm-den(V^-1), L1 V and
-    L2 V^-1 are integral, so L1 L2 times the bend matrix is an integral
-    product and every entry denominator divides ``derived_bound`` =
-    L1 * L2 (the product, which can exceed lcm(L1, L2)).  Random seeded
+    Every bend matrix of a mirror word is V . R_word . V^-1, V the basis
+    (a Configuration or rows) and R_word integral.  With L1 = lcm-den(V)
+    and L2 = lcm-den(V^-1), L1 V and L2 V^-1 are integral, so L1 L2 times
+    the bend matrix is integral and every entry denominator divides
+    ``derived_bound`` = L1 * L2 (which can exceed lcm(L1, L2)).  Random seeded
     words (letter j of word t is element t * word_length + j of the
     seed's splitmix64 stream) verify the bound empirically; a word's
     matrix is the product of its letters' bend matrices, B_w =

@@ -36,6 +36,11 @@ ASYMPTOTIC_RADIUS = 0.5
 _MAX_TERMS = 40
 
 
+def _check_angle(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
+
+
 def reduce_angle(theta: float) -> float:
     """theta mod pi, in [0, pi).  L is pi-periodic, L(0) = L(pi) = 0."""
     r = math.fmod(theta, math.pi)
@@ -62,6 +67,7 @@ def _term_count(r: float, tol: float) -> int:
 
 def lobachevsky(theta: float, tol: float = 1e-9) -> float:
     """Evaluate L within tol by the reduced-angle expansion."""
+    _check_angle(theta)
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     r = reduce_angle(theta)
@@ -87,6 +93,7 @@ def lobachevsky_quadrature(theta: float, tol: float = 1e-9) -> float:
     """
     import mpmath
 
+    _check_angle(theta)
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     r = reduce_angle(theta)
@@ -146,14 +153,25 @@ def lobachevsky_asymptotic(theta: float, terms: int = 5) -> float:
     Accurate to ~1e-9 for |theta| <= 0.1 with the default five terms;
     warns once |theta| exceeds ASYMPTOTIC_RADIUS, where the truncation
     error becomes non-negligible.  No angle reduction is applied: the
-    expansion is only meaningful near 0.
+    expansion is only meaningful near 0, and where it overflows float
+    range (the more terms, the smaller the angle) ValueError is raised,
+    before any warning.
     """
+    _check_angle(theta)
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms!r}")
+    try:
+        value = _expansion(theta, terms)
+    except OverflowError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(
+            f"asymptotic expansion to {terms} terms overflows at theta = {theta!r}"
+        )
     if abs(theta) > ASYMPTOTIC_RADIUS:
         warnings.warn(
             f"asymptotic expansion used at theta = {abs(theta):g}, beyond its "
             f"reliable radius {ASYMPTOTIC_RADIUS}; prefer lobachevsky()",
             stacklevel=2,
         )
-    return _expansion(theta, terms)
+    return value

@@ -207,11 +207,14 @@ class PackingOrbit:
 def _checked_rows(rows, what):
     """The rows as inversive vectors, each proved to have norm -1.
 
-    The rows are encoded over one field, and each key is checked on its
-    own coefficients by ``geometry.key_is_wall``, the check ``is_wall``
-    makes.  Rows are checked one by one, so their lengths may differ;
-    the error names the first failing row, counting from 1.
+    The one gate for row proofs: a Configuration passes through, since
+    its constructor proved every row and stored it through ``as_vector``.
+    Raw rows are encoded over one field and each key is checked alone by
+    ``geometry.key_is_wall`` (the check ``is_wall`` makes), so lengths may
+    differ; the error names the first failing row, counting from 1.
     """
+    if isinstance(rows, Configuration):
+        return rows.rows
     out = tuple(as_vector(r) for r in rows)
     field = _Field(out)
     for i, r in enumerate(out):
@@ -675,7 +678,7 @@ def _window(balls, j, ratio):
 
 
 def verify_empty_interior(config, sample_count, seed, box=None):
-    """Sample the bounding box and look for a point interior to every wall.
+    """Sample the box of a Configuration or rows for a point inside every wall.
 
     Coordinate j of sample i is the exact rational lo + (hi - lo) * u / 2**53,
     u the 53 high bits of word i*n + j of the seeded splitmix64 stream, so
@@ -722,10 +725,7 @@ def verify_empty_interior(config, sample_count, seed, box=None):
     infinite term raises one too).  Past that check no sample and no
     window search overflows.
     """
-    if isinstance(config, Configuration):
-        rows = config.rows
-    else:
-        rows = _checked_rows(config, "config")
+    rows = _checked_rows(config, "config")
     if sample_count <= 0:
         raise ValueError("sample_count must be positive")
     if box is None:

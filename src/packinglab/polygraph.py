@@ -98,6 +98,18 @@ class PlanarPolyhedron:
                 return False
         return True
 
+    def face(self, index):
+        """The cycle of face ``index``, one of 0 .. F-1 (no index counts
+        from the end); ValueError names any other index."""
+        if not 0 <= index < len(self.faces):
+            raise ValueError("%s has no face %r; its faces are 0..%d"
+                             % (self.name, index, len(self.faces) - 1))
+        return self.faces[index]
+
+    def _known(self, v):
+        if v not in self.vertices:
+            raise ValueError("%s has no vertex %r" % (self.name, v))
+
     def counts(self):
         return (len(self.vertices), len(self.edges), len(self.faces))
 
@@ -113,10 +125,12 @@ class PlanarPolyhedron:
         return out
 
     def vertex_degree(self, v):
+        self._known(v)
         return sum(1 for e in self.edges if v in e)
 
     def vertex_rotation(self, v):
         """Neighbors of v in cyclic order around v (deterministic start)."""
+        self._known(v)
         pairs = []
         for f in self.faces:
             if v in f:
@@ -170,7 +184,7 @@ def _dihedral_match(ring_a, types_a, ring_b, types_b):
 
 def face_equivalent(a, fa, b, fb):
     """Cyclic vertex correspondence making the two faces equivalent, or None."""
-    ca, cb = a.faces[fa], b.faces[fb]
+    ca, cb = a.face(fa), b.face(fb)
     if len(ca) != len(cb):
         raise ValueError("face sizes differ: %d vs %d" % (len(ca), len(cb)))
     # edge i of A, between ca[i] and ca[i+1], is typed by the face across it
@@ -232,7 +246,7 @@ def _fresh_names(poly_a, keep_map, poly_b):
 
 def glue_face(a, fa, b, fb, matching, require_equivalent=True):
     """Glue B onto A along faces fa/fb with the given vertex matching."""
-    ca, cb = a.faces[fa], b.faces[fb]
+    ca, cb = a.face(fa), b.face(fb)
     a_side = [p[0] for p in matching]
     b_side = [p[1] for p in matching]
     if not (_is_dihedral_of(a_side, ca) and _is_dihedral_of(b_side, cb)):

@@ -211,20 +211,46 @@ def test_a_bad_literal_in_rows_and_gram_reports_the_row():
         from_json(json.dumps(doc))
 
 
-def test_non_literal_cells_raise_as_qnum_does():
+def test_non_literal_cells_are_refused_with_their_row():
+    # a cell is a string or an integer; a float, a list, an object, null
+    # and a bool are not, though QNum would take some of them
     doc = json.loads(shipped_text("d3n3"))
     doc["rows"][0][1] = 0  # a JSON int that the float 0.0 equals
-    for value in (0.0, 1.5, [1], {"2": 1}):
+    assert_same_load(json.dumps(doc))
+    for value in (0.0, 1.5, [1], {"2": 1}, None, True, False):
         doc["rows"][6][1] = value
-        with pytest.raises(TypeError) as got:
+        message = "row 6: a cell must be a string or an integer, not %s" % json.dumps(value)
+        with pytest.raises(ValueError) as got:
             from_json(json.dumps(doc))
-        with pytest.raises(TypeError) as want:
-            QNum(value)
-        assert str(got.value) == str(want.value)
-    # null is zero and true is one, as QNum takes them
-    for value in (None, True):
-        doc["rows"][6][1] = value
-        assert_same_load(json.dumps(doc))
+        assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("id", 7), ("n", "2"), ("n", True), ("n", 2.0), ("d", "3"), ("d", False),
+        ("rows", {"0": []}), ("rows", ["0", "0", "1", "1"]), ("labels", None),
+        ("labels", [5, 6, 7, 8, 9, 10, 11]), ("words", "1.2"), ("words", [1]),
+        ("gram", [[True]]), ("gram", [[None]]), ("gram", ["1"]), ("clusters", [["6", 8]]),
+        ("clusters", ["6"]), ("source", None),
+    ],
+)
+def test_each_field_of_the_wrong_json_type_is_named(name, value):
+    doc = json.loads(shipped_text("d3n3"))
+    doc[name] = value
+    with pytest.raises(ValueError, match="^field '%s' must be " % name):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("d", None), ("words", None), ("words", [None, "1.2"] + [None] * 5),
+     ("gram", None), ("clusters", None), ("clusters", [])],
+)
+def test_fields_take_null_and_empty_lists_where_the_schema_does(name, value):
+    doc = json.loads(shipped_text("d3n3"))
+    doc[name] = value
+    assert_same_load(json.dumps(doc))
 
 
 def test_entry_takes_qnum_gram_cells_only():

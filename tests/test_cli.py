@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from packinglab import catalog, cli, convert, coxeter, polygraph
-from packinglab.geometry import bend_matrices
-from packinglab.groupwords import double
+from packinglab.geometry import bend_matrices, sphere
+from packinglab.groupwords import Configuration, double
 from packinglab.integrality import (
     certificate_to_json,
     check_bounded_rational,
@@ -492,3 +492,96 @@ def test_check_integrality_success_matches_library(capsys):
         },
     }
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+# -- domain errors that used to end in a traceback ----------------------
+
+
+def one_json_error(capsys):
+    """The single JSON line a domain error writes on stderr, parsed."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    return json.loads(lines[0])
+
+
+def test_validate_samples_past_float_range_is_a_domain_error(capsys, tmp_path):
+    # two tangent unit circles centred near x = 10**400: exact rows that
+    # load and validate, but whose sample box has no float
+    far = 10**400
+    config = Configuration(
+        name="far",
+        rows=(sphere((far, 0), 1), sphere((far + 2, 0), 1)),
+        labels=("a", "b"),
+    )
+    path = tmp_path / "far.json"
+    catalog.save(catalog.CatalogEntry(id="far", configuration=config), path)
+    assert cli.run(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["validate", "--config", str(path), "--samples", "10", "--seed", "0"]
+    assert cli.run(argv) == 1
+    assert one_json_error(capsys)["kind"] == "OverflowError"
+
+
+@pytest.mark.parametrize(
+    "a, b, at, message",
+    [
+        ("tetrahedron", "square_pyramid", ["--at-a", "4", "--at-b", "0"],
+         "tetrahedron has no face 4; its faces are 0..3"),
+        ("tetrahedron", "tetrahedron", ["--at-a=-1", "--at-b=-1"],
+         "tetrahedron has no face -1; its faces are 0..3"),
+    ],
+)
+def test_glue_face_index_outside_the_faces_is_a_domain_error(capsys, a, b, at, message):
+    argv = ["glue", "--kind", "face", "--a", "builtin:" + a, "--b", "builtin:" + b]
+    assert cli.run(argv + at) == 1
+    assert one_json_error(capsys) == {"kind": "ValueError", "error": message}
+
+
+def test_glue_unknown_vertex_label_is_a_domain_error(capsys):
+    argv = ["glue", "--kind", "vertex", "--a", "builtin:tetrahedron",
+            "--b", "builtin:tetrahedron", "--at-a", "zz", "--at-b", "1"]
+    assert cli.run(argv) == 1
+    assert one_json_error(capsys) == {
+        "kind": "ValueError", "error": "tetrahedron has no vertex 'zz'",
+    }
+
+
+def _set_cell(doc, value):
+    doc["rows"][1][2] = value
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: _set_cell(doc, [1]),
+         "row 1: a cell must be a string or an integer, not [1]"),
+        (lambda doc: _set_cell(doc, True),
+         "row 1: a cell must be a string or an integer, not true"),
+        (lambda doc: doc.update(n="2"), "field 'n' must be an integer"),
+        (lambda doc: doc.update(labels=None), "field 'labels' must be a list of strings"),
+    ],
+)
+def test_catalog_file_of_wrong_json_types_is_a_domain_error(capsys, tmp_path, edit, message):
+    doc = json.loads(catalog._data_dir().joinpath("bi1-cluster3.json").read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(["validate", "--config", str(path)]) == 1
+    assert one_json_error(capsys) == {"kind": "ValueError", "error": message}
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "theta, method, message",
+    [
+        ("nan", "series", "angle must be finite, got nan"),
+        ("inf", "quadrature", "angle must be finite, got inf"),
+        ("-inf", "asymptotic", "angle must be finite, got -inf"),
+        ("1e308", "asymptotic", "asymptotic expansion to 12 terms overflows at theta = 1e+308"),
+    ],
+)
+def test_lob_never_prints_a_non_finite_value(capsys, theta, method, message):
+    assert cli.run(["lob", "--theta=" + theta, "--method", method]) == 1
+    assert one_json_error(capsys) == {"kind": "ValueError", "error": message}
+    assert capsys.readouterr().out == ""

@@ -86,6 +86,20 @@ def test_bad_arguments():
         lob.lobachevsky_asymptotic(0.05, terms=-1)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_refused(theta):
+    for f in (lob.lobachevsky, lob.lobachevsky_quadrature, lob.lobachevsky_asymptotic):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            f(theta)
+
+
+@pytest.mark.parametrize("theta, terms", [(1e308, 12), (-1e200, 5), (1e100, 12), (1e20, 40)])
+def test_asymptotic_overflow_is_refused_before_any_warning(recwarn, theta, terms):
+    with pytest.raises(ValueError, match="^asymptotic expansion to %d terms overflows" % terms):
+        lob.lobachevsky_asymptotic(theta, terms=terms)
+    assert len(recwarn) == 0
+
+
 @functools.lru_cache(maxsize=None)
 def clausen_grid():
     """(theta, Cl_2(2 theta) / 2) at 241 angles across [-pi, pi].

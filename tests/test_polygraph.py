@@ -306,6 +306,32 @@ def test_matching_validation():
         glue_vertex(tet, "1", tet, "1", (("2", "2"), ("3", "3"), ("1", "4")))
 
 
+@pytest.mark.parametrize("index", [4, -1, -5])
+def test_face_index_outside_the_faces_is_refused(index):
+    # -1 must not mean the last face: glue_face would then drop no face
+    tet = builtin("tetrahedron")
+    message = r"^tetrahedron has no face %d; its faces are 0\.\.3$" % index
+    with pytest.raises(ValueError, match=message):
+        face_equivalent(tet, index, tet, 0)
+    with pytest.raises(ValueError, match=message):
+        face_equivalent(tet, 0, tet, index)
+    matching = tuple(zip(tet.faces[0], tet.faces[0]))
+    with pytest.raises(ValueError, match=message):
+        glue_face(tet, index, tet, 0, matching, require_equivalent=False)
+
+
+def test_unknown_vertex_label_is_refused():
+    tet = builtin("tetrahedron")
+    message = r"^tetrahedron has no vertex 'zz'$"
+    with pytest.raises(ValueError, match=message):
+        vertex_equivalent(tet, "zz", tet, "1")
+    with pytest.raises(ValueError, match=message):
+        vertex_equivalent(tet, "1", tet, "zz")
+    matching = (("2", "2"), ("3", "3"), ("4", "4"))
+    with pytest.raises(ValueError, match=message):
+        glue_vertex(tet, "zz", tet, "1", matching, require_equivalent=False)
+
+
 def test_count_after_glue_validation():
     with pytest.raises(ValueError, match="at least 3"):
         count_after_glue("face", (4, 6, 4), (4, 6, 4), 2)
