@@ -16,13 +16,12 @@ d = 2**r elements, so a cell holds d integers and one product of two
 cells costs up to d*d integer products: the cost grows with d, and on
 rational matrices (d = 1) the kernels are plain integer arithmetic.
 
-There is one multiply, ``mat_mul`` (``row_mat`` is a one-row call of
-it), and one elimination, ``rref``: Gauss-Jordan with pivoting by
-first nonzero entry (exact, so there is no stability concern), kept
-fraction-free.  Each pivot is made rational by ``_Field.reciprocal``'s
-conjugate product, each row is reduced by the gcd of its integers, and
-only the final rows are divided by their pivots.  Inversion is `rref`
-of [A | I].
+There is one multiply, ``mat_mul``, and one elimination, ``rref``:
+Gauss-Jordan with pivoting by first nonzero entry (exact, so there is
+no stability concern), kept fraction-free.  Each pivot is made rational
+by ``_Field.reciprocal``'s conjugate product, each row is reduced by the
+gcd of its integers, and only the final rows are divided by their
+pivots.  Inversion is `rref` of [A | I].
 """
 
 from __future__ import annotations
@@ -90,13 +89,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             out_row.append(number(tuple(acc), den * col_den))
         out.append(tuple(out_row))
     return tuple(out)
-
-
-def row_mat(v, a: Matrix):
-    """Row vector times matrix (the right-action convention)."""
-    if len(v) != len(a):
-        raise ValueError(f"dimension mismatch: {len(v)} vs {len(a)}")
-    return mat_mul((tuple(v),), a)[0]
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -184,7 +176,3 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         den = row[pivots[i] * d] if i < len(pivots) else 1
         out.append(tuple(number(tuple(row[j:j + d]), den) for j in range(0, ncols * d, d)))
     return tuple(out), tuple(pivots)
-
-
-def mat_rank(a: Matrix) -> int:
-    return len(rref(a)[1])

@@ -144,7 +144,7 @@ def _edge_text(kind):
 def _cmd_diagram(args):
     entry = _load_entry(args.config)
     config = entry.configuration
-    diag = coxeter.diagram(entry.gram_matrix(), max_order=args.max_order)
+    diag = coxeter.diagram(entry.gram_matrix())
     if args.dot:
         _emit(coxeter.export_dot(diag, labels=config.labels), args.out)
         return 0
@@ -391,7 +391,6 @@ def _build_parser():
     p = sub.add_parser("diagram", help="classify all wall pairs")
     _add_config(p)
     _add_out(p)
-    p.add_argument("--max-order", type=int, default=12)
     p.add_argument("--dot", action="store_true", help="emit Graphviz instead of text")
     p.set_defaults(func=_cmd_diagram)
 

@@ -80,15 +80,14 @@ _EXACT_COS = {
 }
 
 
-def classify_entry(g: QNum, max_order: int = 12):
+def classify_entry(g: QNum):
     """Kind of a single off-diagonal Gram entry.
 
     Matching is on |g| with the sign recorded on the kind.  An entry
-    with 0 < |g| < 1 is the angle pi/n for the n <= max_order in
-    _EXACT_COS whose cosine equals |g| exactly; these are the only
-    orders with a cosine in the ring, so ValueError for any other
-    entry: that pair is not part of any Coxeter diagram with orders
-    up to max_order.
+    with 0 < |g| < 1 is the angle pi/n for the n in _EXACT_COS whose
+    cosine equals |g| exactly; these are the only orders with a cosine
+    in the ring, so ValueError for any other entry: that pair is not
+    part of any Coxeter diagram.
     """
     g = QNum(g)
     s = g.sign()
@@ -100,12 +99,9 @@ def classify_entry(g: QNum, max_order: int = 12):
     if a > 1:
         return Disjoint(separation=g)
     for n, cos in _EXACT_COS.items():
-        if n <= max_order and a == cos:
+        if a == cos:
             return Angle(order=n, sign=s)
-    raise ValueError(
-        f"unclassifiable Gram entry {g}: 0 < |g| < 1 but no cos(pi/n) "
-        f"matches for n <= {max_order}"
-    )
+    raise ValueError(f"unclassifiable Gram entry {g}: 0 < |g| < 1 but no cos(pi/n) matches")
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ class CoxeterDiagram:
         return self.edges[(i, j) if i < j else (j, i)]
 
 
-def diagram(gram, max_order: int = 12) -> CoxeterDiagram:
+def diagram(gram) -> CoxeterDiagram:
     """Classify every off-diagonal pair of a Gram matrix.
 
     ValueError from an unclassifiable entry is re-raised with the
@@ -130,7 +126,7 @@ def diagram(gram, max_order: int = 12) -> CoxeterDiagram:
     for i in range(m):
         for j in range(i + 1, m):
             try:
-                edges[(i, j)] = classify_entry(gram[i][j], max_order)
+                edges[(i, j)] = classify_entry(gram[i][j])
             except ValueError as e:
                 raise ValueError(f"at cell ({i}, {j}): {e}") from None
     return CoxeterDiagram(nodes=m, edges=edges)

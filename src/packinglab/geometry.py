@@ -50,18 +50,6 @@ def as_vector(coords):
     return v
 
 
-def form_matrix(n: int) -> _matrix.Matrix:
-    """The (n+2) x (n+2) form: 1/2 in the two top-left off-diagonal
-    slots, minus the identity in the lower block.  Signature (1, n+1)."""
-    if n < 1:
-        raise ValueError("ambient dimension must be >= 1")
-    rows = [[ZERO] * (n + 2) for _ in range(n + 2)]
-    rows[0][1] = rows[1][0] = HALF
-    for i in range(n):
-        rows[2 + i][2 + i] = MINUS_ONE
-    return tuple(tuple(r) for r in rows)
-
-
 def inner(v, w) -> QNum:
     """<v, w> under the ambient form; exact."""
     if len(v) != len(w):
@@ -181,8 +169,14 @@ def bend_matrices(basis, mirrors) -> tuple:
     reflections = [reflection_matrix(m) for m in mirrors]
     if not reflections:
         return ()
-    v_inv = _matrix.mat_inverse(v)
-    return tuple(_matrix.mat_mul(_matrix.mat_mul(v, r), v_inv) for r in reflections)
+    return conjugated(v, _matrix.mat_inverse(v), reflections)
+
+
+def conjugated(basis, inverse, reflections) -> tuple:
+    """B_m = V R_m V^-1 for each reflection matrix R_m, given the basis V
+    and its inverse: the one home of the bend-matrix formula, for callers
+    that hold V^-1 and the R_m already."""
+    return tuple(_matrix.mat_mul(_matrix.mat_mul(basis, r), inverse) for r in reflections)
 
 
 def form_functional(field, key) -> tuple:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from ._matrix import as_matrix, mat_inverse, mat_mul, rref, transpose
 from .exactnum import QNum, sqrt
-from .geometry import as_vector, bend_matrices, reflection_matrix
+from .geometry import bend_matrices, conjugated, reflection_matrix
 from .orbit import _checked_rows, _word
 
 VERDICTS = ("integral-proven", "nonintegral-proven", "growth-evidence", "inconclusive")
@@ -41,20 +41,6 @@ class IntegralityCertificate:
     rescale_factor: QNum | None
     witnesses: tuple
     detail: str
-
-
-def rescale(rows, factor):
-    """Conformal dilation: (co-bend, bend, centers) -> (f*co-bend, bend/f, centers).
-
-    Norms and the whole Gram matrix are preserved; every bend is divided
-    by the factor.  Takes and returns a row sequence.
-    """
-    factor = QNum(factor)
-    if factor.sign() <= 0:
-        raise ValueError("rescale factor must be positive")
-    rows = tuple(as_vector(r) for r in rows)
-    inv = factor.inverse()
-    return tuple((r[0] * factor, r[1] * inv) + r[2:] for r in rows)
 
 
 def find_integral_rescaling(bend_list):
@@ -256,7 +242,9 @@ def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
     B_{i1} ... B_{ik} = V R_w V^-1.  The products run through
     ``_matrix.mat_mul``, on integers over the field of the entries
     (rational for an integral basis, so plain integer arithmetic).  With
-    no mirror there is no letter to draw, and ValueError is raised.
+    no mirror there is no letter to draw, and ValueError is raised.  The
+    basis is inverted once and each mirror's reflection matrix built once:
+    the bound and the letters (``geometry.conjugated``) share them.
     """
     rows = _checked_rows(basis, "basis")
     if len(rows) != len(rows[0]):
@@ -265,10 +253,13 @@ def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
     mirrors = _checked_rows(mirrors, "mirror")
     if not mirrors:
         raise ValueError("need at least one mirror to draw words from")
+    reflections = []
     for k, m in enumerate(mirrors):
-        if not _integral_matrix(reflection_matrix(m)):
+        r = reflection_matrix(m)
+        if not _integral_matrix(r):
             raise ValueError("mirror %d has a non-integral reflection matrix" % (k + 1))
-    matrices = bend_matrices(rows, mirrors)
+        reflections.append(r)
+    matrices = conjugated(rows, v_inv, reflections)
 
     bound = math.lcm(*(e.denominator for row in rows for e in row)) * math.lcm(
         *(e.denominator for row in v_inv for e in row)

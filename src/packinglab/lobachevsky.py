@@ -35,6 +35,10 @@ ASYMPTOTIC_RADIUS = 0.5
 # bound after this many terms is below 1e-27, far under float resolution.
 _MAX_TERMS = 40
 
+# From this many terms on, the expansion overflows at every theta != 0:
+# term 85's denominator 2k (2k+1)! = 170 * 171! is past float range.
+_OVERFLOW_TERMS = 85
+
 
 def _check_angle(theta: float) -> None:
     if not math.isfinite(theta):
@@ -68,7 +72,7 @@ def _term_count(r: float, tol: float) -> int:
 def lobachevsky(theta: float, tol: float = 1e-9) -> float:
     """Evaluate L within tol by the reduced-angle expansion."""
     _check_angle(theta)
-    if tol <= 0.0:
+    if not tol > 0.0:  # refuses nan too
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     r = reduce_angle(theta)
     if r > 0.5 * math.pi:
@@ -94,7 +98,7 @@ def lobachevsky_quadrature(theta: float, tol: float = 1e-9) -> float:
     import mpmath
 
     _check_angle(theta)
-    if tol <= 0.0:
+    if not tol > 0.0:  # refuses nan too
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     r = reduce_angle(theta)
     sign = 1.0
@@ -155,12 +159,15 @@ def lobachevsky_asymptotic(theta: float, terms: int = 5) -> float:
     error becomes non-negligible.  No angle reduction is applied: the
     expansion is only meaningful near 0, and where it overflows float
     range (the more terms, the smaller the angle) ValueError is raised,
-    before any warning.
+    before any warning.  From _OVERFLOW_TERMS terms on that is every
+    theta != 0, and such a count is refused before any term is built.
     """
     _check_angle(theta)
     if terms < 0:
         raise ValueError(f"terms must be nonnegative, got {terms!r}")
     try:
+        if theta and terms >= _OVERFLOW_TERMS:
+            raise OverflowError
         value = _expansion(theta, terms)
     except OverflowError:
         value = math.nan

@@ -44,6 +44,17 @@ to its coefficients) is the bend decoded and compared as an exact QNum.
 No decision rests on a float.  The kept circles keep their keys over the
 field, and a circle decodes its QNum vector only when ``vector`` is read.
 
+``generate_packing`` first proves that its cluster is one: with
+``coxeter.validate_cluster`` on the Gram of the cluster + cocluster rows,
+the cluster walls must be pairwise tangent or disjoint (|g| >= 1), and
+each must be tangent to, disjoint from or orthogonal to every cocluster
+wall (|g| >= 1 or g = 0).  A subset that fails is refused before any
+orbit is generated.  By the Structure Theorem (Kontorovich-Nakamura) the
+orbit circles then have pairwise disjoint interiors, provided the
+cocluster walls bound a Coxeter polytope; the catalog's wall lists are
+taken to do so until a polytope certificate proves it.  The
+superpacking's circles may overlap, and it proves nothing.
+
 Every circle carries a provenance word "m_k. ... .m_1.a" of 1-based
 indices into the concatenated cluster + cocluster row list: circle
 number a reflected first in mirror m_1, then m_2, and so on.
@@ -66,8 +77,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .coxeter import validate_cluster
 from .exactnum import QNum, _enclose, _Field, _format, _scan
-from .geometry import as_vector, form_functional, inner, interior_contains, key_is_wall
+from .geometry import as_vector, form_functional, gram, interior_contains, key_is_wall
 from .groupwords import Configuration
 
 _MASK64 = (1 << 64) - 1
@@ -326,8 +338,6 @@ def _commuting(plans):
 def _generate(cluster, limits, mirrors, mode):
     if limits is None:
         limits = OrbitLimits()
-    if not cluster:
-        raise ValueError("cluster must be nonempty")
 
     field = _Field(cluster + tuple(m for _, m in mirrors))
     plans = [_Mirror(field, idx, m) for idx, m in mirrors]
@@ -373,41 +383,43 @@ def _generate(cluster, limits, mirrors, mode):
     return PackingOrbit(tuple(circles), limits, mode)
 
 
-def _check_disjoint_sample(orbit, pairs=32):
-    # tangent or disjoint interiors: <v,w> = 1 or > 1, checked exactly
-    circles = orbit.circles
-    n = len(circles)
-    if n < 2:
-        return
-    for t in range(min(pairs, n * (n - 1) // 2)):
-        i = _word(0, 2 * t) % n
-        j = _word(0, 2 * t + 1) % n
-        if i == j:
-            continue
-        p = inner(circles[i].vector, circles[j].vector)
-        if (p - 1).sign() < 0:
-            raise ValueError(
-                "orbit circles %s and %s have overlapping interiors"
-                % (circles[i].word, circles[j].word)
-            )
+def _split(cluster, cocluster):
+    """The cluster and cocluster rows through the row gate; ValueError
+    for an empty cluster."""
+    cluster = _checked_rows(cluster, "cluster")
+    cocluster = _checked_rows(cocluster, "cocluster")
+    if not cluster:
+        raise ValueError("cluster must be nonempty")
+    return cluster, cocluster
 
 
 def generate_packing(cluster, cocluster, limits=None):
-    """Orbit of the cluster under reflections in the cocluster walls."""
-    cluster = _checked_rows(cluster, "cluster")
-    cocluster = _checked_rows(cocluster, "cocluster")
+    """Orbit of the cluster under reflections in the cocluster walls.
+
+    The cluster is proved one first, by ``coxeter.validate_cluster`` on
+    the Gram of the cluster + cocluster rows: ValueError names the first
+    failing rule and its row pair, counted from 1 over the cluster rows,
+    then the cocluster rows (as in the orbit's words).  Given the cluster,
+    the Structure Theorem makes the orbit's interiors pairwise disjoint
+    once the cocluster walls bound a Coxeter polytope (module docstring).
+    """
+    cluster, cocluster = _split(cluster, cocluster)
+    report = validate_cluster(gram(cluster + cocluster), range(len(cluster)))
+    if not report.verdict:
+        rule, i, j, g, _ = next(c for c in report.checks if not c[4])
+        raise ValueError(
+            "not a cluster: rows %d and %d of cluster + cocluster fail %s (Gram entry %s)"
+            % (i + 1, j + 1, rule, g)
+        )
     offset = len(cluster)
     mirrors = [(offset + k + 1, m) for k, m in enumerate(cocluster)]
-    orbit = _generate(cluster, limits, mirrors, "packing")
-    _check_disjoint_sample(orbit)
-    return orbit
+    return _generate(cluster, limits, mirrors, "packing")
 
 
 def generate_superpacking(cluster, cocluster, limits=None):
     """Orbit of the cluster under reflections in all walls (interiors
     of the result may overlap)."""
-    cluster = _checked_rows(cluster, "cluster")
-    cocluster = _checked_rows(cocluster, "cocluster")
+    cluster, cocluster = _split(cluster, cocluster)
     mirrors = [(k + 1, m) for k, m in enumerate(cluster + cocluster)]
     return _generate(cluster, limits, mirrors, "superpacking")
 

@@ -585,3 +585,36 @@ def test_lob_never_prints_a_non_finite_value(capsys, theta, method, message):
     assert cli.run(["lob", "--theta=" + theta, "--method", method]) == 1
     assert one_json_error(capsys) == {"kind": "ValueError", "error": message}
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("method", ["series", "quadrature"])
+@pytest.mark.parametrize("tol", ["nan", "-nan", "0", "-1e-9"])
+def test_lob_refuses_a_tolerance_that_is_not_positive(capsys, method, tol):
+    assert cli.run(["lob", "--theta", "1.0", "--tol=" + tol, "--method", method]) == 1
+    error = one_json_error(capsys)
+    assert error["kind"] == "ValueError"
+    assert error["error"].startswith("tolerance must be positive, got ")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pack", "--config", "builtin:bi10-example", "--cluster", "2"],
+        ["render", "--config", "builtin:bi10-example", "--cluster", "2"],
+    ],
+)
+def test_non_cluster_is_a_domain_error(capsys, argv):
+    # bi10-example {2}: wall 2 meets cocluster wall 5 at pi/3
+    assert cli.run(argv) == 1
+    assert one_json_error(capsys) == {
+        "kind": "ValueError",
+        "error": "not a cluster: rows 1 and 5 of cluster + cocluster fail "
+        "separated-or-orthogonal (Gram entry 1/2)",
+    }
+    assert capsys.readouterr().out == ""
+
+
+def test_removed_max_order_option_is_a_usage_error(capsys):
+    assert cli.run(["diagram", "--config", "builtin:d3n3", "--max-order", "12"]) == 2
+    assert capsys.readouterr().out == ""

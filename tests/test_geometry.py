@@ -26,13 +26,28 @@ def rand_wall(rng):
     return geometry.sphere(center, r)
 
 
+def form_matrix(n):
+    """The (n+2) x (n+2) form: 1/2 in the two top-left off-diagonal
+    slots, minus the identity in the lower block.  Signature (1, n+1)."""
+    rows = [[ZERO] * (n + 2) for _ in range(n + 2)]
+    rows[0][1] = rows[1][0] = QNum(Fraction(1, 2))
+    for i in range(n):
+        rows[2 + i][2 + i] = QNum(-1)
+    return tuple(tuple(r) for r in rows)
+
+
+def row_mat(v, a):
+    """Row vector times matrix (the right-action convention)."""
+    return _matrix.mat_mul((tuple(v),), a)[0]
+
+
 def test_inner_matches_form_matrix_oracle():
     # oracle: v Q w^T with the explicit form matrix
     rng = random.Random(3)
-    q = geometry.form_matrix(2)
+    q = form_matrix(2)
     for _ in range(50):
         v, w = rand_wall(rng), rand_wall(rng)
-        via_matrix = _matrix.row_mat(_matrix.row_mat(v, q), _matrix.transpose((w,)))[0]
+        via_matrix = row_mat(row_mat(v, q), _matrix.transpose((w,)))[0]
         assert geometry.inner(v, w) == via_matrix
 
 
@@ -97,7 +112,7 @@ def test_reflect_is_row_action():
     for _ in range(25):
         v, m = rand_wall(rng), rand_wall(rng)
         r = geometry.reflection_matrix(m)
-        assert geometry.reflect(v, m) == _matrix.row_mat(v, r)
+        assert geometry.reflect(v, m) == row_mat(v, r)
 
 
 def test_reflect_involution_and_self():
@@ -111,7 +126,7 @@ def test_reflect_involution_and_self():
 
 def test_reflection_preserves_form():
     rng = random.Random(13)
-    q = geometry.form_matrix(2)
+    q = form_matrix(2)
     for _ in range(10):
         m = rand_wall(rng)
         r = geometry.reflection_matrix(m)

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from packinglab import _matrix, catalog, cli, integrality, orbit
+from packinglab import _matrix, catalog, cli, geometry, integrality, orbit
 from packinglab._matrix import as_matrix, identity, mat_inverse, mat_mul
 from packinglab.exactnum import QNum, sqrt
-from packinglab.geometry import gram, hyperplane, is_wall, reflection_matrix, sphere
+from packinglab.geometry import as_vector, gram, hyperplane, is_wall, reflection_matrix, sphere
 from packinglab.integrality import (
     BoundedRationalReport,
     IntegralityCertificate,
@@ -18,7 +18,6 @@ from packinglab.integrality import (
     find_integral_rescaling,
     prove_integral,
     prove_nonintegral,
-    rescale,
 )
 
 R2 = sqrt(2)
@@ -42,6 +41,20 @@ BI17 = (
     (5 * R17, 4 * R17, R17, QNum(18)),
     (39 * R17, 16 * R17, QNum(0), QNum(103)),
 )
+
+
+def rescale(rows, factor):
+    """Conformal dilation: (co-bend, bend, centers) -> (f*co-bend, bend/f, centers).
+
+    An oracle kept in the tests: norms and the whole Gram matrix are
+    preserved, and every bend is divided by the factor.
+    """
+    factor = QNum(factor)
+    if factor.sign() <= 0:
+        raise ValueError("rescale factor must be positive")
+    rows = tuple(as_vector(r) for r in rows)
+    inv = factor.inverse()
+    return tuple((r[0] * factor, r[1] * inv) + r[2:] for r in rows)
 
 
 def test_bi17_rows_are_walls():
@@ -464,6 +477,30 @@ def test_bounded_rational_multiplies_bend_matrices(counted):
     basis, mirrors = SPOT_CASES["bi1-cluster3"]
     check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
     assert counted["mat_mul"] == 3 * 2 + 20 * 4 == 86
+
+
+def test_bounded_rational_takes_one_inverse_and_one_reflection_per_mirror(monkeypatch, counted):
+    # the bound and the letters share one V^-1 and each mirror's R_m
+    built = []
+    reflection_matrix = geometry.reflection_matrix
+
+    def counting_reflection(m):
+        built.append(m)
+        return reflection_matrix(m)
+
+    monkeypatch.setattr(geometry, "reflection_matrix", counting_reflection)
+    monkeypatch.setattr(integrality, "reflection_matrix", counting_reflection)
+    for case in sorted(SPOT_CASES):
+        basis, mirrors = SPOT_CASES[case]
+        want = conjugated_bounded_rational(basis, mirrors, 4, 3, 0)
+        for key in ("mat_inverse", "mat_mul"):
+            counted[key] = 0
+        built.clear()
+        assert check_bounded_rational(basis, mirrors, 4, 3, 0) == want
+        assert counted["mat_inverse"] == 1
+        # 2 per bend matrix, then 2 per word of 3 letters
+        assert counted["mat_mul"] == 2 * len(mirrors) + 4 * 2
+        assert built == list(mirrors)
 
 
 def test_prove_integral_takes_one_inverse(counted):

@@ -100,6 +100,36 @@ def test_asymptotic_overflow_is_refused_before_any_warning(recwarn, theta, terms
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize("tol", [math.nan, -math.nan, 0.0, -1e-9, -math.inf])
+def test_tolerance_must_be_positive(tol):
+    for f in (lob.lobachevsky, lob.lobachevsky_quadrature):
+        with pytest.raises(ValueError, match="^tolerance must be positive, got "):
+            f(1.0, tol=tol)
+
+
+def test_asymptotic_term_count_past_float_range_is_refused_at_once(monkeypatch, recwarn):
+    # term k's denominator 2k (2k+1)! converts to a float up to k = 84 only,
+    # so from 85 terms on the count is refused before any Bernoulli number
+    assert float(168 * math.factorial(169)) < math.inf
+    with pytest.raises(OverflowError):
+        float(170 * math.factorial(171))
+    bernoulli = lob._even_bernoulli
+
+    def no_work(count):
+        raise AssertionError("Bernoulli numbers built for %d terms" % count)
+
+    monkeypatch.setattr(lob, "_even_bernoulli", no_work)
+    for terms in (85, 300, 10**6):
+        for theta in (0.05, -1e-300, 2.0):
+            with pytest.raises(ValueError, match="^asymptotic expansion to %d terms overflows" % terms):
+                lob.lobachevsky_asymptotic(theta, terms=terms)
+        assert lob.lobachevsky_asymptotic(0.0, terms=terms) == 0.0
+    assert len(recwarn) == 0
+    monkeypatch.setattr(lob, "_even_bernoulli", bernoulli)
+    near = lob.lobachevsky_asymptotic(0.05, terms=84)
+    assert abs(near - lob.lobachevsky_quadrature(0.05, tol=1e-11)) < 1e-9
+
+
 @functools.lru_cache(maxsize=None)
 def clausen_grid():
     """(theta, Cl_2(2 theta) / 2) at 241 angles across [-pi, pi].

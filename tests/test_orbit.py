@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import runpy
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from packinglab import catalog, orbit
+from packinglab import catalog, coxeter, orbit
 from packinglab.exactnum import QNum, sqrt
 from packinglab.geometry import (
+    gram,
     hyperplane,
     inner,
     interior_contains,
@@ -453,32 +455,74 @@ def test_disjoint_interiors_exact():
             assert p == 1 or (p - 1).sign() > 0
 
 
-def test_disjoint_sample_check_raises():
-    same = tuple(orbit.OrbitCircle(BI1[2], 0, str(k)) for k in range(1, 5))
-    overlapping = orbit.PackingOrbit(same, OrbitLimits(), "packing")
-    with pytest.raises(ValueError, match="overlapping interiors"):
-        orbit._check_disjoint_sample(overlapping)
+PLANAR = ("bi1-cluster3", "bi10-example", "bi17-cluster48", "d1n3", "d1n3-base", "d3n3")
 
 
-def test_disjoint_sample_draws_pairs_from_the_stream(monkeypatch):
-    # pair t is elements 2t and 2t + 1 of the seed-0 splitmix64 stream,
-    # modulo the circle count; i == j draws are skipped
-    got = generate_packing(BI1_CLUSTER, BI1_COCLUSTER, OrbitLimits(max_generation=3))
-    vectors = [c.vector for c in got.circles]  # decoded once, then cached
-    assert [id(v) for v in vectors] == [id(c.vector) for c in got.circles]
-    index = {id(v): k for k, v in enumerate(vectors)}
-    pairs = []
+def test_planar_entries_are_the_2d_builtins():
+    planar = [e for e in catalog.list_builtin() if catalog.get_builtin(e).configuration.dim_n == 2]
+    assert tuple(planar) == PLANAR
 
-    def spy(v, w):
-        pairs.append((index[id(v)], index[id(w)]))
-        return inner(v, w)
 
-    monkeypatch.setattr(orbit, "inner", spy)
-    orbit._check_disjoint_sample(got)
-    n = len(got.circles)
-    rng = splitmix64(0)
-    want = [(next(rng) % n, next(rng) % n) for _ in range(32)]
-    assert pairs == [(i, j) for i, j in want if i != j]
+@pytest.mark.parametrize("entry_id", PLANAR)
+def test_generate_packing_refuses_exactly_the_non_clusters(entry_id):
+    # every subset of at most 3 walls, at 0 generations: the subsets
+    # enumerate_clusters lists give their own rows, and every other one
+    # is refused before any orbit is generated
+    config = catalog.get_builtin(entry_id).configuration
+    listed = set(coxeter.enumerate_clusters(config.gram(), max_size=3))
+    limits = OrbitLimits(max_generation=0)
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(range(len(config.rows)), size):
+            cluster, cocluster, _, _ = config.split([config.labels[i] for i in subset])
+            if subset in listed:
+                got = generate_packing(cluster, cocluster, limits)
+                assert [c.vector for c in got.circles] == cluster
+            else:
+                with pytest.raises(ValueError, match="^not a cluster: rows "):
+                    generate_packing(cluster, cocluster, limits)
+
+
+def test_non_cluster_error_names_the_rule_and_the_row_pair():
+    # bi10-example {2}: wall 2 meets cocluster wall 5 at pi/3, and wall 5
+    # is row 5 of cluster + cocluster; {1,3} has an orthogonal pair inside
+    config = catalog.get_builtin("bi10-example").configuration
+    cases = {
+        ("2",): "rows 1 and 5 of cluster + cocluster fail separated-or-orthogonal "
+        "(Gram entry 1/2)",
+        ("1", "3"): "rows 1 and 2 of cluster + cocluster fail pairwise-thick (Gram entry 0)",
+    }
+    for labels, message in cases.items():
+        cluster, cocluster, _, _ = config.split(labels)
+        with pytest.raises(ValueError) as info:
+            generate_packing(cluster, cocluster, OrbitLimits(max_generation=4))
+        assert str(info.value) == "not a cluster: " + message
+
+
+def test_row_errors_come_before_the_cluster_proof():
+    # the unit circle and a line through its center are orthogonal, so no
+    # cluster; a row that is not a wall, then an empty cluster, are still
+    # reported first, as before the proof
+    pair = (sphere((0, 0), 1), hyperplane((1, 0), 0))
+    limits = OrbitLimits(max_generation=1)
+    with pytest.raises(ValueError, match="^cocluster row 1 does not have norm -1$"):
+        generate_packing(pair, (qv(1, 1, 0, 0),), limits)
+    with pytest.raises(ValueError, match="^cluster must be nonempty$"):
+        generate_packing((), pair, limits)
+    with pytest.raises(ValueError, match=r"^not a cluster: rows 1 and 2 .* \(Gram entry 0\)$"):
+        generate_packing(pair, (), limits)
+
+
+@pytest.mark.parametrize("entry_id", catalog.list_builtin())
+def test_cluster_orbits_have_disjoint_interiors(entry_id):
+    # exact, all pairs: on the 2-generation orbit of every cluster that
+    # enumerate_clusters lists, any two circles have <v, w> >= 1
+    config = catalog.get_builtin(entry_id).configuration
+    for subset in coxeter.enumerate_clusters(config.gram()):
+        cluster, cocluster, _, _ = config.split([config.labels[i] for i in subset])
+        got = generate_packing(cluster, cocluster, OrbitLimits(max_generation=2))
+        products = gram([c.vector for c in got.circles])
+        for i, row in enumerate(products):
+            assert all((p - 1).sign() >= 0 for p in row[:i]), (subset, got.circles[i].word)
 
 
 def test_superpacking_contains_packing():

@@ -6,7 +6,6 @@ from packinglab import polygraph
 from packinglab.polygraph import (
     PlanarPolyhedron,
     builtin,
-    count_after_glue,
     face_equivalent,
     from_json,
     glue_face,
@@ -15,6 +14,27 @@ from packinglab.polygraph import (
     to_json,
     vertex_equivalent,
 )
+
+
+def count_after_glue(kind, a_counts, b_counts, n):
+    """(V, E, F) after gluing along an n-face or degree-n vertex: the
+    counting oracle for the glued polyhedra."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    va, ea, fa = a_counts
+    vb, eb, fb = b_counts
+    if kind == "face":
+        out = (va + vb - n, ea + eb - n, fa + fb - 2)
+    elif kind == "vertex":
+        out = (va + vb - 2, ea + eb - n, fa + fb - n)
+    else:
+        raise ValueError("kind must be 'face' or 'vertex'")
+    if not (
+        all(o > x for o, x in zip(out, a_counts))
+        and all(o > x for o, x in zip(out, b_counts))
+    ):
+        raise ValueError("gluing must strictly grow all three counts")
+    return out
 
 
 def isomorphic(a, b):
