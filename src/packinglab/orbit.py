@@ -26,7 +26,7 @@ rejected by the bend bound, and either way the full loop would drop it
 here too.  A mirror skipped by the rule is not known to be seen (the
 image r_j p may be one the bound rejected), so it counts as unknown for
 the circle's own children.  Orthogonality is read once per call off the
-compiled integer tables.
+mirrors' integer tables.
 
 The loop runs on integers.  Each call first closes the radicands of
 its rows under products into a fixed multiquadratic basis ({1,2,5,10}
@@ -34,15 +34,34 @@ for Bi(10), {1,2,3,6} for the d=3 entries), writes every row as its
 (n+2)*d integer basis coefficients over one positive common
 denominator reduced by the gcd, and uses that tuple as the exact dedup
 key.  The basis and this encoding are ``exactnum._Field``, which
-``geometry.gram`` shares.  Each mirror is compiled once into integer
-tables, its 2<v,m> by ``geometry.form_functional``, so a reflection is
-an integer rank-one update and one gcd.  The bend bound is settled in
-integers too: the bend's basis coefficients and the bound are enclosed
-with ``exactnum._enclose`` at 64 bits, and only when the two enclosures
-meet (an exact tie, or a bend within about 2**-64 of the bound relative
-to its coefficients) is the bend decoded and compared as an exact QNum.
-No decision rests on a float.  The kept circles keep their keys over the
-field, and a circle decodes its QNum vector only when ``vector`` is read.
+``geometry.gram`` shares.  Each mirror's reflection is an integer
+rank-one update and one gcd: its 2<v,m> is a few integer functionals of
+the key (``geometry.form_functional``), each times a fixed column.  Each
+call writes those tables out, with only %d-formatted integers and slot
+indices, as one straight-line Python function per mirror, and compiles
+it with ``compile`` and ``exec``, as ``collections.namedtuple`` builds
+its classes.  The bend of the image is bend(x) + 2<x,m> bend(m), so a
+mirror of nonzero bend computes the functionals, then only the image's
+bend coefficients, and settles the bend bound on them; only an image
+within the bound gets its other coordinates, its gcd and its tuple.  A
+flat mirror (bend 0) keeps every bend, so it is not screened: a circle
+within the bound gives an image within it, and a generation-0 circle past
+the bound has its flat mirrors marked as missed without reflecting.
+
+The bound is settled before the ``seen`` lookup, and the output is
+byte-identical to that of looking up first.  Every circle in
+``seen`` other than a cluster circle passed the bound, so the only image
+the screen now rejects that the lookup would have dropped is a cluster
+circle; rejecting it marks its mirror as missed, which only turns a
+commuting skip off for the circle's children, and a reflection the rule
+would have skipped gives an image that is already seen or past the
+bound.  The bound is settled in integers: the bend's basis coefficients
+and the bound are enclosed with ``exactnum._enclose`` at 64 bits, and
+only when the two enclosures meet (an exact tie, or a bend within about
+2**-64 of the bound relative to its coefficients) is the bend decoded
+and compared as an exact QNum.  No decision rests on a float.  The kept
+circles keep their keys over the field, and a circle decodes its QNum
+vector only when ``vector`` is read.
 
 ``generate_packing`` first proves that its cluster is one: with
 ``coxeter.validate_cluster`` on the Gram of the cluster + cocluster rows,
@@ -243,7 +262,10 @@ class _Mirror:
     functional of x (geometry.form_functional), and
     v + 2<v,m> m = (E^2 x + sum_c t_c P_c) / (D E^2), where P_c holds the
     coefficients of sqrt(r_c) * y.  Both tables come in closed form from
-    y and the basis product table.
+    y and the basis product table; ``terms`` pairs each nonzero t_c with
+    its column P_c, and ``source`` writes them out as straight-line code.
+    A mirror is ``flat`` when no column reaches the bend slots [d, 2d):
+    its bend is 0, so it leaves every bend unchanged.
     """
 
     def __init__(self, field, index, mirror):
@@ -266,31 +288,75 @@ class _Mirror:
             if functional and column:
                 terms.append((functional, column))
         self.terms = tuple(terms)
+        self.bend = range(d, 2 * d)
+        self.flat = not any(s in self.bend for _, column in self.terms for s, _ in column)
 
-    def reflect(self, key):
-        scale = self.scale
-        out = list(key) if scale == 1 else [a * scale for a in key]
-        for functional, column in self.terms:
-            t = sum([key[s] * w for s, w in functional])
-            if t:
-                for s, w in column:
-                    out[s] += t * w
-        if out[-1] != 1:
-            g = math.gcd(*out)
-            if g != 1:
-                out = [a // g for a in out]
-        return tuple(out)
+    def source(self, name, screen):
+        """Python source of ``def name(x)``, the reflected key of a key x.
+
+        Only %d-formatted integers and slot indices go into it.  With
+        screen set it computes the t_c, then the image's bend coefficients
+        over D E^2, and returns None when ``exceeds`` (the bend bound's)
+        holds on them; only then does it build the other slots and reduce
+        the key by its gcd.
+        """
+        width = len(self.key)
+        names = ["x%d" % s for s in range(width)]
+        values = [n if self.scale == 1 else "%d*%s" % (self.scale, n) for n in names]
+        lines = ["def %s(x):" % name, "    %s, = x" % ", ".join(names)]
+        for c, (functional, column) in enumerate(self.terms):
+            lines.append("    t%d = %s" % (c, " + ".join("%d*x%d" % (w, s) for s, w in functional)))
+            for s, w in column:
+                values[s] += " + %d*t%d" % (w, c)
+        den = width - 1
+        if screen:
+            for s in [*self.bend, den]:
+                if values[s] != names[s]:
+                    lines.append("    v%d = %s" % (s, values[s]))
+                    values[s] = "v%d" % s
+            bend = ", ".join(values[s] for s in self.bend)
+            lines.append("    if exceeds((%s,), %s):" % (bend, values[den]))
+            lines.append("        return None")
+        lines += [
+            "    out = (%s)" % ", ".join(values),
+            "    if out[-1] != 1:",
+            "        g = gcd(*out)",
+            "        if g != 1:",
+            "            return tuple([a // g for a in out])",
+            "    return out",
+        ]
+        return "\n".join(lines)
+
+
+def _kernels(plans, bound):
+    """Each plan's reflection as one straight-line function of a key: the
+    image key, or None when the image's bend is past the bound (never for
+    a flat plan, nor when bound is None).  Each is compiled on its own,
+    which holds the compiler's peak memory to one kernel's source, and
+    popped from the namespace it reads its globals from, so that no
+    reference cycle keeps the bound and its field alive past the call."""
+    namespace = {"gcd": math.gcd, "exceeds": None if bound is None else bound.exceeds}
+    kernels = []
+    for plan in plans:
+        source = plan.source("kernel", bound is not None and not plan.flat)
+        exec(compile(source, "<orbit kernel>", "exec"), namespace)
+        kernels.append(namespace.pop("kernel"))
+    return kernels
 
 
 class _BendBound:
-    """Exact test of abs(bend) > max_bend on encoded rows.
+    """Exact test of abs(bend) > max_bend on a bend given as integer
+    coefficients over the field's basis and a denominator D > 0, not
+    necessarily in lowest terms.
 
     The screen is integer arithmetic: ``exactnum._enclose`` at 64 bits
-    encloses the key's bend coefficients over its denominator D, and the
-    bound is enclosed the same way over its own denominator E; it decides
-    when the two intervals, brought to the common scale D * E * 2**64, are
-    disjoint.  When they meet, as on an exact tie or a bend within the
-    enclosure width of the bound, the bend is decoded and compared exactly.
+    encloses the coefficients over D, and the bound is enclosed the same
+    way over its own denominator E; it decides when the two intervals,
+    brought to the common scale D * E * 2**64, are disjoint.  Both ends
+    scale with the coefficients and D, so a key that is not reduced gets
+    the same answer.  When the intervals meet, as on an exact tie or a
+    bend within the enclosure width of the bound, the bend is decoded and
+    compared exactly.
     """
 
     def __init__(self, field, max_bend):
@@ -300,26 +366,24 @@ class _BendBound:
         self.lo, self.hi = _enclose(q.radicands, q.coeffs, 64)
         self.den = q.den
 
-    def screen(self, key):
+    def screen(self, coeffs, den):
         """True or False when the enclosures settle the test, None when they meet."""
-        d = self.field.d
-        lo, hi = _enclose(self.field.radicands, key[d:2 * d], 64)
+        lo, hi = _enclose(self.field.radicands, coeffs, 64)
         # abs(bend) * D * 2**64 lies in [lo, hi]
         if hi < 0:
             lo, hi = -hi, -lo
         elif lo < 0:
             lo, hi = 0, max(hi, -lo)
-        den = key[-1]
         if lo * self.den > self.hi * den:
             return True
         if hi * self.den < self.lo * den:
             return False
         return None
 
-    def exceeds(self, key):
-        decided = self.screen(key)
+    def exceeds(self, coeffs, den):
+        decided = self.screen(coeffs, den)
         if decided is None:
-            return abs(self.field.coordinate(key, 1)) > self.max_bend
+            return abs(self.field.number(coeffs, den)) > self.max_bend
         return decided
 
 
@@ -348,6 +412,12 @@ def _generate(cluster, limits, mirrors, mode):
         for i, v in enumerate(cluster)
     ]
     commuting = _commuting(plans)
+    flats = frozenset(j for j, plan in enumerate(plans) if plan.flat)
+    kernels = [
+        (plan.index, plan.key, plan.negated, kernel)
+        for plan, kernel in zip(plans, _kernels(plans, bound))
+    ]
+    d = field.d
     # (key, word, position of the mirror that made the circle, positions
     # of the parent's mirrors whose image is not known to be in seen)
     frontier = [(c.key, c.word, -1, ()) for c in circles]
@@ -358,23 +428,30 @@ def _generate(cluster, limits, mirrors, mode):
         generation += 1
         parents, frontier = frontier, []
         for key, word, made_by, unknown in parents:
-            skip = commuting[made_by].difference(unknown) if made_by >= 0 else ()
+            if made_by >= 0:
+                skip = commuting[made_by].difference(unknown)
+            elif bound is not None and bound.exceeds(key[d:2 * d], key[-1]):
+                # a cluster circle past the bound: a flat mirror's image
+                # keeps its bend, so it is past the bound too
+                skip = flats
+            else:
+                skip = ()
             missed = []  # this circle's mirrors whose image is not known to be in seen
-            for j, plan in enumerate(plans):
+            for j, (index, mirror, negated, kernel) in enumerate(kernels):
                 # the image in the mirror that made the circle is its parent
                 if j == made_by:
                     continue
-                if j in skip or key == plan.key or key == plan.negated:
+                if j in skip or key == mirror or key == negated:
                     missed.append(j)
                     continue
-                image = plan.reflect(key)
+                image = kernel(key)
+                if image is None:
+                    missed.append(j)
+                    continue
                 if image in seen:
                     continue
-                if bound is not None and bound.exceeds(image):
-                    missed.append(j)
-                    continue
                 seen.add(image)
-                frontier.append((image, "%d.%s" % (plan.index, word), j, missed))
+                frontier.append((image, "%d.%s" % (index, word), j, missed))
         circles.extend(
             OrbitCircle._encoded(field, key, generation, word)
             for key, word, _, _ in frontier
@@ -384,12 +461,30 @@ def _generate(cluster, limits, mirrors, mode):
 
 
 def _split(cluster, cocluster):
-    """The cluster and cocluster rows through the row gate; ValueError
-    for an empty cluster."""
+    """The cluster and cocluster rows through the row gate.
+
+    ValueError for an empty cluster, for rows of different lengths (the
+    orbit's kernels index fixed slots), and for a row given twice in the
+    cluster or twice in the cocluster, naming both of its places counted
+    from 1 over cluster + cocluster.  A cluster row that is also a mirror
+    stays allowed: the orbit never reflects a circle in itself.
+    """
     cluster = _checked_rows(cluster, "cluster")
     cocluster = _checked_rows(cocluster, "cocluster")
     if not cluster:
         raise ValueError("cluster must be nonempty")
+    width = len(cluster[0])
+    for row in cluster + cocluster:
+        if len(row) != width:
+            raise ValueError("dimension mismatch: %d vs %d" % (width, len(row)))
+    for offset, rows in ((0, cluster), (len(cluster), cocluster)):
+        first = {}
+        for i, row in enumerate(rows, offset):
+            j = first.setdefault(row, i)
+            if j != i:
+                raise ValueError(
+                    "rows %d and %d of cluster + cocluster are the same wall" % (j + 1, i + 1)
+                )
     return cluster, cocluster
 
 

@@ -615,6 +615,16 @@ def test_non_cluster_is_a_domain_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_repeated_cluster_row_is_a_domain_error(capsys):
+    argv = ["pack", "--config", "builtin:bi10-example", "--cluster", "1,1"]
+    assert cli.run(argv) == 1
+    assert one_json_error(capsys) == {
+        "kind": "ValueError",
+        "error": "rows 1 and 2 of cluster + cocluster are the same wall",
+    }
+    assert capsys.readouterr().out == ""
+
+
 def test_removed_max_order_option_is_a_usage_error(capsys):
     assert cli.run(["diagram", "--config", "builtin:d3n3", "--max-order", "12"]) == 2
     assert capsys.readouterr().out == ""

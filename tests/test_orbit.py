@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import runpy
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -319,6 +321,18 @@ def benchmark_counts():
     return workloads["PACK_PLANAR_COUNTS"], workloads["PACK_WIDE_COUNTS"]
 
 
+def table_reflect(plan, key):
+    # the table-driven reflection the compiled kernels replaced, kept as
+    # their reference: E^2 x plus each t_c times its column, then the gcd
+    out = [a * plan.scale for a in key]
+    for functional, column in plan.terms:
+        t = sum(key[s] * w for s, w in functional)
+        for s, w in column:
+            out[s] += t * w
+    g = math.gcd(*out)
+    return tuple(a // g for a in out)
+
+
 @pytest.mark.parametrize(
     "entry_id,labels,generations,which,reflections",
     [
@@ -328,36 +342,114 @@ def benchmark_counts():
     ],
 )
 def test_commuting_skip_reflection_counts(monkeypatch, entry_id, labels, generations, which, reflections):
-    calls = [0]
-    reflect_key = orbit._Mirror.reflect
+    # kernel calls, and those the bend bound settles before building the
+    # image: pack-wide's bends never reach 10,000
+    settled_before_image = {"bi10-example": 9_726, "d3n13": 0}[entry_id]
+    calls, settled = [0], [0]
+    kernels = orbit._kernels
 
-    def counted(plan, key):
-        calls[0] += 1
-        return reflect_key(plan, key)
+    def counted(plans, bound):
+        def count(kernel):
+            def call(key):
+                image = kernel(key)
+                calls[0] += 1
+                settled[0] += image is None
+                return image
+            return call
+        return [count(kernel) for kernel in kernels(plans, bound)]
 
-    monkeypatch.setattr(orbit._Mirror, "reflect", counted)
+    monkeypatch.setattr(orbit, "_kernels", counted)
     cluster, cocluster, _, _ = catalog.get_builtin(entry_id).configuration.split(labels)
     got = generate_packing(cluster, cocluster, OrbitLimits(max_generation=generations))
     assert calls[0] == reflections
+    assert settled[0] == settled_before_image
+    assert calls[0] - settled[0] == {"bi10-example": 15_495, "d3n13": 6_640}[entry_id]
     assert orbit_stats(got).generation_counts == benchmark_counts()[which]
 
 
 def test_compiled_reflection_matches_qnum():
-    # every row of every builtin entry, reflected in every other row
+    # every row of every builtin entry, reflected in every row by its
+    # kernel, against geometry.reflect and the table-driven reflection
     for entry_id in catalog.list_builtin():
         rows = catalog.get_builtin(entry_id).configuration.rows
         field = orbit._Field(rows)
-        for j, m in enumerate(rows):
-            plan = orbit._Mirror(field, j + 1, m)
+        plans = [orbit._Mirror(field, j + 1, m) for j, m in enumerate(rows)]
+        for plan, kernel, m in zip(plans, orbit._kernels(plans, None), rows):
+            assert field.decode(plan.key) == m
             for v in rows:
                 key = field.encode(v)
-                assert field.decode(key) == v
-                if v == m:
-                    assert key == plan.key
-                    continue
                 image = reflect(v, m)
-                assert plan.reflect(key) == field.encode(image)
-                assert field.decode(plan.reflect(key)) == image
+                assert kernel(key) == table_reflect(plan, key) == field.encode(image)
+                assert field.decode(kernel(key)) == image
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_settles_the_bound_as_the_full_image_would(data):
+    # a builtin row reflected in a builtin row, against bounds at the
+    # image's own bend (an exact tie), a (3 - 2 sqrt2)^30 step either side
+    # of it (only the exact comparison can tell) and a random integer: the
+    # kernel gives None exactly when exceeds holds on the full image, and
+    # a flat mirror's kernel never does
+    entry_id = data.draw(st.sampled_from(catalog.list_builtin()))
+    rows = catalog.get_builtin(entry_id).configuration.rows
+    m, v = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+    field = orbit._Field(rows)
+    plan = orbit._Mirror(field, 1, m)
+    key = field.encode(v)
+    full = table_reflect(plan, key)
+    d = field.d
+    bend = abs(field.coordinate(full, 1))
+    tiny = (3 - 2 * R2) ** 30
+    bounds = [bend, bend + tiny, data.draw(st.integers(0, 100))]
+    if bend:
+        bounds.append(bend - tiny)
+    for max_bend in bounds:
+        bound = orbit._BendBound(field, max_bend)
+        (kernel,) = orbit._kernels([plan], bound)
+        past = bound.exceeds(full[d:2 * d], full[-1])
+        assert past == (bend > max_bend)
+        if plan.flat:
+            assert field.coordinate(full, 1) == v[1]
+            assert kernel(key) == full
+        else:
+            assert kernel(key) == (None if past else full)
+    assert plan.flat == (m[1] == 0)
+
+
+def test_orbit_is_freed_without_the_cycle_collector():
+    # the kernels hold the bound and so the field; no reference cycle may
+    # keep them alive once the orbit is dropped
+    config = catalog.get_builtin("bi10-example").configuration
+    cluster, cocluster, _, _ = config.split(("1", "7"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        got = generate_packing(cluster, cocluster, OrbitLimits(max_generation=2, max_bend=5))
+        field = weakref.ref(got.circles[0].field)
+        del got
+        assert field() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_bound_below_a_cluster_circles_bend_matches_qnum_oracle():
+    # bi10-example {1,7}: circle 7 has bend 6, past max_bend 5, so its
+    # flat mirrors are skipped as missed and the rest are screened
+    config = catalog.get_builtin("bi10-example").configuration
+    cluster, cocluster, _, _ = config.split(("1", "7"))
+    cluster, cocluster = tuple(cluster), tuple(cocluster)
+    assert cluster[1][1] == 6
+    limits = OrbitLimits(max_generation=4, max_bend=5)
+    for generate, mirrors in (
+        (generate_packing, [(k + 3, m) for k, m in enumerate(cocluster)]),
+        (generate_superpacking, [(k + 1, m) for k, m in enumerate(cluster + cocluster)]),
+    ):
+        want = qnum_orbit(cluster, mirrors, limits, "")
+        got = generate(cluster, cocluster, limits)
+        assert got.circles == want.circles
+        assert got.circles[1].vector == cluster[1] and len(got) > 2
 
 
 def bend_row(bend):
@@ -368,7 +460,8 @@ def bend_test(bend, max_bend):
     field = orbit._Field([bend_row(bend)])
     bound = orbit._BendBound(field, max_bend)
     key = field.encode(bend_row(bend))
-    return bound.screen(key), bound.exceeds(key)
+    coeffs, den = key[field.d:2 * field.d], key[-1]
+    return bound.screen(coeffs, den), bound.exceeds(coeffs, den)
 
 
 def test_bend_screen_clear_cases():
@@ -510,6 +603,41 @@ def test_row_errors_come_before_the_cluster_proof():
         generate_packing((), pair, limits)
     with pytest.raises(ValueError, match=r"^not a cluster: rows 1 and 2 .* \(Gram entry 0\)$"):
         generate_packing(pair, (), limits)
+
+
+def test_repeated_rows_are_refused_naming_both():
+    # a wall given twice in the cluster or twice in the cocluster, by both
+    # generators; a row and its negation are two walls, and a cluster row
+    # that is also a mirror is allowed (a test above skips it)
+    config = catalog.get_builtin("bi10-example").configuration
+    cluster, cocluster, _, _ = config.split(("1", "7"))
+    limits = OrbitLimits(max_generation=2)
+    cases = {
+        "rows 1 and 2": ([cluster[0], cluster[0]], cocluster),
+        "rows 4 and 7": (cluster, cocluster[:4] + [cocluster[1]]),
+    }
+    for generate in (generate_packing, generate_superpacking):
+        for rows, (c, co) in cases.items():
+            with pytest.raises(ValueError) as info:
+                generate(c, co, limits)
+            assert str(info.value) == rows + " of cluster + cocluster are the same wall"
+    pair = (BI1[2], tuple(-q for q in BI1[2]))
+    got = generate_superpacking(pair, BI1_COCLUSTER, limits)
+    assert [c.vector for c in got.circles[:2]] == list(pair)
+
+
+def test_rows_of_different_lengths_are_refused():
+    # a circle (4 entries) and a plane (5 entries), by both generators
+    circle, plane = sphere((0, 0), 1), hyperplane((1, 0, 0), 0)
+    limits = OrbitLimits(max_generation=2)
+    for generate in (generate_packing, generate_superpacking):
+        for cluster, cocluster, message in (
+            ((circle,), (plane,), "dimension mismatch: 4 vs 5"),
+            ((plane,), (circle,), "dimension mismatch: 5 vs 4"),
+            ((circle, plane), (), "dimension mismatch: 4 vs 5"),
+        ):
+            with pytest.raises(ValueError, match="^%s$" % message):
+                generate(cluster, cocluster, limits)
 
 
 @pytest.mark.parametrize("entry_id", catalog.list_builtin())
