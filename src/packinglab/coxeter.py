@@ -20,7 +20,9 @@ is unclassifiable.
 
 Cluster enumeration follows the separation criterion: a subset S is a
 cluster iff every member meets every wall outside S with |g| >= 1 or
-g = 0, and the members are pairwise tangent or disjoint (|g| >= 1).
+g = 0, and the members are pairwise tangent or disjoint with disjoint
+interiors, g >= 1: norm -1 walls with disjoint interiors have g >= 1,
+and nested ones g <= -1.
 Consequently no member of a cluster can carry an angle entry at all
 (its angle partner could live neither inside nor outside S), which
 cuts the search to cliques among angle-free vertices.
@@ -140,8 +142,8 @@ def enumerate_clusters(gram, max_size: int | None = None):
     """All vertex subsets satisfying the separation criterion.
 
     Returned as sorted tuples of 0-based indices, in lexicographic
-    order.  Internal orthogonal pairs are excluded by the pairwise
-    |g| >= 1 rule.
+    order.  Internal orthogonal and nested pairs are excluded by the
+    pairwise g >= 1 rule.
     """
     m = len(gram)
     if max_size is None:
@@ -159,8 +161,7 @@ def enumerate_clusters(gram, max_size: int | None = None):
     ]
 
     def compatible(i: int, j: int) -> bool:
-        g = gram[i][j]
-        return bool(g) and _is_thick(g)
+        return (gram[i][j] - 1).sign() >= 0
 
     out = []
 
@@ -207,7 +208,7 @@ def validate_cluster(gram, subset) -> ClusterReport:
             if j in inside:
                 if j < i:
                     continue
-                ok = _is_thick(g) if g else False
+                ok = (g - 1).sign() >= 0
                 checks.append(("pairwise-thick", i, j, g, ok))
             else:
                 ok = (not g) or _is_thick(g)

@@ -25,8 +25,8 @@ induction on that order, r_i r_j p = r_j x is then already seen or is
 rejected by the bend bound, and either way the full loop would drop it
 here too.  A mirror skipped by the rule is not known to be seen (the
 image r_j p may be one the bound rejected), so it counts as unknown for
-the circle's own children.  Orthogonality is read once per call off the
-mirrors' integer tables.
+the circle's own children.  Orthogonality is read off the mirrors'
+Gram, which the caller computes once with ``geometry.gram``.
 
 The loop runs on integers.  Each call first closes the radicands of
 its rows under products into a fixed multiquadratic basis ({1,2,5,10}
@@ -65,14 +65,16 @@ vector only when ``vector`` is read.
 
 ``generate_packing`` first proves that its cluster is one: with
 ``coxeter.validate_cluster`` on the Gram of the cluster + cocluster rows,
-the cluster walls must be pairwise tangent or disjoint (|g| >= 1), and
-each must be tangent to, disjoint from or orthogonal to every cocluster
-wall (|g| >= 1 or g = 0).  A subset that fails is refused before any
-orbit is generated.  By the Structure Theorem (Kontorovich-Nakamura) the
-orbit circles then have pairwise disjoint interiors, provided the
-cocluster walls bound a Coxeter polytope; the catalog's wall lists are
-taken to do so until a polytope certificate proves it.  The
-superpacking's circles may overlap, and it proves nothing.
+the cluster walls must be pairwise tangent or disjoint with disjoint
+interiors (g >= 1), and each must be tangent to, disjoint from or
+orthogonal to every cocluster wall (|g| >= 1 or g = 0).  A subset that
+fails is refused before any orbit is generated, and the cocluster block
+of that one Gram is the mirrors' Gram.  By the Structure Theorem
+(Kontorovich-Nakamura) the orbit circles then have pairwise disjoint
+interiors, provided the cocluster walls bound a Coxeter polytope; the
+catalog's wall lists are taken to do so until a polytope certificate
+proves it.  The superpacking's circles may overlap, and it proves
+nothing; its mirrors' Gram is that of all its rows.
 
 Every circle carries a provenance word "m_k. ... .m_1.a" of 1-based
 indices into the concatenated cluster + cocluster row list: circle
@@ -264,8 +266,8 @@ class _Mirror:
     coefficients of sqrt(r_c) * y.  Both tables come in closed form from
     y and the basis product table; ``terms`` pairs each nonzero t_c with
     its column P_c, and ``source`` writes them out as straight-line code.
-    A mirror is ``flat`` when no column reaches the bend slots [d, 2d):
-    its bend is 0, so it leaves every bend unchanged.
+    A mirror is ``flat`` when its key's bend slots [d, 2d) are all 0: its
+    bend is 0, so it leaves every bend unchanged.
     """
 
     def __init__(self, field, index, mirror):
@@ -289,7 +291,7 @@ class _Mirror:
                 terms.append((functional, column))
         self.terms = tuple(terms)
         self.bend = range(d, 2 * d)
-        self.flat = not any(s in self.bend for _, column in self.terms for s, _ in column)
+        self.flat = not any(self.key[d:2 * d])
 
     def source(self, name, screen):
         """Python source of ``def name(x)``, the reflected key of a key x.
@@ -387,19 +389,8 @@ class _BendBound:
         return decided
 
 
-def _commuting(plans):
-    """Per plan position i, the positions j < i of the mirrors orthogonal
-    to mirror i: every functional of plan i vanishes on plan j's key."""
-    return [
-        frozenset(
-            j for j, other in enumerate(plans[:i])
-            if not any(sum([other.key[s] * w for s, w in f]) for f, _ in plan.terms)
-        )
-        for i, plan in enumerate(plans)
-    ]
-
-
-def _generate(cluster, limits, mirrors, mode):
+def _generate(cluster, limits, mirrors, products, mode):
+    """Orbit of the cluster under the (index, row) mirrors of Gram products."""
     if limits is None:
         limits = OrbitLimits()
 
@@ -411,7 +402,8 @@ def _generate(cluster, limits, mirrors, mode):
         OrbitCircle._encoded(field, field.encode(v), 0, str(i + 1))
         for i, v in enumerate(cluster)
     ]
-    commuting = _commuting(plans)
+    # per mirror i, the mirrors j < i orthogonal to it
+    commuting = [frozenset(j for j in range(i) if not row[j]) for i, row in enumerate(products)]
     flats = frozenset(j for j, plan in enumerate(plans) if plan.flat)
     kernels = [
         (plan.index, plan.key, plan.negated, kernel)
@@ -499,7 +491,8 @@ def generate_packing(cluster, cocluster, limits=None):
     once the cocluster walls bound a Coxeter polytope (module docstring).
     """
     cluster, cocluster = _split(cluster, cocluster)
-    report = validate_cluster(gram(cluster + cocluster), range(len(cluster)))
+    products = gram(cluster + cocluster)
+    report = validate_cluster(products, range(len(cluster)))
     if not report.verdict:
         rule, i, j, g, _ = next(c for c in report.checks if not c[4])
         raise ValueError(
@@ -508,15 +501,17 @@ def generate_packing(cluster, cocluster, limits=None):
         )
     offset = len(cluster)
     mirrors = [(offset + k + 1, m) for k, m in enumerate(cocluster)]
-    return _generate(cluster, limits, mirrors, "packing")
+    products = [row[offset:] for row in products[offset:]]
+    return _generate(cluster, limits, mirrors, products, "packing")
 
 
 def generate_superpacking(cluster, cocluster, limits=None):
     """Orbit of the cluster under reflections in all walls (interiors
     of the result may overlap)."""
     cluster, cocluster = _split(cluster, cocluster)
-    mirrors = [(k + 1, m) for k, m in enumerate(cluster + cocluster)]
-    return _generate(cluster, limits, mirrors, "superpacking")
+    rows = cluster + cocluster
+    mirrors = [(k + 1, m) for k, m in enumerate(rows)]
+    return _generate(cluster, limits, mirrors, gram(rows), "superpacking")
 
 
 def bends(orbit):

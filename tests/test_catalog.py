@@ -161,6 +161,23 @@ def test_validate_flags_cluster_that_fails_separation():
     assert "1/2" in problem.detail
 
 
+def test_validate_flags_nested_cluster():
+    # two concentric circles (radii 1 and 3) and a line through their
+    # centre: the listed cluster {a,b} has nested discs, Gram entry -5/3
+    rows = (
+        geometry.sphere((0, 0), 1),
+        geometry.sphere((0, 0), 3),
+        geometry.hyperplane((1, 0), 0),
+    )
+    cfg = Configuration(name="nested", rows=rows, labels=("a", "b", "c"))
+    entry = CatalogEntry(id="nested", configuration=cfg, clusters=(("a", "b"), ("a",)))
+    report = catalog.validate(entry)
+    (problem,) = report.problems
+    assert problem == catalog.CatalogCheck(
+        "cluster", "{a,b}", False, "pairwise-thick fails between a and b (entry -5/3)"
+    )
+
+
 def test_builtin_lookup_uses_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("PACKINGLAB_CATALOG", str(tmp_path))
     assert catalog.list_builtin() == ()

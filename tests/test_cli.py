@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from packinglab import catalog, cli, convert, coxeter, polygraph
-from packinglab.geometry import bend_matrices, sphere
+from packinglab.geometry import bend_matrices, hyperplane, sphere
 from packinglab.groupwords import Configuration, double
 from packinglab.integrality import (
     certificate_to_json,
@@ -613,6 +613,28 @@ def test_non_cluster_is_a_domain_error(capsys, argv):
         "separated-or-orthogonal (Gram entry 1/2)",
     }
     assert capsys.readouterr().out == ""
+
+
+def test_nested_cluster_is_a_domain_error(capsys, tmp_path):
+    # two concentric circles (radii 1 and 3) and a line through their
+    # centre: clusters does not list {a,b}, and pack refuses it
+    config = Configuration(
+        name="nested",
+        rows=(sphere((0, 0), 1), sphere((0, 0), 3), hyperplane((1, 0), 0)),
+        labels=("a", "b", "c"),
+    )
+    path = tmp_path / "nested.json"
+    catalog.save(catalog.CatalogEntry(id="nested", configuration=config), path)
+    assert cli.run(["clusters", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "{a}\n{b}\n{c}\n"
+    assert cli.run(["pack", "--config", str(path), "--cluster", "a,b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [{
+        "kind": "ValueError",
+        "error": "not a cluster: rows 1 and 2 of cluster + cocluster fail "
+        "pairwise-thick (Gram entry -5/3)",
+    }]
 
 
 def test_repeated_cluster_row_is_a_domain_error(capsys):

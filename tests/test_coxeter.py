@@ -153,6 +153,23 @@ def test_validate_all_vertices_invalid_with_angle():
     assert not rep.verdict
 
 
+def test_nested_walls_are_no_cluster():
+    # two concentric circles (radii 1 and 3) and a line through their
+    # centre: the nested pair's entry is -5/3, and with norm -1 walls only
+    # an entry >= 1 means disjoint interiors, so {0, 1} is neither listed
+    # nor validated; its mirror image across g = 0, +5/3, is a cluster
+    nested = as_gram([[-1, "-5/3", 0], ["-5/3", -1, 0], [0, 0, -1]])
+    assert coxeter.enumerate_clusters(nested) == [(0,), (1,), (2,)]
+    report = coxeter.validate_cluster(nested, [0, 1])
+    assert not report.verdict
+    assert [c for c in report.checks if not c[4]] == [
+        ("pairwise-thick", 0, 1, QNum("-5/3"), False)
+    ]
+    apart = as_gram([[-1, "5/3", 0], ["5/3", -1, 0], [0, 0, -1]])
+    assert coxeter.enumerate_clusters(apart) == [(0,), (0, 1), (1,), (2,)]
+    assert coxeter.validate_cluster(apart, [0, 1]).verdict
+
+
 def test_enumerate_matches_literal_oracle():
     # brute force: filter every subset through validate_cluster
     rng = random.Random(99)

@@ -305,13 +305,14 @@ def test_commuting_skip_matches_qnum_oracle_on_random_mirrors():
         cluster = tuple(random_circle(rng) for _ in range(rng.randint(1, 2)))
         unbounded = OrbitLimits(max_generation=4, max_bend=None)
         want = qnum_orbit(cluster, mirrors, unbounded, "packing")
-        assert orbit._generate(cluster, unbounded, mirrors, "packing") == want
+        products = gram(rows)
+        assert orbit._generate(cluster, unbounded, mirrors, products, "packing") == want
         # bounds at bends the orbit reaches (exact ties) and a random one
         reached = sorted(set(abs(b) for b in bends(want) if b), key=float)
         for max_bend in (rng.choice(reached), rng.choice(reached), rng.randint(0, 40)):
             limits = OrbitLimits(max_generation=4, max_bend=max_bend)
             want = qnum_orbit(cluster, mirrors, limits, "packing")
-            assert orbit._generate(cluster, limits, mirrors, "packing") == want
+            assert orbit._generate(cluster, limits, mirrors, products, "packing") == want
 
 
 def benchmark_counts():
@@ -331,6 +332,52 @@ def table_reflect(plan, key):
             out[s] += t * w
     g = math.gcd(*out)
     return tuple(a // g for a in out)
+
+
+def commuting_oracle(plans):
+    # the orthogonality test the mirrors' Gram replaced, kept as its
+    # reference: mirror j < i is orthogonal to mirror i when every
+    # functional of mirror i vanishes on mirror j's key
+    return [
+        frozenset(
+            j for j, other in enumerate(plans[:i])
+            if not any(sum([other.key[s] * w for s, w in f]) for f, _ in plan.terms)
+        )
+        for i, plan in enumerate(plans)
+    ]
+
+
+def test_gram_zeros_are_the_orthogonal_mirror_pairs():
+    # every row of every builtin entry taken as a mirror (714 pairs): the
+    # Gram's zero entries below the diagonal are the pairs the functionals
+    # find orthogonal
+    pairs = 0
+    for entry_id in catalog.list_builtin():
+        rows = catalog.get_builtin(entry_id).configuration.rows
+        field = orbit._Field(rows)
+        plans = [orbit._Mirror(field, j + 1, m) for j, m in enumerate(rows)]
+        products = gram(rows)
+        zeros = [frozenset(j for j in range(i) if not products[i][j]) for i in range(len(rows))]
+        assert commuting_oracle(plans) == zeros, entry_id
+        pairs += len(rows) * (len(rows) - 1) // 2
+    assert pairs == 714
+
+
+def test_flat_mirror_is_read_off_the_bend_slots():
+    # every row of every builtin entry (126 rows): no column of its tables
+    # reaches the bend slots [d, 2d) exactly when its key's bend slots are
+    # all 0, which is when its bend is 0
+    count = 0
+    for entry_id in catalog.list_builtin():
+        rows = catalog.get_builtin(entry_id).configuration.rows
+        field = orbit._Field(rows)
+        d = field.d
+        for m in rows:
+            plan = orbit._Mirror(field, 1, m)
+            reaches = any(d <= s < 2 * d for _, column in plan.terms for s, _ in column)
+            assert plan.flat == (not reaches) == (m[1] == 0)
+            count += 1
+    assert count == 126
 
 
 @pytest.mark.parametrize(
@@ -603,6 +650,20 @@ def test_row_errors_come_before_the_cluster_proof():
         generate_packing((), pair, limits)
     with pytest.raises(ValueError, match=r"^not a cluster: rows 1 and 2 .* \(Gram entry 0\)$"):
         generate_packing(pair, (), limits)
+
+
+def test_nested_cluster_walls_are_refused():
+    # two concentric circles (radii 1 and 3) and a line through their
+    # centre: the discs are nested, so the Gram entry of the pair is -5/3,
+    # past 1 in size but not in sign, and the pair is no cluster
+    nested = (sphere((0, 0), 1), sphere((0, 0), 3), hyperplane((1, 0), 0))
+    assert gram(nested)[0][1] == QNum(Fraction(-5, 3))
+    with pytest.raises(ValueError) as info:
+        generate_packing(nested[:2], nested[2:], OrbitLimits(max_generation=1))
+    assert str(info.value) == (
+        "not a cluster: rows 1 and 2 of cluster + cocluster fail pairwise-thick "
+        "(Gram entry -5/3)"
+    )
 
 
 def test_repeated_rows_are_refused_naming_both():
