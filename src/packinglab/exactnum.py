@@ -580,10 +580,6 @@ class _Field:
             w = tuple(self.multiply(w, conjugate))
             den = self.multiply(den, conjugate)
 
-    def coordinate(self, key, i):
-        """Coordinate i of an encoded row, as an exact QNum."""
-        return self.number(key[i * self.d:(i + 1) * self.d], key[-1])
-
     def decode(self, key):
         d, den = self.d, key[-1]
         return tuple(self.number(key[i:i + d], den) for i in range(0, len(key) - 1, d))

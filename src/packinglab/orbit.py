@@ -455,20 +455,17 @@ def _generate(cluster, limits, mirrors, products, mode):
 def _split(cluster, cocluster):
     """The cluster and cocluster rows through the row gate.
 
-    ValueError for an empty cluster, for rows of different lengths (the
-    orbit's kernels index fixed slots), and for a row given twice in the
+    ValueError for an empty cluster and for a row given twice in the
     cluster or twice in the cocluster, naming both of its places counted
     from 1 over cluster + cocluster.  A cluster row that is also a mirror
-    stays allowed: the orbit never reflects a circle in itself.
+    stays allowed: the orbit never reflects a circle in itself.  Rows of
+    different lengths are left to ``geometry.gram``, which both callers
+    run next on cluster + cocluster and which refuses mixed widths.
     """
     cluster = _checked_rows(cluster, "cluster")
     cocluster = _checked_rows(cocluster, "cocluster")
     if not cluster:
         raise ValueError("cluster must be nonempty")
-    width = len(cluster[0])
-    for row in cluster + cocluster:
-        if len(row) != width:
-            raise ValueError("dimension mismatch: %d vs %d" % (width, len(row)))
     for offset, rows in ((0, cluster), (len(cluster), cocluster)):
         first = {}
         for i, row in enumerate(rows, offset):
@@ -814,18 +811,17 @@ def verify_empty_interior(config, sample_count, seed, box=None):
     puts |t| below sqrt(1 + 1e-6) (about 1.0000005) plus the rounding of
     ``** 2``, far below R.  A sample with some u_j outside W_j is
     therefore one the screen rejects, and it is dropped at the first such
-    u_j.  W_j is built the first time a sample reads coordinate j (the
-    full range when C <= 0), and an empty W_j rejects every sample that
-    remains, so the report is returned at once.  splitmix64 is
-    counter-based, so each u is drawn when first read, and a sample inside
-    every window is screened as above, so the report equals that of
-    screening every wall of every sample in row order.
+    u_j (splitmix64 is counter-based, so each u is drawn when first read).
+    A sample inside every window is screened as above, so the report
+    equals that of screening every wall of every sample in row order.
 
     Overflow is settled before the first sample: every box end is
     converted to float, then each b != 0 wall's squared terms are
     evaluated at both ends, and the first OverflowError is raised (an
     infinite term raises one too).  Past that check no sample and no
-    window search overflows.
+    window search overflows.  All n windows are then settled before the
+    first draw (W_j is the full range when C <= 0); when one is empty no
+    sample can pass, and the report is returned without drawing.
     """
     rows = _checked_rows(config, "config")
     if sample_count <= 0:
@@ -842,17 +838,14 @@ def verify_empty_interior(config, sample_count, seed, box=None):
     _check_range(ratios, frows)
     balls = [(fr[1], fr[2:]) for fr in frows if fr[1] > 0.0]
     rest = [fr for fr in frows if not fr[1] > 0.0]
-    windows = []
+    windows = [_window(balls, j, ratio) for j, ratio in enumerate(ratios)]
+    if any(lo > hi for lo, hi in windows):
+        return EmptyInteriorReport(True, sample_count, seed, box, None, 0)
     exact_checks = 0
     for i in range(sample_count):
         first = i * n  # coordinate j is word i*n + j
         us = []
-        for j in range(n):
-            if j == len(windows):
-                windows.append(_window(balls, j, ratios[j]))
-                if windows[j][0] > windows[j][1]:
-                    return EmptyInteriorReport(True, sample_count, seed, box, None, exact_checks)
-            lo, hi = windows[j]
+        for j, (lo, hi) in enumerate(windows):
             u = _word(seed, first + j) >> 11
             if u < lo or u > hi:
                 break

@@ -498,11 +498,12 @@ def test_check_integrality_success_matches_library(capsys):
 
 
 def one_json_error(capsys):
-    """The single JSON line a domain error writes on stderr, parsed."""
+    """The single JSON line a domain error writes on stderr, parsed, and
+    the stdout of the same capture."""
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1, captured.err
-    return json.loads(lines[0])
+    return json.loads(lines[0]), captured.out
 
 
 def test_validate_samples_past_float_range_is_a_domain_error(capsys, tmp_path):
@@ -517,10 +518,14 @@ def test_validate_samples_past_float_range_is_a_domain_error(capsys, tmp_path):
     path = tmp_path / "far.json"
     catalog.save(catalog.CatalogEntry(id="far", configuration=config), path)
     assert cli.run(["validate", "--config", str(path)]) == 0
-    capsys.readouterr()
+    checks = capsys.readouterr().out
+    assert checks == "ok row-norm a: norm -1\nok row-norm b: norm -1\n"
     argv = ["validate", "--config", str(path), "--samples", "10", "--seed", "0"]
     assert cli.run(argv) == 1
-    assert one_json_error(capsys)["kind"] == "OverflowError"
+    error, out = one_json_error(capsys)
+    assert error["kind"] == "OverflowError"
+    # the row checks are printed before the sampler raises
+    assert out == checks
 
 
 @pytest.mark.parametrize(
@@ -535,16 +540,16 @@ def test_validate_samples_past_float_range_is_a_domain_error(capsys, tmp_path):
 def test_glue_face_index_outside_the_faces_is_a_domain_error(capsys, a, b, at, message):
     argv = ["glue", "--kind", "face", "--a", "builtin:" + a, "--b", "builtin:" + b]
     assert cli.run(argv + at) == 1
-    assert one_json_error(capsys) == {"kind": "ValueError", "error": message}
+    assert one_json_error(capsys) == ({"kind": "ValueError", "error": message}, "")
 
 
 def test_glue_unknown_vertex_label_is_a_domain_error(capsys):
     argv = ["glue", "--kind", "vertex", "--a", "builtin:tetrahedron",
             "--b", "builtin:tetrahedron", "--at-a", "zz", "--at-b", "1"]
     assert cli.run(argv) == 1
-    assert one_json_error(capsys) == {
-        "kind": "ValueError", "error": "tetrahedron has no vertex 'zz'",
-    }
+    assert one_json_error(capsys) == (
+        {"kind": "ValueError", "error": "tetrahedron has no vertex 'zz'"}, "",
+    )
 
 
 def _set_cell(doc, value):
@@ -568,8 +573,7 @@ def test_catalog_file_of_wrong_json_types_is_a_domain_error(capsys, tmp_path, ed
     path = tmp_path / "entry.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.run(["validate", "--config", str(path)]) == 1
-    assert one_json_error(capsys) == {"kind": "ValueError", "error": message}
-    assert capsys.readouterr().out == ""
+    assert one_json_error(capsys) == ({"kind": "ValueError", "error": message}, "")
 
 
 @pytest.mark.parametrize(
@@ -583,18 +587,17 @@ def test_catalog_file_of_wrong_json_types_is_a_domain_error(capsys, tmp_path, ed
 )
 def test_lob_never_prints_a_non_finite_value(capsys, theta, method, message):
     assert cli.run(["lob", "--theta=" + theta, "--method", method]) == 1
-    assert one_json_error(capsys) == {"kind": "ValueError", "error": message}
-    assert capsys.readouterr().out == ""
+    assert one_json_error(capsys) == ({"kind": "ValueError", "error": message}, "")
 
 
 @pytest.mark.parametrize("method", ["series", "quadrature"])
 @pytest.mark.parametrize("tol", ["nan", "-nan", "0", "-1e-9"])
 def test_lob_refuses_a_tolerance_that_is_not_positive(capsys, method, tol):
     assert cli.run(["lob", "--theta", "1.0", "--tol=" + tol, "--method", method]) == 1
-    error = one_json_error(capsys)
+    error, out = one_json_error(capsys)
     assert error["kind"] == "ValueError"
     assert error["error"].startswith("tolerance must be positive, got ")
-    assert capsys.readouterr().out == ""
+    assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -607,12 +610,11 @@ def test_lob_refuses_a_tolerance_that_is_not_positive(capsys, method, tol):
 def test_non_cluster_is_a_domain_error(capsys, argv):
     # bi10-example {2}: wall 2 meets cocluster wall 5 at pi/3
     assert cli.run(argv) == 1
-    assert one_json_error(capsys) == {
+    assert one_json_error(capsys) == ({
         "kind": "ValueError",
         "error": "not a cluster: rows 1 and 5 of cluster + cocluster fail "
         "separated-or-orthogonal (Gram entry 1/2)",
-    }
-    assert capsys.readouterr().out == ""
+    }, "")
 
 
 def test_nested_cluster_is_a_domain_error(capsys, tmp_path):
@@ -628,23 +630,20 @@ def test_nested_cluster_is_a_domain_error(capsys, tmp_path):
     assert cli.run(["clusters", "--config", str(path)]) == 0
     assert capsys.readouterr().out == "{a}\n{b}\n{c}\n"
     assert cli.run(["pack", "--config", str(path), "--cluster", "a,b"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert [json.loads(line) for line in captured.err.splitlines()] == [{
+    assert one_json_error(capsys) == ({
         "kind": "ValueError",
         "error": "not a cluster: rows 1 and 2 of cluster + cocluster fail "
         "pairwise-thick (Gram entry -5/3)",
-    }]
+    }, "")
 
 
 def test_repeated_cluster_row_is_a_domain_error(capsys):
     argv = ["pack", "--config", "builtin:bi10-example", "--cluster", "1,1"]
     assert cli.run(argv) == 1
-    assert one_json_error(capsys) == {
+    assert one_json_error(capsys) == ({
         "kind": "ValueError",
         "error": "rows 1 and 2 of cluster + cocluster are the same wall",
-    }
-    assert capsys.readouterr().out == ""
+    }, "")
 
 
 def test_removed_max_order_option_is_a_usage_error(capsys):

@@ -446,7 +446,7 @@ def test_kernel_settles_the_bound_as_the_full_image_would(data):
     key = field.encode(v)
     full = table_reflect(plan, key)
     d = field.d
-    bend = abs(field.coordinate(full, 1))
+    bend = abs(field.number(full[d:2 * d], full[-1]))
     tiny = (3 - 2 * R2) ** 30
     bounds = [bend, bend + tiny, data.draw(st.integers(0, 100))]
     if bend:
@@ -457,7 +457,7 @@ def test_kernel_settles_the_bound_as_the_full_image_would(data):
         past = bound.exceeds(full[d:2 * d], full[-1])
         assert past == (bend > max_bend)
         if plan.flat:
-            assert field.coordinate(full, 1) == v[1]
+            assert field.number(full[d:2 * d], full[-1]) == v[1]
             assert kernel(key) == full
         else:
             assert kernel(key) == (None if past else full)
@@ -1292,6 +1292,26 @@ def test_empty_interior_matches_parent_loop_on_builtins(entry_id):
     for seed in range(3):
         want, _ = empty_interior_oracle(config.rows, 2000, seed, box)
         assert verify_empty_interior(config, 2000, seed) == want
+    if entry_id in ("d1n3", "d1n3-base"):
+        # every window of d1n3 is the full range: every sample passes
+        # every window and reaches the float screen
+        for seed in range(3):
+            want = parent_empty_interior(config.rows, 20000, seed)
+            assert verify_empty_interior(config, 20000, seed) == want
+
+
+@pytest.mark.parametrize("entry_id", catalog.list_builtin())
+def test_windows_are_built_once_before_the_first_draw(monkeypatch, entry_id):
+    config = catalog.get_builtin(entry_id).configuration
+    want = verify_empty_interior(config, 50, 7)
+    calls = []
+    window, word = orbit._window, orbit._word
+    monkeypatch.setattr(orbit, "_window", lambda balls, j, r: calls.append(j) or window(balls, j, r))
+    monkeypatch.setattr(orbit, "_word", lambda seed, k: calls.append("word") or word(seed, k))
+    assert verify_empty_interior(config, 50, 7) == want
+    n = len(config.rows[0]) - 2
+    assert calls[:n] == list(range(n))
+    assert calls[n:] == ["word"] * (len(calls) - n)
 
 
 UNITS = 1 << 53
