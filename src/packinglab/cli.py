@@ -229,9 +229,14 @@ def _cmd_prove_nonintegral(args):
 
 
 def _cmd_growth_probe(args):
+    # ASCII digits only: int() would also take "+2", " 2" and "1_0", and
+    # the certificate would print the word respelled
+    parts = args.word.split(".")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError("word must be dot-joined unsigned integers, got %r" % args.word)
+    word = [int(part) for part in parts]
     config = _load_config(args.config)
     matrices = bend_matrices(config.rows, config.rows)
-    word = [int(part) for part in args.word.split(".")]
     cert = denominator_growth_probe(matrices, word, iterations=args.iterations)
     _emit(certificate_to_json(cert) + "\n", args.out)
     return 0

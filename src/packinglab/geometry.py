@@ -65,28 +65,10 @@ def norm(v) -> QNum:
 
 
 def is_wall(v) -> bool:
-    """True iff the vector is normalized to norm -1 (``key_is_wall`` on
-    its key over its own field)."""
-    v = as_vector(v)
-    field = _Field((v,))
-    return key_is_wall(field, field.encode(v))
-
-
-def key_is_wall(field, key) -> bool:
-    """True iff the row encoded as x / D over the field has norm -1.
-
-    This is the Gram's diagonal formula read off the key's own
-    coefficients: 2<v, v> D^2 = 2 x_0 x_1 - 2 sum_{i>=2} x_i^2, products
-    taken in the field, so the row is a wall exactly when x_0 x_1 -
-    sum x_i^2 has coefficients (-D^2, 0, ..., 0).
-    """
-    d = field.d
-    total = field.multiply(key[:d], key[d:2 * d])
-    for i in range(2 * d, len(key) - 1, d):
-        x = key[i:i + d]
-        for c, t in enumerate(field.multiply(x, x)):
-            total[c] -= t
-    return total[0] == -key[-1] ** 2 and not any(total[1:])
+    """True iff the vector is normalized to norm -1: its one-row Gram's
+    diagonal entry, the check ``Configuration`` and the orbit make on
+    their own Grams."""
+    return gram((v,))[0][0] == MINUS_ONE
 
 
 def sphere(center, radius) -> tuple:

@@ -101,10 +101,9 @@ def parse_word(text: str) -> Word:
                 # final group: its value is the seed, splice in place
                 atoms.extend(flatten(item[1], True))
             else:
-                # non-final group: reflect through the derived wall
+                # non-final group: reflect through the derived wall; w is
+                # nonempty, since parse_items returns an item or raises
                 w = flatten(item[1], True)
-                if len(w) < 1:
-                    raise ValueError("empty group")
                 atoms.extend(w)
                 atoms.extend(reversed(w[:-1]))
         return atoms

@@ -100,12 +100,9 @@ def prove_integral(basis, cluster_rows, mirror_rows):
             "inconclusive", None, (),
             "cluster bends mix radical parts; no integral rescaling exists",
         )
+    # every bend over the factor is an integer (find_integral_rescaling)
     inv = factor.inverse()
     scaled_bends = [b * inv for b in cluster_bends]
-    if not all(b.is_integer() for b in scaled_bends):
-        return IntegralityCertificate(
-            "inconclusive", factor, (), "cluster bends not integral after rescaling"
-        )
     matrices = bend_matrices(rows, [rows[i - 1] for i in mirror_rows])
     for i, b in zip(mirror_rows, matrices):
         if not _integral_matrix(b):
@@ -242,10 +239,14 @@ def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
     B_{i1} ... B_{ik} = V R_w V^-1.  The products run through
     ``_matrix.mat_mul``, on integers over the field of the entries
     (rational for an integral basis, so plain integer arithmetic).  With
-    no mirror there is no letter to draw, and ValueError is raised.  The
-    basis is inverted once and each mirror's reflection matrix built once:
-    the bound and the letters (``geometry.conjugated``) share them.
+    no mirror there is no letter to draw, and ValueError is raised, as it
+    is first for a negative word_count or word_length (0 draws nothing).
+    The basis is inverted once and each mirror's reflection matrix built
+    once: the bound and the letters (``geometry.conjugated``) share them.
     """
+    for name, value in (("word_count", word_count), ("word_length", word_length)):
+        if value < 0:
+            raise ValueError("%s must be nonnegative, got %d" % (name, value))
     rows = _checked_rows(basis, "basis")
     if len(rows) != len(rows[0]):
         raise ValueError("basis must be square")

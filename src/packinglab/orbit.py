@@ -63,18 +63,20 @@ and compared as an exact QNum.  No decision rests on a float.  The kept
 circles keep their keys over the field, and a circle decodes its QNum
 vector only when ``vector`` is read.
 
-``generate_packing`` first proves that its cluster is one: with
-``coxeter.validate_cluster`` on the Gram of the cluster + cocluster rows,
-the cluster walls must be pairwise tangent or disjoint with disjoint
-interiors (g >= 1), and each must be tangent to, disjoint from or
-orthogonal to every cocluster wall (|g| >= 1 or g = 0).  A subset that
-fails is refused before any orbit is generated, and the cocluster block
-of that one Gram is the mirrors' Gram.  By the Structure Theorem
-(Kontorovich-Nakamura) the orbit circles then have pairwise disjoint
-interiors, provided the cocluster walls bound a Coxeter polytope; the
-catalog's wall lists are taken to do so until a polytope certificate
-proves it.  The superpacking's circles may overlap, and it proves
-nothing; its mirrors' Gram is that of all its rows.
+Both generators compute the Gram of the cluster + cocluster rows once,
+and a diagonal entry of -1 is the proof that a row is a wall: no row is
+proved again.  ``generate_packing`` then proves that its cluster is
+one: with ``coxeter.validate_cluster`` on that Gram, the cluster walls
+must be pairwise tangent or disjoint with disjoint interiors (g >= 1),
+and each must be tangent to, disjoint from or orthogonal to every
+cocluster wall (|g| >= 1 or g = 0).  A subset that fails is refused
+before any orbit is generated, and the cocluster block of that one Gram
+is the mirrors' Gram.  By the Structure Theorem (Kontorovich-Nakamura)
+the orbit circles then have pairwise disjoint interiors, provided the
+cocluster walls bound a Coxeter polytope; the catalog's wall lists are
+taken to do so until a polytope certificate proves it.  The
+superpacking's circles may overlap, and it proves nothing more; its
+mirrors' Gram is the whole of that Gram.
 
 Every circle carries a provenance word "m_k. ... .m_1.a" of 1-based
 indices into the concatenated cluster + cocluster row list: circle
@@ -100,7 +102,7 @@ from fractions import Fraction
 
 from .coxeter import validate_cluster
 from .exactnum import QNum, _enclose, _Field, _format, _scan
-from .geometry import as_vector, form_functional, gram, interior_contains, key_is_wall
+from .geometry import MINUS_ONE, as_vector, form_functional, gram, interior_contains, is_wall
 from .groupwords import Configuration
 
 _MASK64 = (1 << 64) - 1
@@ -240,18 +242,19 @@ class PackingOrbit:
 def _checked_rows(rows, what):
     """The rows as inversive vectors, each proved to have norm -1.
 
-    The one gate for row proofs: a Configuration passes through, since
-    its constructor proved every row and stored it through ``as_vector``.
-    Raw rows are encoded over one field and each key is checked alone by
-    ``geometry.key_is_wall`` (the check ``is_wall`` makes), so lengths may
-    differ; the error names the first failing row, counting from 1.
+    The row gate of the sampler and the certificates (the orbit proves
+    its rows on its own Gram, in ``_split``): a Configuration passes
+    through, since its constructor proved every row on its Gram and
+    stored it through ``as_vector``.  Raw rows are proved one at a time
+    by ``geometry.is_wall``, the diagonal entry of each row's one-row
+    Gram, so lengths may differ; the error names the first failing row,
+    counting from 1.
     """
     if isinstance(rows, Configuration):
         return rows.rows
     out = tuple(as_vector(r) for r in rows)
-    field = _Field(out)
     for i, r in enumerate(out):
-        if not key_is_wall(field, field.encode(r)):
+        if not is_wall(r):
             raise ValueError("%s row %d does not have norm -1" % (what, i + 1))
     return out
 
@@ -453,19 +456,29 @@ def _generate(cluster, limits, mirrors, products, mode):
 
 
 def _split(cluster, cocluster):
-    """The cluster and cocluster rows through the row gate.
+    """The cluster and cocluster rows as vectors, and the Gram of
+    cluster + cocluster, on whose diagonal each row is proved a wall.
 
-    ValueError for an empty cluster and for a row given twice in the
-    cluster or twice in the cocluster, naming both of its places counted
-    from 1 over cluster + cocluster.  A cluster row that is also a mirror
-    stays allowed: the orbit never reflects a circle in itself.  Rows of
-    different lengths are left to ``geometry.gram``, which both callers
-    run next on cluster + cocluster and which refuses mixed widths.
+    Either list may be a Configuration.  Past ``as_vector``'s own errors,
+    the first of these faults raises ValueError: an empty cluster; rows of
+    different lengths (``geometry.gram``'s ``dimension mismatch``); a
+    diagonal entry other than -1, naming the row by its place in its own
+    list counted from 1; a row given twice in the cluster or twice in the
+    cocluster, naming both places counted from 1 over cluster + cocluster.
+    A cluster row that is also a mirror stays allowed: the orbit never
+    reflects a circle in itself.
     """
-    cluster = _checked_rows(cluster, "cluster")
-    cocluster = _checked_rows(cocluster, "cocluster")
+    cluster, cocluster = [
+        tuple(as_vector(r) for r in (rows.rows if isinstance(rows, Configuration) else rows))
+        for rows in (cluster, cocluster)
+    ]
     if not cluster:
         raise ValueError("cluster must be nonempty")
+    products = gram(cluster + cocluster)
+    for i, row in enumerate(products):
+        if row[i] != MINUS_ONE:
+            what, k = ("cluster", i) if i < len(cluster) else ("cocluster", i - len(cluster))
+            raise ValueError("%s row %d does not have norm -1" % (what, k + 1))
     for offset, rows in ((0, cluster), (len(cluster), cocluster)):
         first = {}
         for i, row in enumerate(rows, offset):
@@ -474,7 +487,7 @@ def _split(cluster, cocluster):
                 raise ValueError(
                     "rows %d and %d of cluster + cocluster are the same wall" % (j + 1, i + 1)
                 )
-    return cluster, cocluster
+    return cluster, cocluster, products
 
 
 def generate_packing(cluster, cocluster, limits=None):
@@ -487,8 +500,7 @@ def generate_packing(cluster, cocluster, limits=None):
     the Structure Theorem makes the orbit's interiors pairwise disjoint
     once the cocluster walls bound a Coxeter polytope (module docstring).
     """
-    cluster, cocluster = _split(cluster, cocluster)
-    products = gram(cluster + cocluster)
+    cluster, cocluster, products = _split(cluster, cocluster)
     report = validate_cluster(products, range(len(cluster)))
     if not report.verdict:
         rule, i, j, g, _ = next(c for c in report.checks if not c[4])
@@ -505,10 +517,9 @@ def generate_packing(cluster, cocluster, limits=None):
 def generate_superpacking(cluster, cocluster, limits=None):
     """Orbit of the cluster under reflections in all walls (interiors
     of the result may overlap)."""
-    cluster, cocluster = _split(cluster, cocluster)
-    rows = cluster + cocluster
-    mirrors = [(k + 1, m) for k, m in enumerate(rows)]
-    return _generate(cluster, limits, mirrors, gram(rows), "superpacking")
+    cluster, cocluster, products = _split(cluster, cocluster)
+    mirrors = [(k + 1, m) for k, m in enumerate(cluster + cocluster)]
+    return _generate(cluster, limits, mirrors, products, "superpacking")
 
 
 def bends(orbit):

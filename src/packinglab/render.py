@@ -307,12 +307,9 @@ def _auto_viewport(shapes):
         _extreme(circles, axis, side, floor)
         for (axis, side), floor in zip(_EDGES, _floors(circles))
     ]
+    # every circle has radius 1/|b| > 0, so both extents are positive
     pad_x = (xhi - xlo) * Fraction(1, 20)
     pad_y = (yhi - ylo) * Fraction(1, 20)
-    if pad_x.sign() == 0:
-        pad_x = pad_y
-    if pad_y.sign() == 0:
-        pad_y = pad_x
     box = []
     for lo, hi in ((xlo - pad_x, xhi + pad_x), (ylo - pad_y, yhi + pad_y)):
         box.append((Fraction(float(lo)), Fraction(float(hi))))

@@ -124,6 +124,19 @@ def test_from_json_reports_bad_gram_cell():
         from_json(json.dumps(doc))
 
 
+def test_load_rejects_a_ragged_stored_gram(tmp_path):
+    # row 2 of the stored Gram lacks its last cell; every cell it has
+    # matches, so only the shape check refuses the file
+    doc = json.loads(to_json(tangent_entry(
+        gram=geometry.gram(tangent_entry().configuration.rows),
+    )))
+    del doc["gram"][2][-1]
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^gram matrix shape disagrees with 4 rows$"):
+        catalog.load(path)
+
+
 def test_from_json_rejects_bad_norm():
     doc = json.loads(to_json(tangent_entry()))
     doc["rows"][0] = ["0", "0", "0", "-2"]

@@ -649,3 +649,28 @@ def test_repeated_cluster_row_is_a_domain_error(capsys):
 def test_removed_max_order_option_is_a_usage_error(capsys):
     assert cli.run(["diagram", "--config", "builtin:d3n3", "--max-order", "12"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-integrality", "--config", "builtin:bi1-cluster3", "--cluster", "3",
+          "--seed", "0", "--words", "-3"], "word_count must be nonnegative, got -3"),
+        (["check-integrality", "--config", "builtin:bi1-cluster3", "--cluster", "3",
+          "--seed", "0", "--word-length", "-2"], "word_length must be nonnegative, got -2"),
+        (["growth-probe", "--config", "builtin:bi1-cluster3", "--word", "2..1"],
+         "word must be dot-joined unsigned integers, got '2..1'"),
+        (["growth-probe", "--config", "builtin:bi1-cluster3", "--word", "2.a"],
+         "word must be dot-joined unsigned integers, got '2.a'"),
+        # int() takes these, and the certificate would name the word 2.1 or 2.10
+        (["growth-probe", "--config", "builtin:bi1-cluster3", "--word", "+2.1"],
+         "word must be dot-joined unsigned integers, got '+2.1'"),
+        (["growth-probe", "--config", "builtin:bi1-cluster3", "--word", " 2.1"],
+         "word must be dot-joined unsigned integers, got ' 2.1'"),
+        (["growth-probe", "--config", "builtin:bi1-cluster3", "--word", "2.1_0"],
+         "word must be dot-joined unsigned integers, got '2.1_0'"),
+    ],
+)
+def test_negative_word_counts_and_malformed_words_are_domain_errors(capsys, argv, message):
+    assert cli.run(argv) == 1
+    assert one_json_error(capsys) == ({"kind": "ValueError", "error": message}, "")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from packinglab import geometry, groupwords
 from packinglab.exactnum import QNum, sqrt
@@ -49,6 +50,22 @@ def test_parse_group_expansion():
 def test_parse_str_round_trip():
     for text in ["1", "~1", "3.2.~1", "10.2.3"]:
         assert str(parse_word(text)) == text
+
+
+WORDS = st.recursive(
+    st.integers(1, 12).map(str),
+    lambda words: st.lists(words, min_size=1, max_size=3).map(".".join).map("({})".format),
+    max_leaves=8,
+)
+
+
+@given(st.lists(WORDS, min_size=1, max_size=3).map(".".join))
+def test_a_flattened_group_is_never_empty(inner):
+    # a group in front of a seed unfolds to the palindrome w.reversed(w[:-1]),
+    # w the group's own flattening, which has at least one atom
+    w = parse_word(inner).atoms
+    assert len(w) >= 1
+    assert parse_word("(%s).1" % inner).atoms == w + w[:-1][::-1] + ((1, False),)
 
 
 @pytest.mark.parametrize(

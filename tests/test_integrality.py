@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from packinglab import _matrix, catalog, cli, geometry, integrality, orbit
 from packinglab._matrix import as_matrix, identity, mat_inverse, mat_mul
@@ -55,6 +56,19 @@ def rescale(rows, factor):
     rows = tuple(as_vector(r) for r in rows)
     inv = factor.inverse()
     return tuple((r[0] * factor, r[1] * inv) + r[2:] for r in rows)
+
+
+@given(
+    st.sampled_from([1, 2, 3, 5, 6, 17, 34]),
+    st.lists(st.fractions(max_denominator=60).filter(lambda q: abs(q) < 10**6), min_size=1, max_size=6),
+)
+def test_every_bend_over_the_rescaling_factor_is_an_integer(radicand, rationals):
+    # f = sqrt(m) / L, L the lcm of the rational parts' denominators, so
+    # q sqrt(m) / f = q L: prove_integral has no non-integral case to refuse
+    bends = [q * sqrt(radicand) for q in rationals]
+    factor = find_integral_rescaling(bends)
+    assert factor.sign() > 0
+    assert all((b / factor).is_integer() for b in bends)
 
 
 def test_bi17_rows_are_walls():
@@ -290,6 +304,21 @@ def test_bounded_rational_needs_a_mirror(word_count, word_length):
         check_bounded_rational(BI1, (), word_count, word_length)
 
 
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [
+        [identity(2), identity(3)],
+        [((QNum(1), QNum(0), QNum(0)), (QNum(0), QNum(1), QNum(0)))],
+    ],
+    ids=["two sizes", "not square"],
+)
+def test_growth_probe_refuses_matrices_of_mixed_shape(matrices):
+    with pytest.raises(ValueError, match="^dimension mismatch among bend matrices$"):
+        denominator_growth_probe(matrices, [1], iterations=4)
+
+
 def test_certificate_json_round_trip():
     for cert in (
         prove_integral(BI1, cluster_rows=[3], mirror_rows=[1, 2, 4]),
@@ -407,7 +436,7 @@ def test_bounded_rational_matches_conjugation_oracle(case, word_length):
         assert check_bounded_rational(basis, mirrors, 3, word_length, seed) == want
 
 
-@pytest.mark.parametrize("word_count, word_length", [(0, 5), (4, 0), (-2, -3), (-1, 4)])
+@pytest.mark.parametrize("word_count, word_length", [(0, 5), (4, 0)])
 def test_bounded_rational_empty_words_match_oracle(word_count, word_length):
     # no word, or only empty words: the identity's denominators are 1
     for basis, mirrors in SPOT_CASES.values():
@@ -415,6 +444,15 @@ def test_bounded_rational_empty_words_match_oracle(word_count, word_length):
         got = check_bounded_rational(basis, mirrors, word_count, word_length, 3)
         assert got == want
         assert got.observed_max_denominator == 1
+
+
+@pytest.mark.parametrize("word_count, word_length", [(-2, -3), (-1, 4), (20, -2)])
+def test_bounded_rational_refuses_negative_word_counts(word_count, word_length):
+    # refused before the basis is read; word_count is checked first
+    name, value = ("word_count", word_count) if word_count < 0 else ("word_length", word_length)
+    for basis, mirrors in SPOT_CASES.values():
+        with pytest.raises(ValueError, match="^%s must be nonnegative, got %d$" % (name, value)):
+            check_bounded_rational(basis, mirrors, word_count, word_length)
 
 
 def test_bounded_rational_seeds_observe_the_rational_basis():

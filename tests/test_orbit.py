@@ -701,6 +701,26 @@ def test_rows_of_different_lengths_are_refused():
                 generate(cluster, cocluster, limits)
 
 
+def test_several_faults_report_the_first_in_one_order():
+    # an empty cluster, then mixed widths (gram's text), then a row that
+    # is not a wall, then a repeated row: each input below drops the
+    # first fault of the one before it
+    circle, plane, bad = sphere((0, 0), 1), hyperplane((1, 0, 0), 0), qv(1, 1, 0, 0)
+    limits = OrbitLimits(max_generation=1)
+    cases = (
+        ((), (circle, plane, bad, bad), "cluster must be nonempty"),
+        ((circle, circle), (plane, bad), "dimension mismatch: 4 vs 5"),
+        ((circle, circle), (bad,), "cocluster row 1 does not have norm -1"),
+        ((circle, circle, bad), (), "cluster row 3 does not have norm -1"),
+        ((circle, circle), (), "rows 1 and 2 of cluster + cocluster are the same wall"),
+    )
+    for generate in (generate_packing, generate_superpacking):
+        for cluster, cocluster, message in cases:
+            with pytest.raises(ValueError) as info:
+                generate(cluster, cocluster, limits)
+            assert str(info.value) == message
+
+
 @pytest.mark.parametrize("entry_id", catalog.list_builtin())
 def test_cluster_orbits_have_disjoint_interiors(entry_id):
     # exact, all pairs: on the 2-generation orbit of every cluster that
@@ -887,12 +907,48 @@ def test_orbit_circles_decode_their_vectors_once():
         ("0\t1\t(0,2)\n", "orbit line 1: an inversive vector needs at least 3 entries"),
         ("0\t1\t(0,2,0,1)\n0\t2\t(0,2,0,1/0)\n", "orbit line 2: QNum syntax error at position 2: zero denominator"),
         ("0\t1\t(0,2,0,sqrt(2)x)\n", "orbit line 1: QNum syntax error at position 7: expected '+' or '-', got 'x'"),
+        ("0\t1\t0,2,0,1\n", "orbit line 1: malformed coordinate tuple"),
+        ("0\t1\t(0,2,0,1)\n1\t2\t(0,2,0,1\n", "orbit line 2: malformed coordinate tuple"),
+        ("0\t1\t0,2,0,1)\n", "orbit line 1: malformed coordinate tuple"),
     ],
 )
 def test_tsv_errors_name_the_line(text, message):
     with pytest.raises(ValueError) as err:
         parse_tsv(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "samples, box, message",
+    [
+        (0, None, "sample_count must be positive"),
+        (-5, None, "sample_count must be positive"),
+        (10, ((0, 1),), "box has 1 intervals, expected 2"),
+        (10, ((0, 1), (0, 1), (0, 1)), "box has 3 intervals, expected 2"),
+    ],
+)
+def test_empty_interior_refuses_bad_counts_and_boxes(samples, box, message):
+    with pytest.raises(ValueError) as err:
+        verify_empty_interior(BI1, samples, 0, box)
+    assert str(err.value) == message
+
+
+def test_circles_of_one_field_compare_by_key_without_decoding():
+    # equality within one orbit, or within one parsed file, compares keys
+    # and decodes no vector; words and generations still count
+    got = generate_superpacking(BI1_CLUSTER, BI1_COCLUSTER, OrbitLimits(max_generation=2))
+    for circles in (got.circles, parse_tsv(export_tsv(got))):
+        a, b = circles[1], circles[2]
+        twin = orbit.OrbitCircle._encoded(a.field, a.key, a.generation, a.word)
+        renamed = orbit.OrbitCircle._encoded(a.field, a.key, a.generation, b.word)
+        moved = orbit.OrbitCircle._encoded(a.field, b.key, a.generation, a.word)
+        assert a == twin and twin == a
+        assert a != renamed and a != moved and a != b
+        assert all(c._vector is None for c in (a, b, twin, renamed, moved))
+    # a re-parsed twin is over another field, so it compares by vector
+    back = parse_tsv(export_tsv(got))
+    assert back[0].field is not got.circles[0].field
+    assert back == got.circles
 
 
 def test_empty_interior_single_circle():

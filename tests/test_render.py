@@ -519,6 +519,37 @@ def test_fitted_extremes_past_a_wide_enclosure():
     assert_matches_oracle(circles, RenderOptions(labels="labels"))
 
 
+@given(st.lists(
+    st.tuples(
+        st.fractions(-10**6, 10**6, max_denominator=10**6),
+        st.fractions(-10**6, 10**6, max_denominator=10**6),
+        st.fractions(Fraction(1, 10**30), 10**6, max_denominator=10**30),
+    ),
+    min_size=1, max_size=4,
+))
+def test_fitted_extents_are_positive_on_both_axes(disks):
+    # every circle has radius 1/|b| > 0, so the exact extremes are at least
+    # one diameter apart on each axis and both paddings are positive
+    circles = [circle_at(x, y, r, str(k)) for k, (x, y, r) in enumerate(disks)]
+    shapes = [s for _, s in render._kept(circles) if s[0] == "circle"]
+    xlo, xhi, ylo, yhi = [
+        render._extreme(shapes, axis, side, floor)
+        for (axis, side), floor in zip(render._EDGES, render._floors(shapes))
+    ]
+    diameter = 2 * max(r for _, _, r in disks)
+    assert xhi - xlo >= diameter and yhi - ylo >= diameter
+
+
+@pytest.mark.parametrize(
+    "viewport",
+    [((0, 1),), ((0, 1), (0, 1), (0, 1)), ((0, 1, 2), (0, 1)), ((0, "a"), (0, 1)), 5, ((0, None), (0, 1))],
+)
+def test_malformed_viewport_is_refused(viewport):
+    with pytest.raises(ValueError) as err:
+        RenderOptions(viewport=viewport)
+    assert str(err.value) == "viewport must be ((xlo, xhi), (ylo, yhi)) rationals"
+
+
 def test_max_circles_is_a_positive_int():
     for bad in (2.5, 1.0, True, False, 0, -3, "3", Fraction(3)):
         with pytest.raises(ValueError, match="max_circles must be None or a positive int"):

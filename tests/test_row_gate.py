@@ -1,6 +1,7 @@
-"""The one row gate: ``orbit._checked_rows`` lets a Configuration through,
-since its constructor proved every row, and proves raw rows.  Each
-caller gives the same result for a Configuration and for its rows."""
+"""The row gate of the sampler and the certificates: ``orbit._checked_rows``
+lets a Configuration through, since its constructor proved every row, and
+proves raw rows.  Each caller gives the same result for a Configuration
+and for its rows.  The orbit proves its rows on the Gram it builds."""
 
 import contextlib
 import io
@@ -22,13 +23,13 @@ NOT_WALLS = ((0, 0, 0, -1), (2, 0, 0, 2), (0, 2, 0, 1), (2, 2, 2, 1))
 
 def count_proofs(monkeypatch):
     calls = []
-    real = orbit.key_is_wall
+    real = orbit.is_wall
 
-    def spy(field, key):
-        calls.append(key)
-        return real(field, key)
+    def spy(v):
+        calls.append(v)
+        return real(v)
 
-    monkeypatch.setattr(orbit, "key_is_wall", spy)
+    monkeypatch.setattr(orbit, "is_wall", spy)
     return calls
 
 
@@ -102,6 +103,13 @@ def test_raw_rows_that_are_not_walls_are_still_refused(call, message):
         (["prove-nonintegral", "--config", "builtin:d3n13"], 0),
         # the depth-1 superpacking's 16 circles are orbit images, proved once
         (["prove-nonintegral", "--config", "builtin:bi1-cluster3"], 16),
+        # the orbit proves its rows on the Gram it builds, so none of the
+        # 22, 9 and 4 cluster + cocluster rows goes through the gate
+        (["pack", "--config", "builtin:d3n13", "--cluster", "34", "--generations", "1"], 0),
+        (["super", "--config", "builtin:bi10-example", "--cluster", "1,7",
+          "--generations", "2"], 0),
+        (["render", "--config", "builtin:bi1-cluster3", "--cluster", "3",
+          "--generations", "2"], 0),
     ],
 )
 def test_cli_proves_only_rows_the_load_did_not(monkeypatch, argv, proofs):
@@ -109,3 +117,28 @@ def test_cli_proves_only_rows_the_load_did_not(monkeypatch, argv, proofs):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(argv) == 0
     assert len(calls) == proofs
+
+
+BI1 = catalog.get_builtin("bi1-cluster3").configuration
+
+
+@pytest.mark.parametrize(
+    "generate, cluster, cocluster",
+    [
+        (orbit.generate_packing, *BI1.split(["3"])[:2]),
+        (orbit.generate_superpacking, *BI1.split(["3"])[:2]),
+        # a Configuration as the cluster is read through its rows, as
+        # prove-nonintegral's superpacking of all the walls does
+        (orbit.generate_superpacking, BI1, ()),
+    ],
+)
+def test_each_generate_call_builds_one_gram_and_proves_no_row(monkeypatch, generate, cluster, cocluster):
+    limits = orbit.OrbitLimits(max_generation=2)
+    rows = cluster.rows if isinstance(cluster, Configuration) else cluster
+    want = orbit.export_tsv(generate(list(rows), list(cocluster), limits))
+    grams = []
+    real = orbit.gram
+    monkeypatch.setattr(orbit, "gram", lambda rows: grams.append(rows) or real(rows))
+    calls = count_proofs(monkeypatch)
+    assert orbit.export_tsv(generate(cluster, cocluster, limits)) == want
+    assert len(grams) == 1 and calls == []
