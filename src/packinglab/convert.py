@@ -24,7 +24,6 @@ import json
 from fractions import Fraction
 from importlib import resources
 
-from . import geometry
 from .exactnum import QNum, sqrt, squarefree_decompose
 
 
@@ -93,12 +92,8 @@ def from_mcleod_bianchi(root: BianchiRoot) -> tuple:
     scale = _unit_scale(root.form_value() / 2)
     x1, x2, x3, x4 = (c * scale for c in root.x)
     if root.m % 4 == 3:
-        row = (x1, x2, x3 + x4 * Fraction(1, 2), x4 * sqrt(root.m) * Fraction(1, 2))
-    else:
-        row = (x1, x2, x3, x4 * sqrt(root.m))
-    if not geometry.is_wall(row):
-        raise ValueError("converted row does not have norm -1")
-    return row
+        return (x1, x2, x3 + x4 * Fraction(1, 2), x4 * sqrt(root.m) * Fraction(1, 2))
+    return (x1, x2, x3, x4 * sqrt(root.m))
 
 
 def from_vinberg_form(v: VinbergVector) -> tuple:
@@ -106,10 +101,7 @@ def from_vinberg_form(v: VinbergVector) -> tuple:
     scale = _unit_scale(v.form_value())
     hat = [c * scale for c in v.x]
     lead = hat[0] * sqrt(v.d)
-    row = (lead + hat[1], lead - hat[1]) + tuple(hat[2:])
-    if not geometry.is_wall(row):
-        raise ValueError("converted row does not have norm -1")
-    return row
+    return (lead + hat[1], lead - hat[1]) + tuple(hat[2:])
 
 
 def convert_root(item) -> tuple:

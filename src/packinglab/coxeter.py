@@ -143,8 +143,10 @@ def enumerate_clusters(gram, max_size: int | None = None):
 
     Returned as sorted tuples of 0-based indices, in lexicographic
     order.  Internal orthogonal and nested pairs are excluded by the
-    pairwise g >= 1 rule.
+    pairwise g >= 1 rule.  max_size is None or a positive int, not a bool.
     """
+    if max_size is not None and (type(max_size) is not int or max_size < 1):
+        raise ValueError("max_size must be None or a positive int; got %r" % (max_size,))
     m = len(gram)
     if max_size is None:
         max_size = m
@@ -174,8 +176,7 @@ def enumerate_clusters(gram, max_size: int | None = None):
                 if len(subset) < max_size:
                     grow(subset, pos + 1)
 
-    if max_size >= 1:
-        grow([], 0)
+    grow([], 0)
     out.sort()
     return out
 

@@ -18,9 +18,12 @@ Matrices act on the right throughout: vectors are rows, a reflection is
 v -> v * R, and matrix products transcribe in reading order.
 
 The bend matrix of a mirror m in a square wall basis V is
-B_m = V R_m V^-1 (B_m V = V R_m).  A word's matrix is the product of its
-letters', B_w = B_{i1} ... B_{ik} = V R_{i1} ... R_{ik} V^-1.  An
-isometry S of the form, such as the conformal rescaling
+B_m = V R_m V^-1 (B_m V = V R_m).  With R_m = I + 2 Q m^T m, Q the
+form's matrix, B_m = I + 2 (V Q m^T)(m V^-1) = I + 2 c^T w: c_i = <v_i, m>
+is m's column of the Gram G of V's rows and m, and w = m V^-1.  For
+basis row k, w = e_k, so B_m is I but for column k, e_k + 2 G[:, k].
+A word's matrix is its letters', B_{i1} ... B_{ik} = V R_{i1} ... R_{ik} V^-1.
+An isometry S of the form, such as the conformal rescaling
 diag(f, 1/f, 1, ..., 1), leaves B as it is: V S and m S give
 R' = S^-1 R S, so B' = V S S^-1 R S S^-1 V^-1 = B.
 """
@@ -139,26 +142,31 @@ def reflect(v, mirror) -> tuple:
 
 
 def bend_matrices(basis, mirrors) -> tuple:
-    """B_m = V R_m V^-1 for each mirror m, from one inverse of the square
-    (n+2) x (n+2) basis V; none, and an empty result, with no mirrors.
-
-    ValueError, in this order: the basis is not square; a mirror does not
-    have norm -1; the basis is singular.
-    """
+    """B_m = I + 2 c^T w (module docstring) for each mirror m over a square
+    basis V; () with nothing inverted for no mirrors.  One ``gram`` of V's
+    rows and the mirrors gives each c and proves each mirror on its
+    diagonal; one V^-1 and one product of the mirrors with it give each w.
+    ValueError, in this order: the basis is not square; ``gram`` refuses
+    the rows (a mirror of another width: ``dimension mismatch``); a
+    mirror does not have norm -1; the basis is singular."""
     v = tuple(tuple(row) for row in basis)
     if any(len(row) != len(v) for row in v):
         raise ValueError(f"basis must be square, got {len(v)} rows")
-    reflections = [reflection_matrix(m) for m in mirrors]
-    if not reflections:
+    mirrors = tuple(as_vector(m) for m in mirrors)
+    if not mirrors:
         return ()
-    return conjugated(v, _matrix.mat_inverse(v), reflections)
-
-
-def conjugated(basis, inverse, reflections) -> tuple:
-    """B_m = V R_m V^-1 for each reflection matrix R_m, given the basis V
-    and its inverse: the one home of the bend-matrix formula, for callers
-    that hold V^-1 and the R_m already."""
-    return tuple(_matrix.mat_mul(_matrix.mat_mul(basis, r), inverse) for r in reflections)
+    k = len(v)
+    g = gram(v + mirrors)
+    for t in range(k, len(g)):
+        if g[t][t] != MINUS_ONE:
+            raise ValueError(f"mirror must have norm -1, got {g[t][t]}")
+    out = []
+    for t, w in enumerate(_matrix.mat_mul(mirrors, _matrix.mat_inverse(v)), start=k):
+        b = [[c * x for x in w] for c in (2 * g[i][t] for i in range(k))]
+        for i in range(k):
+            b[i][i] += ONE
+        out.append(tuple(map(tuple, b)))
+    return tuple(out)
 
 
 def form_functional(field, key) -> tuple:

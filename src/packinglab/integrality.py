@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 from ._matrix import as_matrix, mat_inverse, mat_mul, rref, transpose
 from .exactnum import QNum, sqrt
-from .geometry import bend_matrices, conjugated, reflection_matrix
-from .orbit import _checked_rows, _word
+from .geometry import bend_matrices, reflection_matrix
+from .orbit import _check_seed, _checked_rows, _word
 
 VERDICTS = ("integral-proven", "nonintegral-proven", "growth-evidence", "inconclusive")
 
@@ -53,28 +53,24 @@ def find_integral_rescaling(bend_list):
     bend_list = [QNum(b) for b in bend_list]
     if not bend_list:
         raise ValueError("need at least one bend")
-    radicand = None
-    rationals = []
-    for b in bend_list:
-        if not b:
-            continue
-        terms = b.terms
-        if len(terms) != 1:
-            return None
-        k, q = terms[0]
-        if radicand is None:
-            radicand = k
-        elif k != radicand:
-            return None
-        rationals.append(q)
-    if radicand is None:
+    terms = [b.terms for b in bend_list if b]
+    if not terms:
         return QNum(1)  # all bends zero
-    lcm = math.lcm(*(q.denominator for q in rationals))
-    return sqrt(radicand) / lcm
+    radicand = terms[0][0][0]
+    if any(len(t) != 1 or t[0][0] != radicand for t in terms):
+        return None
+    return sqrt(radicand) / math.lcm(*(t[0][1].denominator for t in terms))
 
 
 def _integral_matrix(m):
     return all(e.is_integer() for row in m for e in row)
+
+
+def _square_rows(basis):
+    rows = _checked_rows(basis, "basis")
+    if len(rows) != len(rows[0]):
+        raise ValueError("basis must be square")
+    return rows
 
 
 def prove_integral(basis, cluster_rows, mirror_rows):
@@ -86,9 +82,7 @@ def prove_integral(basis, cluster_rows, mirror_rows):
     bend matrix (which that rescaling leaves as it is) be integral; the
     bend matrices are the replayable witnesses.
     """
-    rows = _checked_rows(basis, "basis")
-    if len(rows) != len(rows[0]):
-        raise ValueError("basis must be square")
+    rows = _square_rows(basis)
     for idx in list(cluster_rows) + list(mirror_rows):
         if not 1 <= idx <= len(rows):
             raise ValueError("row index %d out of range" % idx)
@@ -238,29 +232,26 @@ def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
     matrix is the product of its letters' bend matrices, B_w =
     B_{i1} ... B_{ik} = V R_w V^-1.  The products run through
     ``_matrix.mat_mul``, on integers over the field of the entries
-    (rational for an integral basis, so plain integer arithmetic).  With
-    no mirror there is no letter to draw, and ValueError is raised, as it
-    is first for a negative word_count or word_length (0 draws nothing).
-    The basis is inverted once and each mirror's reflection matrix built
-    once: the bound and the letters (``geometry.conjugated``) share them.
-    """
+    (rational for an integral basis, so plain integer arithmetic).  The
+    row gate proves basis and mirrors; V^-1 here serves L2 only, R_m
+    (``reflection_matrix``) only the integral-R check, and the letters are
+    ``bend_matrices``' (its own V^-1 and Gram).  ValueError before any
+    draw: a negative word_count or word_length (0 draws nothing), a seed
+    outside 0 <= seed < 2**64, a bad, non-square or singular basis, a bad
+    mirror, no mirror, a non-integral R_m; in that order."""
     for name, value in (("word_count", word_count), ("word_length", word_length)):
         if value < 0:
             raise ValueError("%s must be nonnegative, got %d" % (name, value))
-    rows = _checked_rows(basis, "basis")
-    if len(rows) != len(rows[0]):
-        raise ValueError("basis must be square")
+    _check_seed(seed)
+    rows = _square_rows(basis)
     v_inv = mat_inverse(rows)
     mirrors = _checked_rows(mirrors, "mirror")
     if not mirrors:
         raise ValueError("need at least one mirror to draw words from")
-    reflections = []
     for k, m in enumerate(mirrors):
-        r = reflection_matrix(m)
-        if not _integral_matrix(r):
+        if not _integral_matrix(reflection_matrix(m)):
             raise ValueError("mirror %d has a non-integral reflection matrix" % (k + 1))
-        reflections.append(r)
-    matrices = conjugated(rows, v_inv, reflections)
+    matrices = bend_matrices(rows, mirrors)
 
     bound = math.lcm(*(e.denominator for row in rows for e in row)) * math.lcm(
         *(e.denominator for row in v_inv for e in row)

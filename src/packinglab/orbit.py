@@ -122,6 +122,11 @@ def _word(seed, k):
     return _mix64((seed + (k + 1) * _GAMMA) & _MASK64)
 
 
+def _check_seed(seed):
+    if not 0 <= seed <= _MASK64:  # _word draws seed mod 2**64
+        raise ValueError("seed must be in 0 <= seed < 2**64, got %d" % seed)
+
+
 @dataclass(frozen=True)
 class OrbitLimits:
     """Termination bounds for orbit generation.
@@ -791,10 +796,11 @@ def verify_empty_interior(config, sample_count, seed, box=None):
     """Sample the box of a Configuration or rows for a point inside every wall.
 
     Coordinate j of sample i is the exact rational lo + (hi - lo) * u / 2**53,
-    u the 53 high bits of word i*n + j of the seeded splitmix64 stream, so
-    reports reproduce bit for bit.  Per coordinate that point is
-    (A + C*u) / D over integers A, C and D fixed by the box, and its float
-    is that one int ratio, correctly rounded as float(Fraction) is.
+    u the 53 high bits of word i*n + j of the splitmix64 stream of seed
+    (refused unless 0 <= seed < 2**64), so reports reproduce bit for bit.
+    Per coordinate that point is (A + C*u) / D over integers A, C and D
+    fixed by the box, and its float is that one int ratio, correctly
+    rounded as float(Fraction) is.
     Each sample is screened with the float point: only points within 1e-6
     of passing every wall are built as Fractions and checked exactly
     (``exact_checks`` counts them).  A counterexample is therefore exact,
@@ -837,6 +843,7 @@ def verify_empty_interior(config, sample_count, seed, box=None):
     rows = _checked_rows(config, "config")
     if sample_count <= 0:
         raise ValueError("sample_count must be positive")
+    _check_seed(seed)
     if box is None:
         box = _derived_box(rows)
     box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)

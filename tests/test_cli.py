@@ -674,3 +674,41 @@ def test_removed_max_order_option_is_a_usage_error(capsys):
 def test_negative_word_counts_and_malformed_words_are_domain_errors(capsys, argv, message):
     assert cli.run(argv) == 1
     assert one_json_error(capsys) == ({"kind": "ValueError", "error": message}, "")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_the_stream_are_domain_errors(capsys, seed):
+    message = "seed must be in 0 <= seed < 2**64, got %d" % seed
+    want = ({"kind": "ValueError", "error": message}, "")
+    argv = ["check-integrality", "--config", "builtin:bi1-cluster3", "--cluster", "3",
+            "--seed", str(seed)]
+    assert cli.run(argv) == 1
+    assert one_json_error(capsys) == want
+    # validate prints its catalog check lines first, as for --samples 0
+    assert cli.run(["validate", "--config", "builtin:d1n3"]) == 0
+    checks = capsys.readouterr().out
+    assert cli.run(["validate", "--config", "builtin:d1n3", "--samples", "5", "--seed", str(seed)]) == 1
+    assert one_json_error(capsys) == (want[0], checks)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_stream_ends_are_taken(capsys, seed):
+    argv = ["check-integrality", "--config", "builtin:bi1-cluster3", "--cluster", "3",
+            "--seed", str(seed)]
+    assert cli.run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bounded_rational"]["seed"] == seed and doc["bounded_rational"]["ok"]
+    assert cli.run(["validate", "--config", "builtin:d1n3", "--samples", "5", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "ok empty-interior d1n3: 5 samples, seed %d, 0 exact checks" % seed
+    )
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_clusters_refuse_max_size_below_one(capsys, size):
+    # these printed nothing and exited 0, as if the entry had no cluster
+    assert cli.run(["clusters", "--config", "builtin:d1n3", "--max-size", size]) == 1
+    message = "max_size must be None or a positive int; got %s" % size
+    assert one_json_error(capsys) == ({"kind": "ValueError", "error": message}, "")
+    assert cli.run(["clusters", "--config", "builtin:d1n3", "--max-size", "1"]) == 0
+    assert capsys.readouterr().out

@@ -137,6 +137,21 @@ def test_clusters_max_size():
     assert len(coxeter.enumerate_clusters(g)) == 7
 
 
+@pytest.mark.parametrize("max_size", [0, -1, True, False, 1.0, "2"])
+def test_clusters_refuse_a_max_size_below_one_or_not_an_int(max_size):
+    # as RenderOptions does for max_circles: 0 listed nothing, as if the
+    # configuration had no cluster
+    g = as_gram([[-1, 1, 1], [1, -1, 1], [1, 1, -1]])
+    with pytest.raises(ValueError) as err:
+        coxeter.enumerate_clusters(g, max_size=max_size)
+    assert str(err.value) == "max_size must be None or a positive int; got %r" % (max_size,)
+
+
+def test_clusters_of_no_walls_are_none():
+    assert coxeter.enumerate_clusters(()) == []
+    assert coxeter.enumerate_clusters((), max_size=2) == []
+
+
 def test_validate_cluster_reports():
     g = as_gram(PACK13_GRAM)
     rep = coxeter.validate_cluster(g, [3])

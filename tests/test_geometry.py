@@ -201,6 +201,118 @@ def test_bend_matrices_are_each_mirrors_matrix():
     assert _matrix.mat_mul(b_word, STRIP_BASIS) == _matrix.mat_mul(STRIP_BASIS, r_word)
 
 
+# -- the bend-matrix identity against the conjugation it replaced ------
+
+
+def conjugated_bend_matrices(basis, mirrors):
+    # the earlier route: each mirror's reflection matrix R_m, one inverse,
+    # and two products per mirror, B_m = V R_m V^-1
+    v = tuple(tuple(row) for row in basis)
+    if any(len(row) != len(v) for row in v):
+        raise ValueError(f"basis must be square, got {len(v)} rows")
+    reflections = [geometry.reflection_matrix(m) for m in mirrors]
+    if not reflections:
+        return ()
+    inverse = _matrix.mat_inverse(v)
+    return tuple(_matrix.mat_mul(_matrix.mat_mul(v, r), inverse) for r in reflections)
+
+
+def outcome(route, basis, mirrors):
+    try:
+        return route(basis, mirrors)
+    except ValueError as e:
+        return str(e)
+
+
+SQUARE_BUILTINS = ("bi1-cluster3", "d1n3-base")
+
+
+@pytest.mark.parametrize("entry_id", catalog.list_builtin())
+def test_bend_matrices_match_conjugation_on_builtins(entry_id):
+    # all the entry's rows as mirrors, over its own rows when square and
+    # over its first n + 2 rows otherwise (singular bases give one error)
+    rows = catalog.get_builtin(entry_id).configuration.rows
+    basis = rows[: len(rows[0])]
+    assert (basis == rows) == (entry_id in SQUARE_BUILTINS)
+    want = outcome(conjugated_bend_matrices, basis, rows)
+    assert outcome(geometry.bend_matrices, basis, rows) == want
+    if entry_id in SQUARE_BUILTINS:
+        assert len(want) == len(rows)
+
+
+GENERAL_MIRRORS = (
+    geometry.sphere((Fraction(1, 3), -2), Fraction(5, 7)),
+    geometry.hyperplane((Fraction(3, 5), Fraction(-4, 5)), Fraction(2, 9), -1),
+    geometry.sphere((sqrt(2), Fraction(1, 2)), -sqrt(3)),
+    geometry.hyperplane((sqrt(2) / 2, sqrt(2) / 2), sqrt(5), 1),
+)
+
+
+def test_bend_matrices_match_conjugation_on_general_mirrors():
+    # rational and irrational mirrors that are not basis walls
+    got = geometry.bend_matrices(STRIP_BASIS, GENERAL_MIRRORS)
+    assert got == conjugated_bend_matrices(STRIP_BASIS, GENERAL_MIRRORS)
+    assert any(not e.is_rational() for b in got for row in b for e in row)
+
+
+def test_bend_matrices_match_conjugation_on_random_bases():
+    rng = random.Random(29)
+    for _ in range(20):
+        basis = tuple(rand_wall(rng) for _ in range(4))
+        mirrors = tuple(rand_wall(rng) for _ in range(rng.randint(0, 3))) + basis[:1]
+        want = outcome(conjugated_bend_matrices, basis, mirrors)
+        assert outcome(geometry.bend_matrices, basis, mirrors) == want
+
+
+@pytest.mark.parametrize("entry_id", SQUARE_BUILTINS)
+def test_basis_wall_changes_one_column_of_the_identity(entry_id):
+    # for basis wall k, w = e_k: column k is e_k + 2 G[:, k], the rest is I
+    rows = catalog.get_builtin(entry_id).configuration.rows
+    g = geometry.gram(rows)
+    ident = _matrix.identity(len(rows))
+    for k, b in enumerate(geometry.bend_matrices(rows, rows)):
+        for j, column in enumerate(zip(*b)):
+            if j == k:
+                assert column == tuple(ident[i][k] + 2 * g[i][k] for i in range(len(rows)))
+            else:
+                assert column == tuple(ident[i][j] for i in range(len(rows)))
+
+
+def test_bend_matrices_take_one_gram_one_inverse_one_product(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "gram", counting("gram", geometry.gram))
+    for name in ("mat_inverse", "mat_mul"):
+        monkeypatch.setattr(_matrix, name, counting(name, getattr(_matrix, name)))
+    monkeypatch.setattr(
+        geometry, "reflection_matrix", counting("reflection_matrix", geometry.reflection_matrix)
+    )
+    rows = catalog.get_builtin("bi1-cluster3").configuration.rows
+    for basis, mirrors in ((STRIP_BASIS, GENERAL_MIRRORS), (rows, rows), (STRIP_BASIS, STRIP_BASIS[:1])):
+        calls.clear()
+        assert len(geometry.bend_matrices(basis, mirrors)) == len(mirrors)
+        assert sorted(calls) == ["gram", "mat_inverse", "mat_mul"]
+    calls.clear()
+    assert geometry.bend_matrices(rows, ()) == ()
+    assert calls == []
+
+
+def test_bend_matrices_refuse_a_mirror_of_another_width_first():
+    # the one Gram checks widths, so a mirror of another width is reported
+    # before a norm that is not -1 and before a singular basis
+    singular = (STRIP_BASIS[0],) * 4
+    wide = geometry.sphere((0, 0, 0), 1)
+    for mirrors in ([wide], [(ONE, ONE, ZERO, ZERO), wide]):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 4 vs 5$"):
+            geometry.bend_matrices(singular, mirrors)
+
+
 def test_gram_strip_packing():
     g = geometry.gram(STRIP_BASIS)
     assert all(g[i][i] == -1 for i in range(4))

@@ -455,6 +455,23 @@ def test_bounded_rational_refuses_negative_word_counts(word_count, word_length):
             check_bounded_rational(basis, mirrors, word_count, word_length)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_bounded_rational_refuses_seeds_outside_the_stream(monkeypatch, seed):
+    # refused before the basis is read and before any draw
+    monkeypatch.setattr(integrality, "_word", None)
+    monkeypatch.setattr(integrality, "_checked_rows", None)
+    with pytest.raises(ValueError) as err:
+        check_bounded_rational(BI1, BI1, 3, 4, seed)
+    assert str(err.value) == "seed must be in 0 <= seed < 2**64, got %d" % seed
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_bounded_rational_takes_the_stream_end_seeds(seed):
+    for basis, mirrors in SPOT_CASES.values():
+        want = conjugated_bounded_rational(basis, mirrors, 3, 4, seed)
+        assert check_bounded_rational(basis, mirrors, 3, 4, seed) == want
+
+
 def test_bounded_rational_seeds_observe_the_rational_basis():
     # the oracle comparison means something: the rational basis reaches
     # denominators above 1 on some seed
@@ -510,15 +527,16 @@ def counted(monkeypatch):
 
 
 def test_bounded_rational_multiplies_bend_matrices(counted):
-    # bi1-cluster3 {3}: 3 bend matrices (2 products each) and 20 words of
-    # 4 products; the conjugation route took 142
+    # bi1-cluster3 {3}: 3 bend matrices from one product and 20 words of
+    # 4 products; the conjugation route took 142, conjugating each letter 86
     basis, mirrors = SPOT_CASES["bi1-cluster3"]
     check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
-    assert counted["mat_mul"] == 3 * 2 + 20 * 4 == 86
+    assert counted["mat_mul"] == 1 + 20 * 4 == 81
 
 
-def test_bounded_rational_takes_one_inverse_and_one_reflection_per_mirror(monkeypatch, counted):
-    # the bound and the letters share one V^-1 and each mirror's R_m
+def test_bounded_rational_inverts_for_the_bound_and_the_letters(monkeypatch, counted):
+    # one V^-1 for the bound's L2 and one in bend_matrices for the letters;
+    # each mirror's R_m is built once, for the integral-R precondition
     built = []
     reflection_matrix = geometry.reflection_matrix
 
@@ -535,9 +553,9 @@ def test_bounded_rational_takes_one_inverse_and_one_reflection_per_mirror(monkey
             counted[key] = 0
         built.clear()
         assert check_bounded_rational(basis, mirrors, 4, 3, 0) == want
-        assert counted["mat_inverse"] == 1
-        # 2 per bend matrix, then 2 per word of 3 letters
-        assert counted["mat_mul"] == 2 * len(mirrors) + 4 * 2
+        assert counted["mat_inverse"] == 2
+        # 1 for all the bend matrices, then 2 per word of 3 letters
+        assert counted["mat_mul"] == 1 + 4 * 2
         assert built == list(mirrors)
 
 

@@ -933,6 +933,22 @@ def test_empty_interior_refuses_bad_counts_and_boxes(samples, box, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_empty_interior_refuses_seeds_outside_the_stream(monkeypatch, seed):
+    # _word masks a seed to 64 bits: -1 would draw the samples of 2**64 - 1
+    # and 2**64 those of 0, under another name; refused before any draw
+    monkeypatch.setattr(orbit, "_word", None)
+    with pytest.raises(ValueError) as err:
+        verify_empty_interior(BI1, 10, seed)
+    assert str(err.value) == "seed must be in 0 <= seed < 2**64, got %d" % seed
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_empty_interior_takes_the_stream_end_seeds(seed):
+    report = verify_empty_interior(BI1, 10, seed)
+    assert report.seed == seed and report.sample_count == 10
+
+
 def test_circles_of_one_field_compare_by_key_without_decoding():
     # equality within one orbit, or within one parsed file, compares keys
     # and decodes no vector; words and generations still count
@@ -1136,7 +1152,11 @@ def test_derived_box_irrational_and_negative_reciprocals():
         orbit._derived_box(rows[2:])
 
 
-@pytest.mark.parametrize("seed,samples", [(0, 400), (-5, 400), (7, 2000)])
+# the id -5-400 names seed 2**64 - 5: it draws what -5 drew before seeds
+# outside 0 <= seed < 2**64 were refused
+@pytest.mark.parametrize(
+    "seed,samples", [(0, 400), pytest.param(2**64 - 5, 400, id="-5-400"), (7, 2000)]
+)
 @pytest.mark.parametrize("entry_id", catalog.list_builtin())
 def test_empty_interior_matches_fraction_oracle_on_builtins(entry_id, seed, samples):
     rows = catalog.get_builtin(entry_id).configuration.rows
@@ -1169,7 +1189,9 @@ LINES = (
     ],
     ids=["non-dyadic", "negative", "reversed", "degenerate", "wide"],
 )
-@pytest.mark.parametrize("seed", [0, -1, 23])
+# the id -1 names the stream's last seed, 2**64 - 1: it draws what -1 drew
+# before seeds outside 0 <= seed < 2**64 were refused
+@pytest.mark.parametrize("seed", [0, pytest.param(2**64 - 1, id="-1"), 23])
 def test_empty_interior_matches_fraction_oracle_on_boxes(rows, box, seed):
     assert_sampler_matches_oracle(rows, 300, seed, box)
 
@@ -1270,6 +1292,11 @@ def sampler_walls(draw):
 )
 def test_empty_interior_matches_fraction_oracle_on_random_walls(walls, seed, samples):
     rows, box = walls
+    if not 0 <= seed < 2**64:
+        # refused: the report would name seed while drawing seed mod 2**64
+        with pytest.raises(ValueError, match=r"^seed must be in 0 <= seed < 2\*\*64, got "):
+            verify_empty_interior(rows, samples, seed, box=box)
+        seed %= 2**64
     want, _ = empty_interior_oracle(rows, samples, seed, box)
     assert verify_empty_interior(rows, samples, seed, box=box) == want
 
