@@ -68,6 +68,8 @@ def _integral_matrix(m):
 
 def _square_rows(basis):
     rows = _checked_rows(basis, "basis")
+    if not rows:
+        raise ValueError("basis must have at least one row")
     if len(rows) != len(rows[0]):
         raise ValueError("basis must be square")
     return rows
@@ -237,8 +239,8 @@ def check_bounded_rational(basis, mirrors, word_count=20, word_length=5, seed=0)
     (``reflection_matrix``) only the integral-R check, and the letters are
     ``bend_matrices``' (its own V^-1 and Gram).  ValueError before any
     draw: a negative word_count or word_length (0 draws nothing), a seed
-    outside 0 <= seed < 2**64, a bad, non-square or singular basis, a bad
-    mirror, no mirror, a non-integral R_m; in that order."""
+    outside 0 <= seed < 2**64, a bad, empty, non-square or singular
+    basis, a bad mirror, no mirror, a non-integral R_m; in that order."""
     for name, value in (("word_count", word_count), ("word_length", word_length)):
         if value < 0:
             raise ValueError("%s must be nonnegative, got %d" % (name, value))

@@ -169,6 +169,15 @@ def test_prove_integral_errors():
         prove_integral(singular, cluster_rows=[3], mirror_rows=[1])
 
 
+def test_prove_integral_refuses_an_empty_basis(monkeypatch):
+    # it has no row to read a width off: refused before the rescaling and
+    # any bend matrix
+    monkeypatch.setattr(integrality, "find_integral_rescaling", None)
+    monkeypatch.setattr(integrality, "bend_matrices", None)
+    with pytest.raises(ValueError, match="^basis must have at least one row$"):
+        prove_integral((), [], [])
+
+
 def test_prove_nonintegral_bi17():
     cert = prove_nonintegral(BI17)
     assert cert.verdict == "nonintegral-proven"
@@ -463,6 +472,14 @@ def test_bounded_rational_refuses_seeds_outside_the_stream(monkeypatch, seed):
     with pytest.raises(ValueError) as err:
         check_bounded_rational(BI1, BI1, 3, 4, seed)
     assert str(err.value) == "seed must be in 0 <= seed < 2**64, got %d" % seed
+
+
+def test_bounded_rational_refuses_an_empty_basis(monkeypatch):
+    # refused before any inverse, bend matrix or draw
+    for name in ("mat_inverse", "bend_matrices", "_word"):
+        monkeypatch.setattr(integrality, name, None)
+    with pytest.raises(ValueError, match="^basis must have at least one row$"):
+        check_bounded_rational((), (), 1, 1, 0)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

@@ -1,7 +1,10 @@
 """Checks are real exceptions: ``python -O`` removes ``assert`` statements
 and sets ``__debug__`` to False, so the library may use neither.  This
-reads every module's source, so it covers code paths that no command of
-an optimised-mode run reaches."""
+is the static check: it reads every module's source, so it covers code
+paths that no test reaches.  The dynamic check is the whole suite run
+under ``PYTHONOPTIMIZE=1``, which reaches the interpreters that tests
+start too; pytest rewrites the asserts of test modules into raises, so
+the tests themselves still check there."""
 
 import ast
 from pathlib import Path

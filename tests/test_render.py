@@ -349,9 +349,10 @@ def circle_at(cx, cy, r, word):
 def test_bi1_figure_matches_exact_oracle():
     cfg = catalog.get_builtin("bi1-cluster3").configuration
     circles, words = supercluster_circles(cfg, ["3"], OrbitLimits(max_generation=4))
-    assert_matches_oracle(circles, RenderOptions(cocluster_words=words))
     assert_matches_oracle(
         circles,
+        RenderOptions(cocluster_words=words),
+        RenderOptions(labels="bends", cocluster_words=words),
         RenderOptions(viewport=((-3, 3), (-1, 2)), labels="bends", cocluster_words=words),
     )
 
@@ -385,6 +386,7 @@ def test_irrational_bend_figures_match_exact_oracle(entry, cluster):
         circles,
         RenderOptions(labels="bends", cocluster_words=words),
         RenderOptions(viewport=((-3, 3), (-1, 2)), labels="labels", cocluster_words=words),
+        RenderOptions(viewport=((-3, 3), (-1, 2)), labels="bends", cocluster_words=words),
     )
 
 
