@@ -101,6 +101,9 @@ def _cmd_validate(args):
     if args.samples is not None and args.seed is None:
         sys.stderr.write("packinglab validate: error: --samples requires --seed\n")
         return 2
+    if args.seed is not None and args.samples is None:
+        sys.stderr.write("packinglab validate: error: --seed requires --samples\n")
+        return 2
     entry = _load_entry(args.config)
     report = catalog.validate(entry)
     for c in report.checks:

@@ -117,12 +117,41 @@ def convert_all(items) -> tuple:
     return tuple(convert_root(i) for i in items)
 
 
+def _check_entry(entry, where):
+    """ValueError naming the entry unless it is a JSON object whose "table"
+    and "vector" are not lists or objects (they key the patch table)."""
+    if not isinstance(entry, dict):
+        raise ValueError("%s must be a JSON object" % where)
+    for name in ("table", "vector"):
+        if isinstance(entry.get(name), (list, dict)):
+            raise ValueError("%s: '%s' must be a name, not a list or an object" % (where, name))
+
+
+def _coords(x, where):
+    """An entry's "x" as a tuple of Fractions; ValueError naming the entry
+    when it is not a list or a component is not an exact number."""
+    if not isinstance(x, list):
+        raise ValueError("%s: 'x' must be a list" % where)
+    out = []
+    for j, c in enumerate(x):
+        try:
+            out.append(Fraction(c))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(
+                "%s: component %d of 'x' is not a number: %s" % (where, j, json.dumps(c))
+            ) from None
+    return tuple(out)
+
+
 def load_patch_table(path=None):
     """The shipped (or a user-supplied) root corrections table.
 
     Returns ({(table, vector): component tuple}, notes).  Notes document
     corrections to printed self-products; they change no vector and are
-    carried through for reporting only.
+    carried through for reporting only.  A file that is not an object
+    with a "patches" list (and, if any, a "notes" list), or a patch that
+    is not an object with a list of numbers as "x", raises ValueError
+    naming it.
     """
     if path is None:
         text = (
@@ -134,12 +163,22 @@ def load_patch_table(path=None):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     doc = json.loads(text)
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("patches"), list)
+        and isinstance(doc.get("notes", []), list)
+    ):
+        raise ValueError(
+            "patch table must be a JSON object with a 'patches' list and an optional 'notes' list"
+        )
     patches = {}
-    for entry in doc["patches"]:
+    for k, entry in enumerate(doc["patches"]):
+        where = "patch %d" % k
+        _check_entry(entry, where)
         key = (entry["table"], entry["vector"])
         if key in patches:
             raise ValueError("duplicate patch for table %s vector %s" % key)
-        patches[key] = tuple(Fraction(c) for c in entry["x"])
+        patches[key] = _coords(entry["x"], where)
     return patches, tuple(doc.get("notes", ()))
 
 
@@ -150,7 +189,9 @@ def read_root_file(path, patches=None):
     {"d": 3, "x": [...]} (higher-dimensional); exactly one of m/d must be
     present.  An entry may carry "table" and "vector" names identifying its
     row in the source tables, in which case the patch table (the shipped one
-    unless a mapping is passed) replaces known-bad components.
+    unless a mapping is passed) replaces known-bad components.  An entry
+    that is not an object with a list of numbers as "x" raises ValueError
+    naming its index.
     """
     if patches is None:
         patches, _ = load_patch_table()
@@ -160,15 +201,17 @@ def read_root_file(path, patches=None):
         raise ValueError("root file must be a JSON list of entries")
     out = []
     for k, entry in enumerate(doc):
+        where = "entry %d" % k
+        _check_entry(entry, where)
         has_m, has_d = "m" in entry, "d" in entry
         if has_m == has_d:
-            raise ValueError("entry %d needs exactly one of 'm' or 'd'" % k)
-        coords = entry["x"]
+            raise ValueError("%s needs exactly one of 'm' or 'd'" % where)
+        coords = _coords(entry["x"], where)
         key = (entry.get("table"), entry.get("vector"))
         if None not in key and key in patches:
             coords = patches[key]
         if has_m:
-            out.append(BianchiRoot(entry["m"], tuple(coords)))
+            out.append(BianchiRoot(entry["m"], coords))
         else:
-            out.append(VinbergVector(entry["d"], tuple(coords)))
+            out.append(VinbergVector(entry["d"], coords))
     return out

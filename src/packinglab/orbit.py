@@ -102,7 +102,7 @@ from fractions import Fraction
 
 from .coxeter import validate_cluster
 from .exactnum import QNum, _enclose, _Field, _format, _scan
-from .geometry import MINUS_ONE, as_vector, form_functional, gram, interior_contains, is_wall
+from .geometry import MINUS_ONE, as_vector, form_functional, gram, interior_contains
 from .groupwords import Configuration
 
 _MASK64 = (1 << 64) - 1
@@ -247,19 +247,24 @@ class PackingOrbit:
 def _checked_rows(rows, what):
     """The rows as inversive vectors, each proved to have norm -1.
 
-    The row gate of the sampler and the certificates (the orbit proves
-    its rows on its own Gram, in ``_split``): a Configuration passes
-    through, since its constructor proved every row on its Gram and
-    stored it through ``as_vector``.  Raw rows are proved one at a time
-    by ``geometry.is_wall``, the diagonal entry of each row's one-row
-    Gram, so lengths may differ; the error names the first failing row,
-    counting from 1.
+    The row gate of the sampler and the certificates, proving raw rows as
+    ``Configuration`` and the orbit's ``_split`` do: on the diagonal of
+    the rows' one ``geometry.gram``.  A Configuration passes through,
+    since its constructor proved every row on its Gram and stored it
+    through ``as_vector``.  Past ``as_vector``'s own errors, the first of
+    these faults raises ValueError: no row; rows of different lengths
+    (``gram``'s ``dimension mismatch``); a diagonal entry other than -1,
+    naming the row by its place counted from 1.  The Gram is quadratic in
+    the row count; the CLI's largest raw list is prove-nonintegral's
+    16-row supplement of bi1-cluster3.
     """
     if isinstance(rows, Configuration):
         return rows.rows
     out = tuple(as_vector(r) for r in rows)
-    for i, r in enumerate(out):
-        if not is_wall(r):
+    if not out:
+        raise ValueError("%s must have at least one row" % what)
+    for i, row in enumerate(gram(out)):
+        if row[i] != MINUS_ONE:
             raise ValueError("%s row %d does not have norm -1" % (what, i + 1))
     return out
 
@@ -794,6 +799,10 @@ def _window(balls, j, ratio):
 
 def verify_empty_interior(config, sample_count, seed, box=None):
     """Sample the box of a Configuration or rows for a point inside every wall.
+
+    Raw rows pass the row gate (``_checked_rows``) first: an empty list,
+    rows of different widths and a row of norm other than -1 raise
+    ValueError before the sample count and the seed are read.
 
     Coordinate j of sample i is the exact rational lo + (hi - lo) * u / 2**53,
     u the 53 high bits of word i*n + j of the splitmix64 stream of seed

@@ -384,21 +384,25 @@ def _canonical(circles, keys):
     return kept
 
 
+def _check_planar(n):
+    if n != 2:
+        raise ValueError("rendering needs ambient dimension 2, got %d" % n)
+
+
 def _kept(circles):
     """(circle, shape) pairs in canonical order, one per distinct row.
 
     A line's shape is ("line", normal, offset).  A circle's is the flat
     tuple ("circle", key, field, S, cx lo, cx hi, cy lo, cy hi, r lo,
     r hi): the enclosures at _P of its center and radius over the scale S
-    (_integer_disk), all over the one field of _keys.
+    (_integer_disk), all over the one field of _keys.  ValueError for rows
+    not in ambient dimension 2, and for a bend-0 row whose normal does not
+    have squared length exactly 1, which no line could be drawn from.
     """
     field, keys = _keys(circles)
     d = field.d
-    for key in keys:
-        if len(key) != 4 * d + 1:
-            raise ValueError(
-                "rendering needs ambient dimension 2, got %d" % ((len(key) - 1) // d - 2,)
-            )
+    for width in dict.fromkeys(map(len, keys)):
+        _check_planar((width - 1) // d - 2)
     reciprocals = {}  # of each distinct bend
     enclosures = {}  # of each distinct coefficient tuple
     shapes = []
@@ -407,6 +411,12 @@ def _kept(circles):
         if not any(key[d:2 * d]):
             # wall with b = 0: the line {p : p . bz = b^/2}, bz a unit normal
             vector = c.vector
+            nx, ny = vector[2:4]
+            square = nx * nx + ny * ny
+            if square != 1:
+                raise ValueError(
+                    "bend-0 row %s does not have a unit normal: |n|^2 = %s" % (c.word, square)
+                )
             shapes.append((c, ("line", vector[2:4], vector[0] / 2)))
             continue
         scale, *values = _integer_disk(field, key, reciprocals)
@@ -512,6 +522,7 @@ def supercluster_circles(config, cluster_labels, limits=None):
     RenderOptions so the cocluster rows pick up the second color.
     Cocluster words are "co-<label>" to keep them clear of orbit words.
     """
+    _check_planar(config.dim_n)
     cluster, cocluster, _, rest = config.split(cluster_labels)
     orbit = generate_packing(cluster, cocluster, limits=limits)
     # the cocluster rows are keyed over the orbit's field, which spans them

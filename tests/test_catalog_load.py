@@ -6,6 +6,7 @@ are the plain path it replaced: every cell parsed with its own
 ``QNum(c)``, every norm and Gram cell taken with the QNum ``inner``.
 """
 
+import collections
 import json
 import random
 from fractions import Fraction
@@ -265,6 +266,11 @@ def test_entry_takes_qnum_gram_cells_only():
 
 def oracle_checked_rows(rows, what):
     out = tuple(as_vector(r) for r in rows)
+    if not out:
+        raise ValueError("%s must have at least one row" % what)
+    for r in out:
+        if len(r) != len(out[0]):
+            raise ValueError("dimension mismatch: %d vs %d" % (len(out[0]), len(r)))
     for i, r in enumerate(out):
         if inner(r, r) != -1:
             raise ValueError("%s row %d does not have norm -1" % (what, i + 1))
@@ -295,23 +301,40 @@ def random_row(rng):
     return tuple(row)
 
 
+def verdict(want):
+    if not isinstance(want, str):
+        return "walls"
+    return next(k for k in ("at least one", "dimension", "norm") if k in want)
+
+
 def test_checked_rows_match_the_inner_oracle_on_random_rows():
     rng = random.Random(17)
-    failures = 0
+    verdicts = collections.Counter()
     for _ in range(300):
         rows = [random_row(rng) for _ in range(rng.randint(0, 5))]
-        want = checked(oracle_checked_rows, rows)
-        assert checked(_checked_rows, rows) == want
-        failures += isinstance(want, str)
+        # the draw as it is (mostly mixed widths), then its rows of the
+        # first row's width, which reach the norm check
+        for case in (rows, [r for r in rows if len(r) == len(rows[0])] if rows else rows):
+            want = checked(oracle_checked_rows, case)
+            assert checked(_checked_rows, case) == want
+            verdicts[verdict(want)] += 1
         for r in rows:
             assert is_wall(r) == (inner(as_vector(r), as_vector(r)) == -1)
-    assert 50 < failures < 250  # both verdicts are exercised
+    # every verdict is exercised
+    assert all(verdicts[k] > 40 for k in ("walls", "at least one", "dimension", "norm")), verdicts
 
 
 def test_checked_rows_edge_cases():
-    assert _checked_rows((), "basis") == ()
+    with pytest.raises(ValueError, match="^basis must have at least one row$"):
+        _checked_rows((), "basis")
     short, wide = catalog.get_builtin("d3n3").configuration.rows[0], catalog.get_builtin("d3n13").configuration.rows[0]
-    assert _checked_rows([short, wide], "basis") == (short, wide)
+    with pytest.raises(ValueError, match="^dimension mismatch: %d vs %d$" % (len(short), len(wide))):
+        _checked_rows([short, wide], "basis")
     bad = wide[:-1] + (wide[-1] + 1,)
-    with pytest.raises(ValueError, match="^basis row 3 does not have norm -1$"):
+    # widths are refused before any norm
+    with pytest.raises(ValueError, match="^dimension mismatch: "):
         _checked_rows([short, wide, bad], "basis")
+    two = catalog.get_builtin("d3n13").configuration.rows[:2]
+    assert _checked_rows(list(two), "basis") == two
+    with pytest.raises(ValueError, match="^basis row 2 does not have norm -1$"):
+        _checked_rows([wide, bad], "basis")

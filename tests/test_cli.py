@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from packinglab import catalog, cli, convert, coxeter, polygraph
+from packinglab import catalog, cli, convert, coxeter, polygraph, render
 from packinglab.geometry import bend_matrices, hyperplane, sphere
 from packinglab.groupwords import Configuration, double
 from packinglab.integrality import (
@@ -68,6 +68,38 @@ def test_validate_samples_without_seed_is_a_usage_error(capsys, config):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "packinglab validate: error: --samples requires --seed\n"
+
+
+def test_validate_seed_without_samples_is_a_usage_error(capsys):
+    assert cli.run(["validate", "--config", "builtin:bi1-cluster3", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "packinglab validate: error: --seed requires --samples\n"
+
+
+@pytest.mark.parametrize("viewport", [[], ["--viewport=-2,2,-2,2"]])
+@pytest.mark.parametrize("row, square", [("(0,0,0,0)", "0"), ("(5,0,0,0)", "0"), ("(0,0,1,1)", "2")])
+def test_render_bend_zero_row_without_a_unit_normal_is_a_domain_error(capsys, tmp_path, viewport, row, square):
+    path = tmp_path / "line.tsv"
+    path.write_text("0\ta\t(-1,1,0,0)\n1\tb.a\t%s\n" % row, encoding="utf-8")
+    assert cli.run(["render", "--in", str(path)] + viewport) == 1
+    error, out = one_json_error(capsys)
+    assert out == ""
+    assert error == {
+        "kind": "ValueError",
+        "error": "bend-0 row b.a does not have a unit normal: |n|^2 = %s" % square,
+    }
+
+
+def test_render_config_not_planar_is_refused_before_the_orbit(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(render, "generate_packing", lambda *a, **k: calls.append(a))
+    argv = ["render", "--config", "builtin:d3n13", "--cluster", "34"]
+    assert cli.run(argv) == 1
+    error, out = one_json_error(capsys)
+    assert out == ""
+    assert error == {"kind": "ValueError", "error": "rendering needs ambient dimension 2, got 12"}
+    assert calls == []
 
 
 def test_render_from_tsv_matches_library(capsys, tmp_path):
@@ -238,7 +270,7 @@ def test_check_integrality_cluster_of_every_row_is_a_domain_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [json.loads(line) for line in captured.err.splitlines()] == [
-        {"kind": "ValueError", "error": "need at least one mirror to draw words from"}
+        {"kind": "ValueError", "error": "mirror must have at least one row"}
     ]
 
 
@@ -465,6 +497,47 @@ def test_convert_matches_library(capsys, tmp_path, options, patches):
     want = lines_text("(%s)" % ",".join(str(q) for q in row) for row in rows)
     assert capsys.readouterr().out == want
     assert len(want.splitlines()) == len(ROOTS)
+
+
+GOOD_PATCH = {"table": "F.2", "vector": "e4", "x": ["2", "0", "0", "-1"]}
+BAD_TABLE = "patch table must be a JSON object with a 'patches' list and an optional 'notes' list"
+
+
+@pytest.mark.parametrize(
+    "roots, table, error",
+    [
+        ([5], None, "entry 0 must be a JSON object"),
+        ([{"m": 2, "x": 5}], None, "entry 0: 'x' must be a list"),
+        ([ROOTS[1], {"m": 2, "x": ["1", None, "0", "-1"]}], None,
+         "entry 1: component 1 of 'x' is not a number: null"),
+        ([{"m": 2, "x": ["1", "1/0", "0", "-1"]}], None,
+         'entry 0: component 1 of \'x\' is not a number: "1/0"'),
+        ([{"m": 2, "table": ["F.2"], "vector": "e4", "x": ["1", "0", "0", "-1"]}], None,
+         "entry 0: 'table' must be a name, not a list or an object"),
+        (ROOTS, {"patches": [GOOD_PATCH, 5]}, "patch 1 must be a JSON object"),
+        (ROOTS, {"patches": [dict(GOOD_PATCH, x=5)]}, "patch 0: 'x' must be a list"),
+        (ROOTS, [GOOD_PATCH], BAD_TABLE),
+        (ROOTS, {"patches": 5}, BAD_TABLE),
+        (ROOTS, {"patches": [GOOD_PATCH], "notes": 5}, BAD_TABLE),
+    ],
+    ids=[
+        "entry-not-object", "x-not-list", "null-component", "zero-denominator",
+        "list-table-name", "patch-not-object", "patch-x-not-list", "table-is-list",
+        "patches-not-list", "notes-not-list",
+    ],
+)
+def test_convert_malformed_files_are_domain_errors(capsys, tmp_path, roots, table, error):
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps(roots), encoding="utf-8")
+    argv = ["convert", "--in", str(path)]
+    if table is not None:
+        patches = tmp_path / "patches.json"
+        patches.write_text(json.dumps(table), encoding="utf-8")
+        argv += ["--patch-table", str(patches)]
+    assert cli.run(argv) == 1
+    got, out = one_json_error(capsys)
+    assert out == ""
+    assert got == {"kind": "ValueError", "error": error}
 
 
 def test_check_integrality_success_matches_library(capsys):

@@ -58,7 +58,7 @@ def test_unit_circle():
 def test_sphere_from_coords33_row10():
     v = geometry.sphere((2 * sqrt(3), 0), sqrt(2))
     assert v == (5 * sqrt(2), sqrt(2) / 2, sqrt(6), ZERO)
-    assert geometry.is_wall(v)
+    assert geometry.gram((v,))[0][0] == -1
 
 
 def test_sphere_zero_radius():
@@ -69,7 +69,7 @@ def test_sphere_zero_radius():
 def test_hyperplane_x1_axis():
     v = geometry.hyperplane((-1, 0), 0, 1)
     assert v == qv(0, 0, -1, 0)
-    assert geometry.is_wall(v)
+    assert geometry.gram((v,))[0][0] == -1
 
 
 def test_hyperplane_offset_side():
@@ -83,7 +83,7 @@ def test_hyperplane_offset_side():
 def test_hyperplane_diagonal_unit_normal():
     half2 = sqrt(2) / 2
     v = geometry.hyperplane((half2, half2), QNum(3), -1)
-    assert geometry.is_wall(v)
+    assert geometry.gram((v,))[0][0] == -1
     assert v[0] == -6
 
 

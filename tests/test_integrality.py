@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from packinglab import _matrix, catalog, cli, geometry, integrality, orbit
 from packinglab._matrix import as_matrix, identity, mat_inverse, mat_mul
 from packinglab.exactnum import QNum, sqrt
-from packinglab.geometry import as_vector, gram, hyperplane, is_wall, reflection_matrix, sphere
+from packinglab.geometry import as_vector, gram, hyperplane, reflection_matrix, sphere
 from packinglab.integrality import (
     BoundedRationalReport,
     IntegralityCertificate,
@@ -72,7 +72,7 @@ def test_every_bend_over_the_rescaling_factor_is_an_integer(radicand, rationals)
 
 
 def test_bi17_rows_are_walls():
-    assert all(is_wall(r) for r in BI17)
+    assert all(gram((r,))[0][0] == -1 for r in BI17)
 
 
 def test_rescale_identity_and_unit():
@@ -80,7 +80,7 @@ def test_rescale_identity_and_unit():
     assert rescale(rows, 1) == rows
     out = rescale(rows, 2)[0]
     assert out == (QNum(-2), QNum("1/2"), QNum(0), QNum(0))
-    assert is_wall(out)
+    assert gram((out,))[0][0] == -1
 
 
 def test_rescale_preserves_gram():
@@ -88,7 +88,7 @@ def test_rescale_preserves_gram():
     lam = (1 + R2) / 3
     scaled = rescale(rows, lam)
     assert gram(scaled) == gram(rows)
-    assert all(is_wall(r) for r in scaled)
+    assert all(gram((r,))[0][0] == -1 for r in scaled)
     # bends divide by the factor exactly
     assert scaled[3][1] == QNum(2) / lam
 
@@ -155,7 +155,7 @@ def test_prove_integral_inconclusive_on_mixed_bends():
         (-R34 / 34, R34, QNum(0), QNum(0)),
         (QNum(0), QNum(0), QNum(1), QNum(0)),
     )
-    assert all(is_wall(r) for r in rows)
+    assert all(gram((r,))[0][0] == -1 for r in rows)
     cert = prove_integral(rows, cluster_rows=[2, 3], mirror_rows=[1])
     assert cert.verdict == "inconclusive"
     assert "radical" in cert.detail
@@ -307,9 +307,9 @@ def test_bounded_rational_rejects_non_integral_reflection():
 
 @pytest.mark.parametrize("word_count, word_length", [(20, 5), (0, 5), (3, 0)])
 def test_bounded_rational_needs_a_mirror(word_count, word_length):
-    # a cluster of every row leaves no mirror: refused before any letter is
-    # drawn, whatever the word count
-    with pytest.raises(ValueError, match="need at least one mirror to draw words from"):
+    # a cluster of every row leaves no mirror: the row gate refuses the
+    # empty list before any letter is drawn, whatever the word count
+    with pytest.raises(ValueError, match="^mirror must have at least one row$"):
         check_bounded_rational(BI1, (), word_count, word_length)
 
 

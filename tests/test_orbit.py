@@ -17,7 +17,6 @@ from packinglab.geometry import (
     hyperplane,
     inner,
     interior_contains,
-    is_wall,
     reflect,
     sphere,
 )
@@ -75,7 +74,7 @@ def test_mirror_equal_to_circle_or_its_negation_is_skipped():
 
 def test_all_norms_exact():
     got = generate_packing(BI1_CLUSTER, BI1_COCLUSTER, OrbitLimits(max_generation=3))
-    assert all(is_wall(c.vector) for c in got.circles)
+    assert all(gram((c.vector,))[0][0] == -1 for c in got.circles)
 
 
 def test_generation_monotone():

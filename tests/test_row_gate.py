@@ -1,15 +1,18 @@
 """The row gate of the sampler and the certificates: ``orbit._checked_rows``
 lets a Configuration through, since its constructor proved every row, and
-proves raw rows.  Each caller gives the same result for a Configuration
-and for its rows.  The orbit proves its rows on the Gram it builds."""
+proves raw rows on the diagonal of their one Gram.  Each caller gives the
+same result for a Configuration and for its rows.  The orbit proves its
+rows on the Gram it builds."""
 
 import contextlib
 import io
+import sys
 
 import pytest
 
 from packinglab import catalog, cli, orbit
 from packinglab.exactnum import QNum
+from packinglab.geometry import sphere
 from packinglab.groupwords import Configuration
 from packinglab.integrality import check_bounded_rational, prove_integral, prove_nonintegral
 from packinglab.orbit import _checked_rows, verify_empty_interior
@@ -21,16 +24,22 @@ ENTRIES = catalog.list_builtin()
 NOT_WALLS = ((0, 0, 0, -1), (2, 0, 0, 2), (0, 2, 0, 1), (2, 2, 2, 1))
 
 
-def count_proofs(monkeypatch):
+def count_grams(monkeypatch):
+    """(calling function, row count) of each Gram the orbit module builds:
+    the row gate's are ``_checked_rows``', the orbit's ``_split``'s."""
     calls = []
-    real = orbit.is_wall
+    real = orbit.gram
 
-    def spy(v):
-        calls.append(v)
-        return real(v)
+    def spy(rows):
+        calls.append((sys._getframe(1).f_code.co_name, len(rows)))
+        return real(rows)
 
-    monkeypatch.setattr(orbit, "is_wall", spy)
+    monkeypatch.setattr(orbit, "gram", spy)
     return calls
+
+
+def gate_grams(calls):
+    return [n for caller, n in calls if caller == "_checked_rows"]
 
 
 def outcome(f, *args, **kwargs):
@@ -42,11 +51,22 @@ def outcome(f, *args, **kwargs):
 
 def test_a_configuration_passes_the_gate_unproved(monkeypatch):
     config = catalog.get_builtin("d3n13").configuration
-    calls = count_proofs(monkeypatch)
+    calls = count_grams(monkeypatch)
     assert _checked_rows(config, "config") is config.rows
     assert calls == []
+    # its rows as a raw list: one Gram of all 22
     assert _checked_rows(list(config.rows), "config") == config.rows
-    assert len(calls) == len(config.rows)
+    assert calls == [("_checked_rows", len(config.rows))]
+
+
+def test_the_spot_check_builds_one_gate_gram_per_raw_list(monkeypatch):
+    config = catalog.get_builtin("bi1-cluster3").configuration
+    _, cocluster, _, _ = config.split(["3"])
+    calls = count_grams(monkeypatch)
+    want = check_bounded_rational(config, cocluster, seed=5)
+    assert gate_grams(calls) == [3]
+    assert check_bounded_rational(list(config.rows), cocluster, seed=5) == want
+    assert gate_grams(calls) == [3, 4, 3]
 
 
 def test_configuration_rows_are_the_vectors_the_gate_returns():
@@ -110,13 +130,17 @@ def test_raw_rows_that_are_not_walls_are_still_refused(call, message):
           "--generations", "2"], 0),
         (["render", "--config", "builtin:bi1-cluster3", "--cluster", "3",
           "--generations", "2"], 0),
+        # the other two supplements
+        (["prove-nonintegral", "--config", "builtin:d1n3"], 11),
+        (["prove-nonintegral", "--config", "builtin:d1n3-base"], 9),
     ],
 )
 def test_cli_proves_only_rows_the_load_did_not(monkeypatch, argv, proofs):
-    calls = count_proofs(monkeypatch)
+    # a raw list is proved on one Gram of all its rows
+    calls = count_grams(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(argv) == 0
-    assert len(calls) == proofs
+    assert gate_grams(calls) == ([proofs] if proofs else [])
 
 
 BI1 = catalog.get_builtin("bi1-cluster3").configuration
@@ -136,9 +160,41 @@ def test_each_generate_call_builds_one_gram_and_proves_no_row(monkeypatch, gener
     limits = orbit.OrbitLimits(max_generation=2)
     rows = cluster.rows if isinstance(cluster, Configuration) else cluster
     want = orbit.export_tsv(generate(list(rows), list(cocluster), limits))
-    grams = []
-    real = orbit.gram
-    monkeypatch.setattr(orbit, "gram", lambda rows: grams.append(rows) or real(rows))
-    calls = count_proofs(monkeypatch)
+    calls = count_grams(monkeypatch)
     assert orbit.export_tsv(generate(cluster, cocluster, limits)) == want
-    assert len(grams) == 1 and calls == []
+    assert calls == [("_split", len(rows) + len(cocluster))]
+
+
+# two unit circles and a sphere: widths 4, 4 and 5
+MIXED = (sphere((0, 0), 1), sphere((5, 5), 1), sphere((0, 0, 0), 2))
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda rows: verify_empty_interior(rows, 10, 0, box=((0, 1), (0, 1))), "config"),
+        (lambda rows: prove_integral(rows, [1], [2]), "basis"),
+        (lambda rows: check_bounded_rational(rows, BI1.rows[:1]), "basis"),
+        (lambda rows: check_bounded_rational(BI1.rows, rows), "mirror"),
+        (lambda rows: prove_nonintegral(rows), "matrix"),
+    ],
+    ids=["sampler", "prove_integral", "spot_check_basis", "spot_check_mirrors", "prove_nonintegral"],
+)
+@pytest.mark.parametrize("kind", ["empty", "mixed-widths"])
+def test_empty_and_mixed_width_lists_are_refused(call, what, kind):
+    # refused by the gate with ValueError, never an IndexError, a verdict
+    # or a certificate of zip-truncated rows
+    rows, message = {
+        "empty": ((), "^%s must have at least one row$" % what),
+        "mixed-widths": (MIXED, "^dimension mismatch: 4 vs 5$"),
+    }[kind]
+    with pytest.raises(ValueError, match=message):
+        call(rows)
+
+
+def test_prove_nonintegral_refuses_rows_of_another_width():
+    # six plane walls and one sphere in space: a row-by-row zip would
+    # certify the truncated matrix nonintegral
+    rows = catalog.get_builtin("bi10-example").configuration.rows[:6] + (sphere((0, 0, 0), 1),)
+    with pytest.raises(ValueError, match="^dimension mismatch: 4 vs 5$"):
+        prove_nonintegral(rows)
