@@ -27,6 +27,21 @@ from importlib import resources
 from .exactnum import QNum, sqrt, squarefree_decompose
 
 
+def _check_positive(name, value):
+    # a bool is an int to isinstance, so True would pass as 1
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError("%s must be a positive integer, got %r" % (name, value))
+
+
+def _fractions(x):
+    """The components of x as Fractions.  A bool is refused: Fraction reads
+    True as 1."""
+    for j, c in enumerate(x):
+        if isinstance(c, bool):
+            raise ValueError("component %d of x is not a number: %r" % (j, c))
+    return tuple(Fraction(c) for c in x)
+
+
 @dataclasses.dataclass(frozen=True)
 class BianchiRoot:
     """A space-like root of the rank-4 Bianchi quadratic form."""
@@ -35,11 +50,10 @@ class BianchiRoot:
     x: tuple
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError("m must be a positive integer, got %r" % (self.m,))
+        _check_positive("m", self.m)
         if squarefree_decompose(self.m)[0] != 1:
             raise ValueError("m must be square-free, got %d" % self.m)
-        coords = tuple(Fraction(c) for c in self.x)
+        coords = _fractions(self.x)
         if len(coords) != 4:
             raise ValueError("a Bianchi root has 4 components, got %d" % len(coords))
         object.__setattr__(self, "x", coords)
@@ -63,9 +77,8 @@ class VinbergVector:
     x: tuple
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError("d must be a positive integer, got %r" % (self.d,))
-        coords = tuple(Fraction(c) for c in self.x)
+        _check_positive("d", self.d)
+        coords = _fractions(self.x)
         if len(coords) < 3:
             raise ValueError(
                 "need at least 3 components (ambient dimension 1), got %d" % len(coords)
@@ -129,12 +142,15 @@ def _check_entry(entry, where):
 
 def _coords(x, where):
     """An entry's "x" as a tuple of Fractions; ValueError naming the entry
-    when it is not a list or a component is not an exact number."""
+    when it is not a list or a component is not an exact number (a JSON
+    true or false included, which Fraction would read as 1 or 0)."""
     if not isinstance(x, list):
         raise ValueError("%s: 'x' must be a list" % where)
     out = []
     for j, c in enumerate(x):
         try:
+            if isinstance(c, bool):
+                raise TypeError
             out.append(Fraction(c))
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(
@@ -191,7 +207,8 @@ def read_root_file(path, patches=None):
     row in the source tables, in which case the patch table (the shipped one
     unless a mapping is passed) replaces known-bad components.  An entry
     that is not an object with a list of numbers as "x" raises ValueError
-    naming its index.
+    naming its index, and so does an "m" or "d" the root refuses (a JSON
+    true or false included).
     """
     if patches is None:
         patches, _ = load_patch_table()
@@ -210,8 +227,10 @@ def read_root_file(path, patches=None):
         key = (entry.get("table"), entry.get("vector"))
         if None not in key and key in patches:
             coords = patches[key]
-        if has_m:
-            out.append(BianchiRoot(entry["m"], coords))
-        else:
-            out.append(VinbergVector(entry["d"], coords))
+        try:
+            out.append(
+                BianchiRoot(entry["m"], coords) if has_m else VinbergVector(entry["d"], coords)
+            )
+        except ValueError as e:
+            raise ValueError("%s: %s" % (where, e)) from None
     return out

@@ -598,11 +598,14 @@ class _Field:
         """``str`` of each coordinate of an encoded row, joined by commas:
         the row as the orbit TSV prints it.  Each distinct (den,
         coefficients) is formatted once per field."""
-        d, den = self.d, key[-1]
+        den = key[-1]
         known = self._literals.get(den)
         if known is None:
             known = self._literals[den] = _Literals(self.radicands, den)
-        return ",".join([known[key[i:i + d]] for i in range(0, len(key) - 1, d)])
+        # the coordinates' d-tuples of coefficients, chunked by zip over one
+        # iterator; the den slot is cut off first, or at d = 1 it would
+        # form a chunk of its own
+        return ",".join(map(known.__getitem__, zip(*[iter(key[:-1])] * self.d)))
 
 
 class _Literals(dict):

@@ -35,15 +35,20 @@ for Bi(10), {1,2,3,6} for the d=3 entries), writes every row as its
 denominator reduced by the gcd, and uses that tuple as the exact dedup
 key.  The basis and this encoding are ``exactnum._Field``, which
 ``geometry.gram`` shares.  Each mirror's reflection is an integer
-rank-one update and one gcd: its 2<v,m> is a few integer functionals of
-the key (``geometry.form_functional``), each times a fixed column.  Each
-call writes those tables out, with only %d-formatted integers and slot
-indices, as one straight-line Python function per mirror, and compiles
-it with ``compile`` and ``exec``, as ``collections.namedtuple`` builds
-its classes.  The bend of the image is bend(x) + 2<x,m> bend(m), so a
-mirror of nonzero bend computes the functionals, then only the image's
-bend coefficients, and settles the bend bound on them; only an image
-within the bound gets its other coordinates, its gcd and its tuple.  A
+rank-one update: its 2<v,m> is a few integer functionals of the key
+(``geometry.form_functional``), each times a fixed column.  The tables
+are divided by their content when they are built, so that the update
+gives the reduced key, or that key times a small a; most mirrors get
+a = 1 (every row of Bi(10), 15 of the 22 rows of d3n13), the image is
+then reduced already (``_Mirror``), and only where a > 1 is its gcd
+taken.  Each call writes those tables out, with only %d-formatted
+integers and slot indices, as one straight-line Python function per
+mirror, and compiles it with ``compile`` and ``exec``, as
+``collections.namedtuple`` builds its classes.  The bend of the image is
+bend(x) + 2<x,m> bend(m), so a mirror of nonzero bend computes the
+functionals, then only the image's bend coefficients, and settles the
+bend bound on them; only an image within the bound gets its other
+coordinates and its tuple (and, where a > 1, its gcd).  A
 flat mirror (bend 0) keeps every bend, so it is not screened: a circle
 within the bound gives an image within it, and a generation-0 circle past
 the bound has its flat mirrors marked as missed without reflecting.
@@ -277,8 +282,26 @@ class _Mirror:
     functional of x (geometry.form_functional), and
     v + 2<v,m> m = (E^2 x + sum_c t_c P_c) / (D E^2), where P_c holds the
     coefficients of sqrt(r_c) * y.  Both tables come in closed form from
-    y and the basis product table; ``terms`` pairs each nonzero t_c with
-    its column P_c, and ``source`` writes them out as straight-line code.
+    y and the basis product table.
+
+    The tables are divided by their content.  With h_c the gcd of t_c's
+    coefficients, t_c = h_c t'_c; with g the gcd of E^2 and every h_c w
+    over the weights w of P_c, the image is (a x + sum_c t'_c P'_c) over
+    D a, where a = E^2 / g (``scale``) and P'_c = h_c P_c / g.  That is the
+    image above divided by g, so its key, the tuple reduced by its gcd, is
+    the same, and the bend bound, homogeneous in (coefficients, den), gives
+    the same verdicts.  ``terms`` pairs each nonzero t'_c with P'_c, and
+    ``source`` writes them out as straight-line code.
+
+    Where a = 1 the image needs no gcd.  The map x -> x + sum_c t'_c P'_c
+    is then the reflection's own integer matrix R on the coefficients, and
+    the den slot passes through.  r_m is an involution for <m,m> = -1, so
+    R^2 = I, det R = +-1, and gcd(R x, D) = gcd(x, D).  Every key the
+    orbit loop feeds a kernel is reduced (a cluster key comes from
+    ``encode``, an image is reduced by induction), so the image is
+    reduced too.  Where a > 1 the image's den is a D >= 2, and its gcd is
+    taken.
+
     A mirror is ``flat`` when its key's bend slots [d, 2d) are all 0: its
     bend is 0, so it leaves every bend unchanged.
     """
@@ -289,7 +312,6 @@ class _Mirror:
         d, product = field.d, field.product
         y, den = self.key[:-1], self.key[-1]
         self.negated = tuple(-a for a in y) + (den,)
-        self.scale = den * den
         columns = [{} for _ in range(d)]
         for k in range(len(mirror)):
             for b in range(d):
@@ -301,8 +323,14 @@ class _Mirror:
         for functional, column in zip(form_functional(field, self.key), columns):
             column = tuple((s, w) for s, w in column.items() if w)
             if functional and column:
-                terms.append((functional, column))
-        self.terms = tuple(terms)
+                h = math.gcd(*[w for _, w in functional])
+                terms.append((tuple((s, w // h) for s, w in functional), h, column))
+        g = math.gcd(den * den, *[h * w for _, h, column in terms for _, w in column])
+        self.scale = den * den // g
+        self.terms = tuple(
+            (functional, tuple((s, h * w // g) for s, w in column))
+            for functional, h, column in terms
+        )
         self.bend = range(d, 2 * d)
         self.flat = not any(self.key[d:2 * d])
 
@@ -310,10 +338,10 @@ class _Mirror:
         """Python source of ``def name(x)``, the reflected key of a key x.
 
         Only %d-formatted integers and slot indices go into it.  With
-        screen set it computes the t_c, then the image's bend coefficients
-        over D E^2, and returns None when ``exceeds`` (the bend bound's)
-        holds on them; only then does it build the other slots and reduce
-        the key by its gcd.
+        screen set it computes the t'_c, then the image's bend coefficients
+        over D a, and returns None when ``exceeds`` (the bend bound's)
+        holds on them; only then does it build the other slots, and where
+        a > 1 reduce the key by its gcd.
         """
         width = len(self.key)
         names = ["x%d" % s for s in range(width)]
@@ -332,14 +360,16 @@ class _Mirror:
             bend = ", ".join(values[s] for s in self.bend)
             lines.append("    if exceeds((%s,), %s):" % (bend, values[den]))
             lines.append("        return None")
-        lines += [
-            "    out = (%s)" % ", ".join(values),
-            "    if out[-1] != 1:",
-            "        g = gcd(*out)",
-            "        if g != 1:",
-            "            return tuple([a // g for a in out])",
-            "    return out",
-        ]
+        if self.scale == 1:
+            lines.append("    return (%s)" % ", ".join(values))
+        else:
+            lines += [
+                "    out = (%s)" % ", ".join(values),
+                "    g = gcd(*out)",
+                "    if g != 1:",
+                "        return tuple([a // g for a in out])",
+                "    return out",
+            ]
         return "\n".join(lines)
 
 

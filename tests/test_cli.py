@@ -514,15 +514,26 @@ BAD_TABLE = "patch table must be a JSON object with a 'patches' list and an opti
          'entry 0: component 1 of \'x\' is not a number: "1/0"'),
         ([{"m": 2, "table": ["F.2"], "vector": "e4", "x": ["1", "0", "0", "-1"]}], None,
          "entry 0: 'table' must be a name, not a list or an object"),
+        ([{"m": True, "x": ["1", "0", "0", "-1"]}, {"d": True, "x": ["1", "2", "0"]}], None,
+         "entry 0: m must be a positive integer, got True"),
+        ([ROOTS[1], {"d": True, "x": ["1", "2", "0"]}], None,
+         "entry 1: d must be a positive integer, got True"),
+        ([{"m": 2, "x": ["1", "0", "0", True]}], None,
+         "entry 0: component 3 of 'x' is not a number: true"),
+        ([{"m": 12, "x": ["0", "0", "1", "0"]}], None,
+         "entry 0: m must be square-free, got 12"),
         (ROOTS, {"patches": [GOOD_PATCH, 5]}, "patch 1 must be a JSON object"),
         (ROOTS, {"patches": [dict(GOOD_PATCH, x=5)]}, "patch 0: 'x' must be a list"),
+        (ROOTS, {"patches": [dict(GOOD_PATCH, x=[False, "0", "0", "-1"])]},
+         "patch 0: component 0 of 'x' is not a number: false"),
         (ROOTS, [GOOD_PATCH], BAD_TABLE),
         (ROOTS, {"patches": 5}, BAD_TABLE),
         (ROOTS, {"patches": [GOOD_PATCH], "notes": 5}, BAD_TABLE),
     ],
     ids=[
         "entry-not-object", "x-not-list", "null-component", "zero-denominator",
-        "list-table-name", "patch-not-object", "patch-x-not-list", "table-is-list",
+        "list-table-name", "boolean-m", "boolean-d", "boolean-component", "m-not-square-free",
+        "patch-not-object", "patch-x-not-list", "patch-boolean-component", "table-is-list",
         "patches-not-list", "notes-not-list",
     ],
 )

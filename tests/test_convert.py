@@ -34,6 +34,20 @@ def test_bianchi_root_validation():
         BianchiRoot(1, (1, 1, 0, 0))  # form value -2
 
 
+@pytest.mark.parametrize("make", [BianchiRoot, VinbergVector])
+def test_booleans_are_not_numbers(make):
+    # Fraction(True) is 1 and True is an int to isinstance, so a bool would
+    # otherwise pass as the number 1 (or 0)
+    good = (0, 2, 0, 1)
+    make(1, good)
+    with pytest.raises(ValueError, match="positive integer, got True"):
+        make(True, good)
+    for j in range(len(good)):
+        x = good[:j] + (bool(good[j]),) + good[j + 1:]
+        with pytest.raises(ValueError, match="component %d of x is not a number" % j):
+            make(1, x)
+
+
 def test_bianchi_form_value_both_classes():
     assert BianchiRoot(2, (2, 0, 0, -1)).form_value() == 4
     assert BianchiRoot(3, (0, 0, 0, 1)).form_value() == 2

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from packinglab import catalog, coxeter, orbit
 from packinglab.exactnum import QNum, sqrt
 from packinglab.geometry import (
+    form_functional,
     gram,
     hyperplane,
     inner,
@@ -321,14 +323,20 @@ def benchmark_counts():
     return workloads["PACK_PLANAR_COUNTS"], workloads["PACK_WIDE_COUNTS"]
 
 
-def table_reflect(plan, key):
-    # the table-driven reflection the compiled kernels replaced, kept as
-    # their reference: E^2 x plus each t_c times its column, then the gcd
-    out = [a * plan.scale for a in key]
-    for functional, column in plan.terms:
+def table_reflect(field, mirror, key):
+    # the reflection of key in the encoded row mirror = y / E, built apart
+    # from orbit._Mirror's divided tables: E^2 x plus each functional t_c of
+    # geometry.form_functional times the coefficients of sqrt(r_c) * y
+    # (field.multiply, on the basis product table), then the gcd
+    d = field.d
+    y, den = mirror[:-1], mirror[-1]
+    out = [a * den * den for a in key]
+    for c, functional in enumerate(form_functional(field, mirror)):
         t = sum(key[s] * w for s, w in functional)
-        for s, w in column:
-            out[s] += t * w
+        unit = [int(b == c) for b in range(d)]
+        for k in range(0, len(y), d):
+            for e, w in enumerate(field.multiply(unit, y[k:k + d])):
+                out[k + e] += t * w
     g = math.gcd(*out)
     return tuple(a // g for a in out)
 
@@ -425,8 +433,55 @@ def test_compiled_reflection_matches_qnum():
             for v in rows:
                 key = field.encode(v)
                 image = reflect(v, m)
-                assert kernel(key) == table_reflect(plan, key) == field.encode(image)
+                assert kernel(key) == table_reflect(field, plan.key, key) == field.encode(image)
                 assert field.decode(kernel(key)) == image
+
+
+@functools.cache
+def builtin_kernels(entry_id):
+    # (field, plans, unscreened kernels) of every row of a builtin entry
+    rows = catalog.get_builtin(entry_id).configuration.rows
+    field = orbit._Field(rows)
+    plans = [orbit._Mirror(field, j + 1, m) for j, m in enumerate(rows)]
+    return field, plans, orbit._kernels(plans, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernels_match_the_undivided_reflection_on_random_keys(data):
+    # any reduced integer key, not only a wall's, reflected in every row of
+    # a builtin entry: each kernel gives the E^2-then-gcd image, and where
+    # the divided tables left a = 1 (no gcd in the kernel) the kernel is an
+    # integral involution that keeps the key reduced
+    entry_id = data.draw(st.sampled_from(catalog.list_builtin()))
+    field, plans, kernels = builtin_kernels(entry_id)
+    width = len(plans[0].key)
+    coeffs = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=width - 1, max_size=width - 1))
+    key = tuple(coeffs) + (data.draw(st.integers(1, 10**4)),)
+    g = math.gcd(*key)
+    key = tuple(a // g for a in key)
+    for plan, kernel in zip(plans, kernels):
+        image = kernel(key)
+        assert image == table_reflect(field, plan.key, key)
+        if plan.scale == 1:
+            assert image[-1] == key[-1] and math.gcd(*image) == 1
+            assert kernel(image) == key
+
+
+def test_kernel_branches_on_the_builtins():
+    # the rows whose divided tables leave a = 1 return their image without
+    # a gcd; d3n13 keeps rows of both kinds, so both branches stay tested
+    kinds = {}
+    for entry_id in catalog.list_builtin():
+        field, plans, _ = builtin_kernels(entry_id)
+        for plan in plans:
+            source = plan.source("kernel", False)
+            assert ("gcd" in source) == (plan.scale != 1)
+        kinds[entry_id] = sorted((plan.scale, plan.key[-1]) for plan in plans)
+    # every bi10-example row has E = 1
+    assert kinds["bi10-example"] == [(1, 1)] * 9
+    # d3n13: 15 rows with a = 1, 13 of them of E = 2, and 7 with a = 2
+    assert kinds["d3n13"] == [(1, 1)] * 2 + [(1, 2)] * 13 + [(2, 2)] * 7
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,7 +498,7 @@ def test_kernel_settles_the_bound_as_the_full_image_would(data):
     field = orbit._Field(rows)
     plan = orbit._Mirror(field, 1, m)
     key = field.encode(v)
-    full = table_reflect(plan, key)
+    full = table_reflect(field, plan.key, key)
     d = field.d
     bend = abs(field.number(full[d:2 * d], full[-1]))
     tiny = (3 - 2 * R2) ** 30
