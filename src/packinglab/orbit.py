@@ -128,6 +128,8 @@ def _word(seed, k):
 
 
 def _check_seed(seed):
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError("seed must be an int, not a bool; got %r" % (seed,))
     if not 0 <= seed <= _MASK64:  # _word draws seed mod 2**64
         raise ValueError("seed must be in 0 <= seed < 2**64, got %d" % seed)
 
@@ -682,45 +684,32 @@ class EmptyInteriorReport:
     exact_checks: int
 
 
-def _derived_box(rows):
-    """Per coordinate (lo, hi) Fractions enclosing every wall with b > 0.
-
-    With a wall row encoded as x / D over one field and b = u / D, the
-    reciprocal 1/u = w / m gives its box ends (bz_j -+ 1) / b as
-    (x_j -+ D) * w / m, and each end is rounded outward to the enclosure
-    of that number at 64 bits: the same Fractions as ``QNum._bounds(64)``
-    of the canonical number, since the enclosure scales with its
-    coefficients.
-    """
-    balls = [r for r in rows if r[1].sign() > 0]  # lines and outward circles do not bound a box
-    if not balls:
-        raise ValueError(
-            "no interior-bounding circle to derive a sample box from; "
-            "pass box= explicitly"
-        )
+def _ball_extents(rows):
+    """Per ball (wall with b > 0), (S, ends): ends[j] = (lo, hi), integers
+    with [lo / S, hi / S] the outward 64-bit enclosure of its extent
+    ((bz_j - 1) / b, (bz_j + 1) / b).  With the row encoded as x / D over
+    one field and b = u / D, one reciprocal 1/u = w / m (m > 0) gives each
+    end as (x_j -+ D) * w / m and S = m * 2**64; the enclosure scales with
+    its coefficients, so each end is ``QNum._bounds(64)`` of its number."""
+    balls = [r for r in rows if r[1].sign() > 0]
     field = _Field(balls)
     d, radicands, multiply = field.d, field.radicands, field.multiply
-    lo = hi = None
+    extents = []
     for r in balls:
         key = field.encode(r)
         den = key[-1]
         w, m = field.reciprocal(key[d:2 * d])
         if m < 0:
             w, m = [-c for c in w], -m
-        scale = m << 64
-        clo, chi = [], []
+        ends = []
         for j in range(2 * d, len(key) - 1, d):
             x = list(key[j:j + d])
             x[0] -= den  # radicand 1 is the first basis element
-            clo.append(Fraction(_enclose(radicands, multiply(x, w), 64)[0], scale))
+            lo = _enclose(radicands, multiply(x, w), 64)[0]
             x[0] += 2 * den
-            chi.append(Fraction(_enclose(radicands, multiply(x, w), 64)[1], scale))
-        if lo is None:
-            lo, hi = clo, chi
-        else:
-            lo = [min(a, b2) for a, b2 in zip(lo, clo)]
-            hi = [max(a, b2) for a, b2 in zip(hi, chi)]
-    return tuple((a, b2) for a, b2 in zip(lo, hi))
+            ends.append((lo, _enclose(radicands, multiply(x, w), 64)[1]))
+        extents.append((m << 64, ends))
+    return extents
 
 
 def _sample_ratios(box):
@@ -763,130 +752,66 @@ def _check_range(ratios, frows):
 
 
 _UNITS = 1 << 53  # the u of a sample coordinate lie in [0, _UNITS)
-# a term |c - b x| above this fails its ball's screen alone: R**2 is
-# 1 + 2.000001e-6, well past the screen's 1 + 1e-6
-_R = 1.000001
 
 
-def _first(passes, guess):
-    """The least u in [0, _UNITS) with passes(u), or _UNITS if none, for
-    passes monotone (False, then True) on [0, _UNITS): a doubling search
-    out from guess, then bisection."""
-    lo = hi = min(max(guess, 0), _UNITS - 1)
-    step = 1
-    if passes(hi):
-        lo = hi - 1
-        while lo >= 0 and passes(lo):
-            hi, step = lo, 2 * step
-            lo = hi - step
-        lo = max(lo, -1)
-    else:
-        hi = lo + 1
-        while hi < _UNITS and not passes(hi):
-            lo, step = hi, 2 * step
-            hi = lo + step
-        hi = min(hi, _UNITS)
-    # lo fails (or is -1), hi passes (or is _UNITS)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _window(balls, j, ratio):
-    """The u in [0, _UNITS), as lo <= u <= hi, at which coordinate j has
-    every ball's term |c_j - b x| <= _R, x = (A + C*u) / D drawn as the
-    sampler draws it; lo > hi when there is none.  The full range when
-    C <= 0."""
-    a, c, den = ratio
-    lo, hi = 0, _UNITS - 1
-    if c <= 0:
-        return lo, hi
-
-    def guess(x):
-        # the real u at which the float x is drawn
-        try:
-            p, q = x.as_integer_ratio()
-        except OverflowError:  # x is infinite: search from u = 0
-            return 0
-        return (p * den - q * a) // (q * c)
-
-    for b, bz in balls:
-        cj = bz[j]
-        # c_j - b x falls as u grows, so each side is one search; a ball
-        # that the current edge already satisfies costs one evaluation
-        if not cj - b * ((a + c * lo) / den) <= _R:
-            lo = _first(lambda u: cj - b * ((a + c * u) / den) <= _R, guess((cj - _R) / b))
-        if cj - b * ((a + c * hi) / den) < -_R:
-            hi = _first(lambda u: cj - b * ((a + c * u) / den) < -_R, guess((cj + _R) / b)) - 1
-        if lo > hi:
-            break
-    return lo, hi
+def _windows(extents, ratios):
+    """Per coordinate, (lo, hi): the u in [0, _UNITS) whose (A + C*u) / D
+    lies in every ball's extent [elo / S, ehi / S], which for C, D, S > 0
+    is ceil((elo*D - A*S) / (C*S)) <= u <= floor((ehi*D - A*S) / (C*S));
+    lo > hi when there is none, the full range when C <= 0 or no ball."""
+    windows = []
+    for j, (a, c, den) in enumerate(ratios):
+        lo, hi = 0, _UNITS - 1
+        if c > 0:
+            for s, ends in extents:
+                lo = max(lo, -((a * s - ends[j][0] * den) // (c * s)))
+                hi = min(hi, (ends[j][1] * den - a * s) // (c * s))
+        windows.append((lo, hi))
+    return windows
 
 
 def verify_empty_interior(config, sample_count, seed, box=None):
     """Sample the box of a Configuration or rows for a point inside every wall.
 
-    Raw rows pass the row gate (``_checked_rows``) first: an empty list,
-    rows of different widths and a row of norm other than -1 raise
-    ValueError before the sample count and the seed are read.
+    ValueError, in order: the row gate's (``_checked_rows``); a count not
+    a positive int and a seed not an int in [0, 2**64), bools refused; no
+    box and no ball to derive one from; a box of other than n intervals.
 
     Coordinate j of sample i is the exact rational lo + (hi - lo) * u / 2**53,
-    u the 53 high bits of word i*n + j of the splitmix64 stream of seed
-    (refused unless 0 <= seed < 2**64), so reports reproduce bit for bit.
-    Per coordinate that point is (A + C*u) / D over integers A, C and D
-    fixed by the box, and its float is that one int ratio, correctly
-    rounded as float(Fraction) is.
-    Each sample is screened with the float point: only points within 1e-6
-    of passing every wall are built as Fractions and checked exactly
-    (``exact_checks`` counts them).  A counterexample is therefore exact,
-    but the 1e-6 margin is not a proven bound on the float error, and the
-    box is only sampled, so a True verdict is sampling evidence, not a
-    proof.
+    u the 53 high bits of word i*n + j of the splitmix64 stream of seed, so
+    reports reproduce bit for bit.  It is (A + C*u) / D over integers fixed
+    by the box, and its float is that int ratio, correctly rounded.  Only
+    points within 1e-6 of passing the float screen (``_screen``) are built
+    as Fractions and checked exactly.  A counterexample is therefore
+    exact, but the margin is not a proven bound on the float error and
+    the box is only sampled: a True verdict is evidence, not a proof.
 
-    The screen: a wall with b > 0 (a ball) passes when
-    q = 1.0 - sum_j (c_j - b x_j)**2 >= -1e-6, a line (b = 0) when
-    sum_j c_j x_j - bh/2 >= -1e-6, and a wall with b < 0 when the sum of
-    its squared terms minus 1.0 is.  Every sum is an explicit left-to-right
-    loop (builtin sum() of floats is compensated from CPython 3.12), and a
-    point is a candidate exactly when every wall passes.  A ball's loop
-    stops at the first prefix with q < -1e-6: every term is >= 0 and float
-    + and - are monotone, so the full sum rejects too.
-
-    Most samples are settled on integers before any float is formed.
-    Coordinate j has a window W_j, the u in [0, 2**53) at which every ball
-    has |c_j - b x_j| <= R = 1.000001, its x_j drawn as above.  Each float
-    step (int true division, b * x, c - y) is monotone in u, so each
-    ball's set is one interval whose two edges are found by monotone
-    searches: doubling out from the real-number estimate, then bisection.
-    A ball's prefix sums are at least each of its terms, so a sample the
-    screen passes has 1.0 - t**2 >= -1e-6 for every ball term t, which
-    puts |t| below sqrt(1 + 1e-6) (about 1.0000005) plus the rounding of
-    ``** 2``, far below R.  A sample with some u_j outside W_j is
-    therefore one the screen rejects, and it is dropped at the first such
-    u_j (splitmix64 is counter-based, so each u is drawn when first read).
-    A sample inside every window is screened as above, so the report
-    equals that of screening every wall of every sample in row order.
-
-    Overflow is settled before the first sample: every box end is
-    converted to float, then each b != 0 wall's squared terms are
-    evaluated at both ends, and the first OverflowError is raised (an
-    infinite term raises one too).  Past that check no sample and no
-    window search overflows.  All n windows are then settled before the
-    first draw (W_j is the full range when C <= 0); when one is empty no
-    sample can pass, and the report is returned without drawing.
+    The windows are the ball extents in integers: W_j (``_windows``) holds
+    the u whose exact x_j lies in every ball's extent (``_ball_extents``,
+    computed once per call; a derived box is their union).  A point inside
+    a ball has |bz_j - b x_j| < 1, so it lies inside that ball's extent,
+    which rounds outward.  A sample outside some W_j is therefore not
+    inside every wall; it is dropped at its first such u_j, before any
+    float is formed (each u is drawn when first read).  ``exact_checks``
+    counts the in-window samples that pass the screen.  The windows cover
+    balls only.  Overflow (``_check_range``) and every window are settled
+    before the first draw; when a window is empty, nothing is drawn.
     """
     rows = _checked_rows(config, "config")
+    if isinstance(sample_count, bool) or not isinstance(sample_count, int):
+        raise ValueError("sample_count must be an int, not a bool; got %r" % (sample_count,))
     if sample_count <= 0:
         raise ValueError("sample_count must be positive")
     _check_seed(seed)
-    if box is None:
-        box = _derived_box(rows)
-    box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
+    extents = _ball_extents(rows)
     n = len(rows[0]) - 2
+    if box is None:  # the union of the ball extents
+        if not extents:
+            raise ValueError("no interior-bounding circle to derive a sample box from: "
+                             "no wall has positive bend")
+        box = [(min(Fraction(e[j][0], s) for s, e in extents),
+                max(Fraction(e[j][1], s) for s, e in extents)) for j in range(n)]
+    box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
     if len(box) != n:
         raise ValueError("box has %d intervals, expected %d" % (len(box), n))
     ratios = _sample_ratios(box)
@@ -895,7 +820,7 @@ def verify_empty_interior(config, sample_count, seed, box=None):
     _check_range(ratios, frows)
     balls = [(fr[1], fr[2:]) for fr in frows if fr[1] > 0.0]
     rest = [fr for fr in frows if not fr[1] > 0.0]
-    windows = [_window(balls, j, ratio) for j, ratio in enumerate(ratios)]
+    windows = _windows(extents, ratios)
     if any(lo > hi for lo, hi in windows):
         return EmptyInteriorReport(True, sample_count, seed, box, None, 0)
     exact_checks = 0
@@ -920,7 +845,12 @@ def verify_empty_interior(config, sample_count, seed, box=None):
 
 
 def _screen(balls, rest, xs):
-    """The float screen of one point: True when every wall passes."""
+    """The float screen of one point: True when every wall passes.  A ball
+    (b > 0) passes when 1.0 - sum_j (c_j - b x_j)**2 >= -1e-6, a line when
+    sum_j c_j x_j - bh/2 >= -1e-6, a wall with b < 0 when its sum of
+    squared terms minus 1.0 is.  Sums run left to right (builtin sum() of
+    floats is compensated from CPython 3.12); a ball stops at its first
+    rejecting prefix, since terms are >= 0 and float + and - are monotone."""
     for b, bz in balls:
         d2 = 0.0
         for c, x in zip(bz, xs):

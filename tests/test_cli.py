@@ -614,6 +614,34 @@ def test_validate_samples_past_float_range_is_a_domain_error(capsys, tmp_path):
     assert out == checks
 
 
+def test_validate_samples_without_a_ball_names_what_is_missing(capsys, tmp_path):
+    # three lines bound no ball to derive a sample box from, and no CLI
+    # flag passes a box: the refusal names the missing wall
+    config = Configuration(
+        name="lines",
+        rows=(
+            hyperplane((1, 0), 0),
+            hyperplane((0, 1), 0),
+            hyperplane((-1, 0), 1, -1),
+        ),
+        labels=("a", "b", "c"),
+    )
+    path = tmp_path / "lines.json"
+    catalog.save(catalog.CatalogEntry(id="lines", configuration=config), path)
+    assert cli.run(["validate", "--config", str(path)]) == 0
+    checks = capsys.readouterr().out
+    argv = ["validate", "--config", str(path), "--samples", "5", "--seed", "0"]
+    assert cli.run(argv) == 1
+    assert one_json_error(capsys) == (
+        {
+            "kind": "ValueError",
+            "error": "no interior-bounding circle to derive a sample box from: "
+            "no wall has positive bend",
+        },
+        checks,
+    )
+
+
 @pytest.mark.parametrize(
     "a, b, at, message",
     [

@@ -474,6 +474,17 @@ def test_bounded_rational_refuses_seeds_outside_the_stream(monkeypatch, seed):
     assert str(err.value) == "seed must be in 0 <= seed < 2**64, got %d" % seed
 
 
+@pytest.mark.parametrize("seed", [True, False, 1.0])
+def test_bounded_rational_refuses_bool_and_non_int_seeds(monkeypatch, seed):
+    # the sampler's seed check: refused before the basis is read and
+    # before any draw
+    monkeypatch.setattr(integrality, "_word", None)
+    monkeypatch.setattr(integrality, "_checked_rows", None)
+    with pytest.raises(ValueError) as err:
+        check_bounded_rational(BI1, BI1, 3, 4, seed)
+    assert str(err.value) == "seed must be an int, not a bool; got %r" % (seed,)
+
+
 def test_bounded_rational_refuses_an_empty_basis(monkeypatch):
     # refused before any inverse, bend matrix or draw
     for name in ("mat_inverse", "bend_matrices", "_word"):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from packinglab import catalog, coxeter, orbit
 from packinglab.exactnum import QNum, sqrt
 from packinglab.geometry import (
+    as_vector,
     form_functional,
     gram,
     hyperplane,
@@ -987,6 +988,27 @@ def test_empty_interior_refuses_bad_counts_and_boxes(samples, box, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (True, 0, "sample_count must be an int, not a bool; got True"),
+        (2.5, 0, "sample_count must be an int, not a bool; got 2.5"),
+        (False, True, "sample_count must be an int, not a bool; got False"),
+        (10, True, "seed must be an int, not a bool; got True"),
+        (10, 0.0, "seed must be an int, not a bool; got 0.0"),
+        (10, "7", "seed must be an int, not a bool; got '7'"),
+    ],
+)
+def test_empty_interior_refuses_bools_and_non_int_counts_and_seeds(monkeypatch, samples, seed, message):
+    # refused after the row gate, the count before the seed, before any draw
+    monkeypatch.setattr(orbit, "_word", None)
+    with pytest.raises(ValueError) as err:
+        verify_empty_interior(BI1, samples, seed)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="config must have at least one row"):
+        verify_empty_interior((), samples, seed)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_empty_interior_refuses_seeds_outside_the_stream(monkeypatch, seed):
     # _word masks a seed to 64 bits: -1 would draw the samples of 2**64 - 1
@@ -1107,11 +1129,35 @@ def test_empty_interior_prefilter_matches_exact():
         assert rep.counterexample == hit
 
 
+def qnum_extents(rows):
+    # per wall with b > 0, per coordinate the enclosures at 64 bits of
+    # (bz_j - 1) / b and (bz_j + 1) / b in QNum arithmetic: the ball's
+    # extent, rounded outward
+    return [
+        [(((bz - 1) / r[1])._bounds(64)[0], ((bz + 1) / r[1])._bounds(64)[1]) for bz in r[2:]]
+        for r in map(as_vector, rows)
+        if r[1].sign() > 0
+    ]
+
+
+def outside_an_extent(extents, box, point):
+    """The extent rule: some coordinate of positive box width lies
+    outside some ball's extent, so the point is inside no ball."""
+    return any(
+        not lo <= x <= hi
+        for ends in extents
+        for (lo, hi), (blo, bhi), x in zip(ends, box, point)
+        if bhi > blo
+    )
+
+
 def empty_interior_oracle(rows, sample_count, seed, box):
     """The sampler with an exact Fraction point built for every sample
-    and converted to float for the screen.  Returns the report and the
-    (float point, exact point) of every sample drawn."""
+    and converted to float for the screen; a sample the screen passes is
+    dropped by the extent rule before it is checked exactly.  Returns the
+    report and the (float point, exact point) of every sample drawn."""
     box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
+    extents = qnum_extents(rows)
     frows = [[float(q) for q in r] for r in rows]
     rng = splitmix64(seed)
     drawn = []
@@ -1138,7 +1184,7 @@ def empty_interior_oracle(rows, sample_count, seed, box):
             if q < -1e-6:
                 candidate = False
                 break
-        if not candidate:
+        if not candidate or outside_an_extent(extents, box, point):
             continue
         exact_checks += 1
         if all(interior_contains(r, point) for r in rows):
@@ -1168,29 +1214,22 @@ def assert_sampler_matches_oracle(rows, sample_count, seed, box):
 
 
 def qnum_derived_box(rows):
-    # the box in QNum arithmetic: 1/b, the center bz/b and the enclosure
-    # of center -+ radius at 64 bits, per wall with b > 0
-    lo = hi = None
-    for r in rows:
-        b = r[1]
-        if b.sign() <= 0:
-            continue
-        radius = b.inverse()
-        center = [bz / b for bz in r[2:]]
-        clo = [(c - radius)._bounds(64)[0] for c in center]
-        chi = [(c + radius)._bounds(64)[1] for c in center]
-        if lo is None:
-            lo, hi = clo, chi
-        else:
-            lo = [min(a, b2) for a, b2 in zip(lo, clo)]
-            hi = [max(a, b2) for a, b2 in zip(hi, chi)]
-    return tuple((a, b2) for a, b2 in zip(lo, hi))
+    # the box in QNum arithmetic: per coordinate the union of the extents
+    return tuple(
+        (min(lo for lo, _ in ends), max(hi for _, hi in ends))
+        for ends in zip(*qnum_extents(rows))
+    )
+
+
+def assert_extents_match_qnum_oracle(rows):
+    got = [[(Fraction(lo, s), Fraction(hi, s)) for lo, hi in ends] for s, ends in orbit._ball_extents(rows)]
+    assert got == qnum_extents(rows)
+    assert verify_empty_interior(rows, 1, 0).box == qnum_derived_box(rows)
 
 
 @pytest.mark.parametrize("entry_id", catalog.list_builtin())
 def test_derived_box_matches_qnum_oracle(entry_id):
-    rows = catalog.get_builtin(entry_id).configuration.rows
-    assert orbit._derived_box(rows) == qnum_derived_box(rows)
+    assert_extents_match_qnum_oracle(catalog.get_builtin(entry_id).configuration.rows)
 
 
 def test_derived_box_irrational_and_negative_reciprocals():
@@ -1201,9 +1240,9 @@ def test_derived_box_irrational_and_negative_reciprocals():
         sphere((R2, QNum(-2)), QNum(1) / (R2 + 3)),
         sphere((QNum(0), QNum(0)), QNum(-5)),
     )
-    assert orbit._derived_box(rows) == qnum_derived_box(rows)
+    assert_extents_match_qnum_oracle(rows)
     with pytest.raises(ValueError, match="no interior-bounding circle"):
-        orbit._derived_box(rows[2:])
+        verify_empty_interior(rows[2:], 1, 0)
 
 
 # the id -5-400 names seed 2**64 - 5: it draws what -5 drew before seeds
@@ -1214,13 +1253,13 @@ def test_derived_box_irrational_and_negative_reciprocals():
 @pytest.mark.parametrize("entry_id", catalog.list_builtin())
 def test_empty_interior_matches_fraction_oracle_on_builtins(entry_id, seed, samples):
     rows = catalog.get_builtin(entry_id).configuration.rows
-    assert_sampler_matches_oracle(rows, samples, seed, orbit._derived_box(rows))
+    assert_sampler_matches_oracle(rows, samples, seed, qnum_derived_box(rows))
 
 
 def test_empty_interior_oracle_covers_a_counterexample():
     # d1n3-base has an interior point at the CLI's seed: the exact point matters
     rows = catalog.get_builtin("d1n3-base").configuration.rows
-    rep = assert_sampler_matches_oracle(rows, 2000, 7, orbit._derived_box(rows))
+    rep = assert_sampler_matches_oracle(rows, 2000, 7, qnum_derived_box(rows))
     assert not rep.verdict and rep.exact_checks == 1
 
 
@@ -1361,10 +1400,12 @@ def test_empty_interior_matches_fraction_oracle_on_random_walls(walls, seed, sam
 def parent_empty_interior(rows, sample_count, seed, box=None):
     """The sampler as it was before the integer windows: every sample's
     coordinates drawn as floats while the balls are screened, each ball
-    stopping at its first rejecting prefix."""
+    stopping at its first rejecting prefix; a sample the screen passes is
+    dropped by the extent rule before it is checked exactly."""
     rows = tuple(rows)
+    extents = qnum_extents(rows)
     if box is None:
-        box = orbit._derived_box(rows)
+        box = qnum_derived_box(rows)
     box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
     n = len(rows[0]) - 2
     ratios = orbit._sample_ratios(box)
@@ -1410,10 +1451,12 @@ def parent_empty_interior(rows, sample_count, seed, box=None):
                 break
         if not candidate:
             continue
-        exact_checks += 1
         point = orbit._exact_point(
             ratios, [orbit._word(seed, first + j) >> 11 for j in range(n)]
         )
+        if outside_an_extent(extents, box, point):
+            continue
+        exact_checks += 1
         if all(interior_contains(r, point) for r in rows):
             return orbit.EmptyInteriorReport(False, sample_count, seed, box, point, exact_checks)
     return orbit.EmptyInteriorReport(True, sample_count, seed, box, None, exact_checks)
@@ -1425,7 +1468,7 @@ def test_empty_interior_matches_parent_loop_on_builtins(entry_id):
     for seed in list(range(40)) + [2**64 - 1]:
         want = parent_empty_interior(config.rows, 2000, seed)
         assert verify_empty_interior(config, 2000, seed) == want
-    box = orbit._derived_box(config.rows)
+    box = qnum_derived_box(config.rows)
     for seed in range(3):
         want, _ = empty_interior_oracle(config.rows, 2000, seed, box)
         assert verify_empty_interior(config, 2000, seed) == want
@@ -1442,46 +1485,22 @@ def test_windows_are_built_once_before_the_first_draw(monkeypatch, entry_id):
     config = catalog.get_builtin(entry_id).configuration
     want = verify_empty_interior(config, 50, 7)
     calls = []
-    window, word = orbit._window, orbit._word
-    monkeypatch.setattr(orbit, "_window", lambda balls, j, r: calls.append(j) or window(balls, j, r))
+    extents, windows, word = orbit._ball_extents, orbit._windows, orbit._word
+    monkeypatch.setattr(orbit, "_ball_extents", lambda rows: calls.append("extents") or extents(rows))
+    monkeypatch.setattr(orbit, "_windows", lambda e, r: calls.append("windows") or windows(e, r))
     monkeypatch.setattr(orbit, "_word", lambda seed, k: calls.append("word") or word(seed, k))
     assert verify_empty_interior(config, 50, 7) == want
-    n = len(config.rows[0]) - 2
-    assert calls[:n] == list(range(n))
-    assert calls[n:] == ["word"] * (len(calls) - n)
+    # the extents once per call, then all the windows, then the draws
+    assert calls[:2] == ["extents", "windows"]
+    assert calls[2:] == ["word"] * (len(calls) - 2)
 
 
 UNITS = 1 << 53
 
 
-def term_passes(b, c, ratio, u):
-    a, w, den = ratio
-    return abs(c - b * ((a + w * u) / den)) <= orbit._R
-
-
-def one_term_screen_rejects(b, c, ratio, u):
-    # the ball's screen after this one term: any other terms only add to it
-    a, w, den = ratio
-    return 1.0 - (c - b * ((a + w * u) / den)) ** 2 < -1e-6
-
-
-def bisection_window(balls, j, ratio):
-    """The window by plain 53-step bisection of each ball's two edges."""
-    def first(passes):
-        lo, hi = -1, UNITS
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-        return hi
-
-    lo, hi = 0, UNITS - 1
-    if ratio[1] <= 0:
-        return lo, hi
-    for b, bz in balls:
-        a, w, den = ratio
-        lo = max(lo, first(lambda u: bz[j] - b * ((a + w * u) / den) <= orbit._R))
-        hi = min(hi, first(lambda u: bz[j] - b * ((a + w * u) / den) < -orbit._R) - 1)
-    return lo, hi
+def x_of(ratio, u):
+    a, c, den = ratio
+    return Fraction(a + c * u, den)
 
 
 def random_balls_and_box(rng, scale):
@@ -1497,7 +1516,7 @@ def random_balls_and_box(rng, scale):
         for _ in range(rng.randint(1, 3))
     ]
     if rng.random() < 0.5:
-        return rows, orbit._derived_box(rows)
+        return rows, qnum_derived_box(rows)
     box = []
     for _ in range(n):
         lo = number(90, 9)
@@ -1507,63 +1526,67 @@ def random_balls_and_box(rng, scale):
 
 @pytest.mark.parametrize("scale", [Fraction(1, 10**9), Fraction(1), Fraction(10**12)])
 def test_window_edges_are_tight(scale):
+    # against the QNum-enclosed extents: every finite edge lies inside
+    # every ball's extent, and its outer neighbour in [0, 2**53) lies
+    # below (lower edge) or above (upper edge) at least one; x grows with
+    # u, so every u outside the window is outside some extent
     rng = random.Random(str(scale))
     empty = nonempty = 0
     for _ in range(60):
         rows, box = random_balls_and_box(rng, scale)
+        extents = qnum_extents(rows)
         ratios = orbit._sample_ratios(box)
-        balls = [(float(r[1]), [float(c) for c in r[2:]]) for r in rows]
-        for j, ratio in enumerate(ratios):
-            lo, hi = orbit._window(balls, j, ratio)
-            want = bisection_window(balls, j, ratio)
-            if want[0] > want[1]:
-                assert lo > hi
+        windows = orbit._windows(orbit._ball_extents(rows), ratios)
+        for j, (ratio, (lo, hi)) in enumerate(zip(ratios, windows)):
+            ends = [e[j] for e in extents]
+
+            def inside(u):
+                return all(elo <= x_of(ratio, u) <= ehi for elo, ehi in ends)
+
+            if lo <= hi:
+                nonempty += 1
+                assert 0 <= lo and hi < UNITS
+                assert inside(lo) and inside(hi)
+            else:
                 empty += 1
-                continue
-            nonempty += 1
-            assert (lo, hi) == want
-            # each edge passes every ball, its outer neighbour fails one,
-            # and that ball's one-term screen rejects the neighbour
-            for edge, outer in ((lo, lo - 1), (hi, hi + 1)):
-                assert all(term_passes(b, bz[j], ratio, edge) for b, bz in balls)
-                if 0 <= outer < UNITS:
-                    failing = [(b, bz) for b, bz in balls if not term_passes(b, bz[j], ratio, outer)]
-                    assert failing
-                    assert all(one_term_screen_rejects(b, bz[j], ratio, outer) for b, bz in failing)
-            # samples across the box outside a ball's own window are
-            # rejected by that ball's one-term screen
-            for b, bz in balls:
-                own = orbit._window([(b, bz)], j, ratio)
-                for _ in range(20):
-                    u = rng.randrange(UNITS)
-                    if not own[0] <= u <= own[1]:
-                        assert one_term_screen_rejects(b, bz[j], ratio, u)
-                    else:
-                        assert term_passes(b, bz[j], ratio, u)
+            below = min(lo, UNITS) - 1
+            if below >= 0:
+                assert any(x_of(ratio, below) < elo for elo, _ in ends)
+            above = max(hi, -1) + 1
+            if above < UNITS:
+                assert any(x_of(ratio, above) > ehi for _, ehi in ends)
+            # and across the box, a u is in the window exactly when its
+            # x is inside every extent
+            for _ in range(20):
+                u = rng.randrange(UNITS)
+                assert (lo <= u <= hi) == inside(u)
     assert empty > 10 and nonempty > 20
 
 
 def test_window_is_full_for_boxes_of_zero_and_negative_width():
-    balls = [(1.0, [0.25, -0.5])]
+    extents = orbit._ball_extents((sphere((Fraction(1, 4), Fraction(-1, 2)), 1),))
     for box in (((Fraction(1, 3), Fraction(1, 3)), (0, 1)), ((3, -3), (0, 1))):
-        ratio = orbit._sample_ratios(box)[0]
-        assert ratio[1] <= 0
-        assert orbit._window(balls, 0, ratio) == (0, UNITS - 1)
+        ratios = orbit._sample_ratios(box)
+        assert ratios[0][1] <= 0
+        assert orbit._windows(extents, ratios)[0] == (0, UNITS - 1)
+        # and every window is full when there is no ball
+        assert orbit._windows([], ratios) == [(0, UNITS - 1)] * 2
 
 
-def test_window_search_seed_past_float_range_falls_back():
-    # (c - R) / b is inf: the estimate has no integer ratio, and the
-    # search starts from u = 0; no u passes, so the window is empty
-    ratio = orbit._sample_ratios(((0, 1),))[0]
-    balls = [(1e-308, [10.0])]
-    assert (10.0 - orbit._R) / 1e-308 == math.inf
-    lo, hi = orbit._window(balls, 0, ratio)
-    want_lo, want_hi = bisection_window(balls, 0, ratio)
-    assert lo > hi and want_lo > want_hi
-    # and on the upper edge: (c + R) / b is inf, and every u passes
-    balls = [(1e-308, [-0.5])]
-    assert (-0.5 + orbit._R) / 1e-308 > 0
-    assert orbit._window(balls, 0, ratio) == (0, UNITS - 1)
+def test_window_drops_samples_outside_an_extent_that_the_screen_passes():
+    # x in (1, 1 + 1e-7] lies outside the unit disk's extent [-1, 1], yet
+    # 1 - x**2 is above -1e-6: every sample would pass the float screen,
+    # and only the window (the oracles' extent rule) keeps it from being
+    # checked exactly
+    box = ((1, 1 + Fraction(1, 10**7)), (0, 0))
+    ratios = orbit._sample_ratios(box)
+    for i in range(50):
+        xs = [(a + c * (orbit._word(0, 2 * i + j) >> 11)) / den for j, (a, c, den) in enumerate(ratios)]
+        assert xs[0] > 1.0 and orbit._screen([(1.0, [0.0, 0.0])], [], xs)
+    rep = verify_empty_interior(UNIT_DISK, 50, 0, box=box)
+    assert (rep.verdict, rep.exact_checks) == (True, 0)
+    assert rep == empty_interior_oracle(UNIT_DISK, 50, 0, box)[0]
+    assert rep == parent_empty_interior(UNIT_DISK, 50, 0, box)
 
 
 def test_empty_window_returns_before_any_draw(monkeypatch):
@@ -1581,7 +1604,7 @@ def test_empty_window_returns_before_any_draw(monkeypatch):
 def test_overflow_is_raised_before_any_window_or_draw(monkeypatch):
     calls = []
     monkeypatch.setattr(orbit, "_word", lambda *a: calls.append(a))
-    monkeypatch.setattr(orbit, "_window", lambda *a: calls.append(a))
+    monkeypatch.setattr(orbit, "_windows", lambda *a: calls.append(a))
     with pytest.raises(OverflowError):
         verify_empty_interior(UNIT_DISK, 10, 0, box=((5, 6), (10**200, 10**200 + 1)))
     tiny = (sphere((QNum(0), QNum(0)), Fraction(1, 10**200)),)
@@ -1595,7 +1618,7 @@ OUTWARD = (
     sphere((Fraction(1, 2), 0), Fraction(-1, 10)),
     sphere((0, Fraction(-1, 3)), Fraction(-1, 5)),
 )
-# an outward sphere left of the box: its term (x + 5) is above R at every
+# an outward sphere left of the box: its term (x + 5) is above 1 at every
 # sampled x, yet every point of the box is outside it
 FAR_OUTWARD = (sphere((0, 0), 1), sphere((-5, 0), -1))
 
@@ -1632,7 +1655,7 @@ def test_empty_interior_matches_parent_loop_on_edge_cases(rows, box, seed):
     want = parent_empty_interior(rows, 2000, seed, box)
     assert verify_empty_interior(rows, 2000, seed, box=box) == want
     if box is None:
-        box = orbit._derived_box(rows)
+        box = qnum_derived_box(rows)
     assert empty_interior_oracle(rows, 300, seed, box)[0] == verify_empty_interior(
         rows, 300, seed, box=box
     )
@@ -1641,7 +1664,7 @@ def test_empty_interior_matches_parent_loop_on_edge_cases(rows, box, seed):
 @pytest.mark.parametrize("rows", [OUTWARD, FAR_OUTWARD], ids=["outward", "far-outward"])
 def test_outward_spheres_leave_a_counterexample(rows):
     # the comparisons above mean something: interior points are found
-    # where an outward sphere's term is far above R
+    # where an outward sphere's term is far above 1
     rep = verify_empty_interior(rows, 2000, 0)
     assert not rep.verdict
     assert all(interior_contains(r, rep.counterexample) for r in rows)
