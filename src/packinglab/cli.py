@@ -215,6 +215,8 @@ def _cmd_check_integrality(args):
 
 
 def _cmd_prove_nonintegral(args):
+    if args.depth < 0:
+        raise ValueError("depth must be nonnegative, got %d" % args.depth)
     config = _load_config(args.config)
     # the loaded Configuration (its rows proved on load), or else the orbit
     # of all its walls, one generation deeper at a time, until there are two

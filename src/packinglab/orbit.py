@@ -30,28 +30,48 @@ Gram, which the caller computes once with ``geometry.gram``.
 
 The loop runs on integers.  Each call first closes the radicands of
 its rows under products into a fixed multiquadratic basis ({1,2,5,10}
-for Bi(10), {1,2,3,6} for the d=3 entries), writes every row as its
-(n+2)*d integer basis coefficients over one positive common
-denominator reduced by the gcd, and uses that tuple as the exact dedup
-key.  The basis and this encoding are ``exactnum._Field``, which
-``geometry.gram`` shares.  Each mirror's reflection is an integer
-rank-one update: its 2<v,m> is a few integer functionals of the key
-(``geometry.form_functional``), each times a fixed column.  The tables
-are divided by their content when they are built, so that the update
-gives the reduced key, or that key times a small a; most mirrors get
+for Bi(10), {1,2,3,6} for the d=3 entries) and writes every row as its
+key: its (n+2)*d integer basis coefficients over one positive common
+denominator, reduced by the gcd (``exactnum._Field``, which
+``geometry.gram`` shares).  Each mirror's reflection is an integer
+rank-one update: its 2<v,m> is a few integer functionals t'_c of the key
+(``geometry.form_functional``), each times a fixed column P'_c, and the
+image of x / D is (a x + sum_c t'_c P'_c) over D a.  The tables are
+divided by their content when they are built, so that most mirrors get
 a = 1 (every row of Bi(10), 15 of the 22 rows of d3n13), the image is
 then reduced already (``_Mirror``), and only where a > 1 is its gcd
-taken.  Each call writes those tables out, with only %d-formatted
-integers and slot indices, as one straight-line Python function per
-mirror, and compiles it with ``compile`` and ``exec``, as
+taken.
+
+The kernels run on keys cut to the slots the orbit can reach
+(``_reached``): start from the slots nonzero in some cluster key; a term
+(t'_c, P'_c) is live when its functional reads a reached slot, and every
+slot of a live term's column is then reached; repeat until nothing
+grows.  The den slot is always kept.  Every orbit key is 0 off those
+slots, by induction: a cluster key is; a x keeps the support of x; a
+dead term's t'_c is 0 on a key supported on the reached slots; a live
+term writes only reached slots; and dividing by the gcd keeps the
+support.  Dropping those zeros keeps the gcd and the bend, and putting
+them back gives the key itself, so each circle's key is cut before its
+kernels run and each image is widened back with zeros before the
+``seen`` lookup.  ``seen`` and the circles keep the full keys, one tuple
+per circle: cut keys in ``seen`` would be a second tuple per circle,
+which on bi10-example's orbit costs more peak memory than the shorter
+hashes save in time.  On d3n13 {34} 28 of the 56 slots are reached (its orbit fills
+16 of them), on bi10-example {1,7} 4 of 16.
+
+Each call writes every mirror's live terms on the reached slots, with
+only %d-formatted integers and slot indices, as one straight-line Python
+function, and compiles it with ``compile`` and ``exec``, as
 ``collections.namedtuple`` builds its classes.  The bend of the image is
 bend(x) + 2<x,m> bend(m), so a mirror of nonzero bend computes the
-functionals, then only the image's bend coefficients, and settles the
-bend bound on them; only an image within the bound gets its other
-coordinates and its tuple (and, where a > 1, its gcd).  A
-flat mirror (bend 0) keeps every bend, so it is not screened: a circle
-within the bound gives an image within it, and a generation-0 circle past
-the bound has its flat mirrors marked as missed without reflecting.
+functionals, then only the image's reached bend coefficients, and
+settles the bend bound on them; only an image within the bound gets its
+other coordinates and its tuple (and, where a > 1, its gcd).  A flat
+mirror (bend 0) keeps every bend, so it is not screened: a circle within
+the bound gives an image within it, and a generation-0 circle past the
+bound has its flat mirrors marked as missed without reflecting.  When no
+bend slot is reached, every orbit bend is 0, within any bound, and no
+kernel screens.
 
 The bound is settled before the ``seen`` lookup, and the output is
 byte-identical to that of looking up first.  Every circle in
@@ -60,13 +80,17 @@ the screen now rejects that the lookup would have dropped is a cluster
 circle; rejecting it marks its mirror as missed, which only turns a
 commuting skip off for the circle's children, and a reflection the rule
 would have skipped gives an image that is already seen or past the
-bound.  The bound is settled in integers: the bend's basis coefficients
-and the bound are enclosed with ``exactnum._enclose`` at 64 bits, and
-only when the two enclosures meet (an exact tie, or a bend within about
-2**-64 of the bound relative to its coefficients) is the bend decoded
-and compared as an exact QNum.  No decision rests on a float.  The kept
-circles keep their keys over the field, and a circle decodes its QNum
-vector only when ``vector`` is read.
+bound.  The bound is settled in integers.  A kernel first tests
+sum_k U_k |v_k| <= L D' on the image's bend coefficients v_k over its
+den D', with U_k = ceil(sqrt(r_k) * 2**32) and L <= max_bend * 2**32
+fixed per call (``_BendBound``); when that holds, abs(bend) <= max_bend.
+Only when it fails does ``exceeds`` enclose the bend's coefficients and
+the bound with ``exactnum._enclose`` at 64 bits, and only when the two
+enclosures meet (an exact tie, or a bend within about 2**-64 of the
+bound relative to its coefficients) is the bend decoded and compared as
+an exact QNum.  No decision rests on a float.  The kept circles keep
+their keys over the field, and a circle decodes its QNum vector only
+when ``vector`` is read.
 
 Both generators compute the Gram of the cluster + cocluster rows once,
 and a diagonal entry of -1 is the proof that a row is a wall: no row is
@@ -104,9 +128,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .coxeter import validate_cluster
-from .exactnum import QNum, _enclose, _Field, _format, _scan
+from .exactnum import QNum, _enclose, _Field, _format, _lowest, _scan
 from .geometry import MINUS_ONE, as_vector, form_functional, gram, interior_contains
 from .groupwords import Configuration
 
@@ -293,16 +318,17 @@ class _Mirror:
     image above divided by g, so its key, the tuple reduced by its gcd, is
     the same, and the bend bound, homogeneous in (coefficients, den), gives
     the same verdicts.  ``terms`` pairs each nonzero t'_c with P'_c, and
-    ``source`` writes them out as straight-line code.
+    ``source`` writes the live ones out as straight-line code on a key cut
+    to the reached slots (module docstring).
 
     Where a = 1 the image needs no gcd.  The map x -> x + sum_c t'_c P'_c
     is then the reflection's own integer matrix R on the coefficients, and
     the den slot passes through.  r_m is an involution for <m,m> = -1, so
     R^2 = I, det R = +-1, and gcd(R x, D) = gcd(x, D).  Every key the
     orbit loop feeds a kernel is reduced (a cluster key comes from
-    ``encode``, an image is reduced by induction), so the image is
-    reduced too.  Where a > 1 the image's den is a D >= 2, and its gcd is
-    taken.
+    ``encode``, an image is reduced by induction, and the cut drops only
+    zeros), so the image is reduced too.  Where a > 1 the image's den is
+    a D >= 2, and its gcd is taken.
 
     A mirror is ``flat`` when its key's bend slots [d, 2d) are all 0: its
     bend is 0, so it leaves every bend unchanged.
@@ -333,40 +359,47 @@ class _Mirror:
             (functional, tuple((s, h * w // g) for s, w in column))
             for functional, h, column in terms
         )
-        self.bend = range(d, 2 * d)
         self.flat = not any(self.key[d:2 * d])
 
-    def source(self, name, screen):
-        """Python source of ``def name(x)``, the reflected key of a key x.
+    def source(self, name, slots, bound):
+        """Python source of ``def name(x)``, the reflected key of a key x
+        cut to ``slots`` (ascending, the den slot last; ``_reached``).
 
-        Only %d-formatted integers and slot indices go into it.  With
-        screen set it computes the t'_c, then the image's bend coefficients
-        over D a, and returns None when ``exceeds`` (the bend bound's)
-        holds on them; only then does it build the other slots, and where
-        a > 1 reduce the key by its gcd.
+        Only %d-formatted integers and slot indices go into it.  It names
+        and returns only those slots: a term whose functional reads none of
+        them is 0 on x and is dropped, and a kept term writes only slots of
+        the list.  With a bound (a ``_BendBound``) it computes the t'_c,
+        then the image's coefficients at the bound's bend slots over D a,
+        and returns None when sum_k U_k |v_k| > L D a and ``exceeds`` holds
+        on them; only then does it build the other slots, and where a > 1
+        reduce the key by its gcd.
         """
-        width = len(self.key)
-        names = ["x%d" % s for s in range(width)]
-        values = [n if self.scale == 1 else "%d*%s" % (self.scale, n) for n in names]
-        lines = ["def %s(x):" % name, "    %s, = x" % ", ".join(names)]
+        names = {s: "x%d" % s for s in slots}
+        values = {s: n if self.scale == 1 else "%d*%s" % (self.scale, n) for s, n in names.items()}
+        lines = ["def %s(x):" % name, "    %s, = x" % ", ".join(names.values())]
         for c, (functional, column) in enumerate(self.terms):
-            lines.append("    t%d = %s" % (c, " + ".join("%d*x%d" % (w, s) for s, w in functional)))
-            for s, w in column:
-                values[s] += " + %d*t%d" % (w, c)
-        den = width - 1
-        if screen:
-            for s in [*self.bend, den]:
+            read = [(s, w) for s, w in functional if s in names]
+            if read:
+                lines.append("    t%d = %s" % (c, " + ".join("%d*x%d" % (w, s) for s, w in read)))
+                for s, w in column:
+                    values[s] += " + %d*t%d" % (w, c)
+        den = slots[-1]
+        if bound is not None:
+            for s in [*bound.slots, den]:
                 if values[s] != names[s]:
                     lines.append("    v%d = %s" % (s, values[s]))
                     values[s] = "v%d" % s
-            bend = ", ".join(values[s] for s in self.bend)
-            lines.append("    if exceeds((%s,), %s):" % (bend, values[den]))
+            bend = [values[s] for s in bound.slots]
+            total = " + ".join("%d*abs(%s)" % (u, v) for u, v in zip(bound.units, bend))
+            lines.append("    if %s > %d*%s and exceeds((%s,), %s):"
+                         % (total, bound.limit, values[den], ", ".join(bend), values[den]))
             lines.append("        return None")
+        out = ", ".join(values.values())
         if self.scale == 1:
-            lines.append("    return (%s)" % ", ".join(values))
+            lines.append("    return (%s,)" % out)
         else:
             lines += [
-                "    out = (%s)" % ", ".join(values),
+                "    out = (%s,)" % out,
                 "    g = gcd(*out)",
                 "    if g != 1:",
                 "        return tuple([a // g for a in out])",
@@ -375,17 +408,34 @@ class _Mirror:
         return "\n".join(lines)
 
 
-def _kernels(plans, bound):
-    """Each plan's reflection as one straight-line function of a key: the
-    image key, or None when the image's bend is past the bound (never for
-    a flat plan, nor when bound is None).  Each is compiled on its own,
-    which holds the compiler's peak memory to one kernel's source, and
-    popped from the namespace it reads its globals from, so that no
-    reference cycle keeps the bound and its field alive past the call."""
+def _reached(keys, plans):
+    """The slots an orbit of these keys under these mirrors can make
+    nonzero, ascending, with the den slot last (module docstring): those
+    nonzero in some key, closed under adding every column slot of a term
+    whose functional reads a slot already in."""
+    den = len(keys[0]) - 1
+    reached = {s for key in keys for s in range(den) if key[s]}
+    terms = [term for plan in plans for term in plan.terms]
+    while True:
+        live = [column for functional, column in terms if any(s in reached for s, _ in functional)]
+        if not live:
+            return sorted(reached) + [den]
+        terms = [term for term in terms if not any(s in reached for s, _ in term[0])]
+        reached.update(s for column in live for s, _ in column)
+
+
+def _kernels(plans, slots, bound):
+    """Each plan's reflection as one straight-line function of a key cut
+    to ``slots`` (``_Mirror.source``): the cut image key, or None when the
+    image's bend is past the bound (never for a flat plan, nor when bound
+    is None).  Each is compiled on its own, which holds the compiler's
+    peak memory to one kernel's source, and popped from the namespace it
+    reads its globals from, so that no reference cycle keeps the bound
+    alive past the call."""
     namespace = {"gcd": math.gcd, "exceeds": None if bound is None else bound.exceeds}
     kernels = []
     for plan in plans:
-        source = plan.source("kernel", bound is not None and not plan.flat)
+        source = plan.source("kernel", slots, None if plan.flat else bound)
         exec(compile(source, "<orbit kernel>", "exec"), namespace)
         kernels.append(namespace.pop("kernel"))
     return kernels
@@ -393,10 +443,20 @@ def _kernels(plans, bound):
 
 class _BendBound:
     """Exact test of abs(bend) > max_bend on a bend given as integer
-    coefficients over the field's basis and a denominator D > 0, not
-    necessarily in lowest terms.
+    coefficients at the bend ``slots`` (key indices in [d, 2d), ascending)
+    over a denominator D > 0, not necessarily in lowest terms; the bend's
+    coefficients at the other bend slots are 0.
 
-    The screen is integer arithmetic: ``exactnum._enclose`` at 64 bits
+    The kernels' inline test is a sufficient condition for abs(bend) <=
+    max_bend: with U_k = ceil(sqrt(r_k) * 2**32) per slot (``units``,
+    exactly 2**32 for r_k = 1) and L <= max_bend * 2**32 (``limit``, the
+    floor of the bound's lower 64-bit enclosure at scale 2**32), sum_k
+    U_k |v_k| <= L D gives abs(bend) <= sum_k sqrt(r_k) |v_k| / D <= L /
+    2**32 <= max_bend.  Only a bend that fails it reaches ``exceeds``.
+    Where every slot is rational and the bound is an integer, as on
+    bi10-example's orbits, the inline test is exact.
+
+    ``exceeds`` screens in integers: ``exactnum._enclose`` at 64 bits
     encloses the coefficients over D, and the bound is enclosed the same
     way over its own denominator E; it decides when the two intervals,
     brought to the common scale D * E * 2**64, are disjoint.  Both ends
@@ -406,16 +466,19 @@ class _BendBound:
     compared exactly.
     """
 
-    def __init__(self, field, max_bend):
-        self.field = field
+    def __init__(self, field, max_bend, slots):
         self.max_bend = max_bend
+        self.slots = tuple(slots)
+        self.radicands = tuple(field.radicands[s - field.d] for s in self.slots)
+        self.units = tuple(_enclose((k,), (1,), 32)[1] for k in self.radicands)
         q = QNum(max_bend)
         self.lo, self.hi = _enclose(q.radicands, q.coeffs, 64)
         self.den = q.den
+        self.limit = (self.lo >> 32) // self.den
 
     def screen(self, coeffs, den):
         """True or False when the enclosures settle the test, None when they meet."""
-        lo, hi = _enclose(self.field.radicands, coeffs, 64)
+        lo, hi = _enclose(self.radicands, coeffs, 64)
         # abs(bend) * D * 2**64 lies in [lo, hi]
         if hi < 0:
             lo, hi = -hi, -lo
@@ -430,7 +493,7 @@ class _BendBound:
     def exceeds(self, coeffs, den):
         decided = self.screen(coeffs, den)
         if decided is None:
-            return abs(self.field.number(coeffs, den)) > self.max_bend
+            return abs(QNum._make(*_lowest(self.radicands, coeffs, den))) > self.max_bend
         return decided
 
 
@@ -441,20 +504,30 @@ def _generate(cluster, limits, mirrors, products, mode):
 
     field = _Field(cluster + tuple(m for _, m in mirrors))
     plans = [_Mirror(field, idx, m) for idx, m in mirrors]
-    bound = None if limits.max_bend is None else _BendBound(field, limits.max_bend)
-
     circles = [
         OrbitCircle._encoded(field, field.encode(v), 0, str(i + 1))
         for i, v in enumerate(cluster)
     ]
+    # the kernels run on keys cut to the slots the orbit can reach; seen
+    # and the circles keep the full keys, one tuple shared by both
+    slots = _reached([c.key for c in circles], plans)
+    width, d = len(circles[0].key), field.d
+    at = {s: i for i, s in enumerate(slots)}
+    cut = itemgetter(*slots)
+    widen = itemgetter(*[at.get(s, len(slots)) for s in range(width)])
+    bend = [s for s in slots if d <= s < 2 * d]
+    # with no bend slot reached every orbit bend is 0, within any bound
+    bound = None
+    if limits.max_bend is not None and bend:
+        bound = _BendBound(field, limits.max_bend, bend)
+
     # per mirror i, the mirrors j < i orthogonal to it
     commuting = [frozenset(j for j in range(i) if not row[j]) for i, row in enumerate(products)]
     flats = frozenset(j for j, plan in enumerate(plans) if plan.flat)
     kernels = [
         (plan.index, plan.key, plan.negated, kernel)
-        for plan, kernel in zip(plans, _kernels(plans, bound))
+        for plan, kernel in zip(plans, _kernels(plans, slots, bound))
     ]
-    d = field.d
     # (key, word, position of the mirror that made the circle, positions
     # of the parent's mirrors whose image is not known to be in seen)
     frontier = [(c.key, c.word, -1, ()) for c in circles]
@@ -467,12 +540,13 @@ def _generate(cluster, limits, mirrors, products, mode):
         for key, word, made_by, unknown in parents:
             if made_by >= 0:
                 skip = commuting[made_by].difference(unknown)
-            elif bound is not None and bound.exceeds(key[d:2 * d], key[-1]):
+            elif bound is not None and bound.exceeds([key[s] for s in bend], key[-1]):
                 # a cluster circle past the bound: a flat mirror's image
                 # keeps its bend, so it is past the bound too
                 skip = flats
             else:
                 skip = ()
+            x = cut(key)
             missed = []  # this circle's mirrors whose image is not known to be in seen
             for j, (index, mirror, negated, kernel) in enumerate(kernels):
                 # the image in the mirror that made the circle is its parent
@@ -481,10 +555,11 @@ def _generate(cluster, limits, mirrors, products, mode):
                 if j in skip or key == mirror or key == negated:
                     missed.append(j)
                     continue
-                image = kernel(key)
+                image = kernel(x)
                 if image is None:
                     missed.append(j)
                     continue
+                image = widen(image + (0,))
                 if image in seen:
                     continue
                 seen.add(image)

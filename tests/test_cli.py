@@ -785,6 +785,11 @@ def test_removed_max_order_option_is_a_usage_error(capsys):
          "word must be dot-joined unsigned integers, got '2.1_0'"),
         (["check-integrality", "--config", "builtin:bi1-cluster3", "--cluster", "3",
           "--seed", "0", "--words", "-1"], "word_count must be nonnegative, got -1"),
+        (["prove-nonintegral", "--config", "builtin:d1n3", "--depth", "-1"],
+         "depth must be nonnegative, got -1"),
+        # refused before the entry is loaded
+        (["prove-nonintegral", "--config", "builtin:no-such-entry", "--depth", "-1"],
+         "depth must be nonnegative, got -1"),
     ],
 )
 def test_negative_word_counts_and_malformed_words_are_domain_errors(capsys, argv, message):

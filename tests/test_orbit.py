@@ -388,6 +388,90 @@ def test_flat_mirror_is_read_off_the_bend_slots():
     assert count == 126
 
 
+def reached_slots(cluster, mirrors):
+    # orbit._reached over the field and plans _generate builds
+    field = orbit._Field(tuple(cluster) + tuple(mirrors))
+    plans = [orbit._Mirror(field, k + 1, m) for k, m in enumerate(mirrors)]
+    return field, orbit._reached([field.encode(v) for v in cluster], plans)
+
+
+def enumerated_clusters():
+    for entry_id in catalog.list_builtin():
+        config = catalog.get_builtin(entry_id).configuration
+        for subset in coxeter.enumerate_clusters(config.gram()):
+            yield entry_id, tuple(config.labels[i] for i in subset)
+
+
+def test_orbit_keys_are_zero_off_the_reached_slots():
+    # every enumerated cluster of every builtin (116) as a packing and as a
+    # superpacking, 2 generations without a bend bound: each circle of the
+    # QNum oracle, encoded over the full field, is 0 at every slot
+    # _reached leaves out, and the engine, which runs on the cut keys,
+    # gives the oracle's orbit
+    limits = OrbitLimits(max_generation=2, max_bend=None)
+    runs = 0
+    for entry_id, labels in enumerated_clusters():
+        cluster, cocluster, _, _ = catalog.get_builtin(entry_id).configuration.split(labels)
+        cluster, cocluster = tuple(cluster), tuple(cocluster)
+        for generate, mirrors, first in (
+            (generate_packing, cocluster, len(cluster) + 1),
+            (generate_superpacking, cluster + cocluster, 1),
+        ):
+            try:
+                got = generate(cluster, cocluster, limits)
+            except ValueError as e:
+                assert generate is generate_packing and str(e).startswith("not a cluster: ")
+                continue
+            field, slots = reached_slots(cluster, mirrors)
+            off = [s for s in range(len(field.encode(cluster[0]))) if s not in slots]
+            numbered = [(first + k, m) for k, m in enumerate(mirrors)]
+            want = qnum_orbit(cluster, numbered, limits, got.mode)
+            for circle in want.circles:
+                key = field.encode(circle.vector)
+                assert not any(key[s] for s in off), (entry_id, labels, circle.word)
+            assert got == want
+            runs += 1
+    assert runs == 232
+
+
+@pytest.mark.parametrize(
+    "entry_id,labels,reached,slots",
+    [
+        ("d3n13", ("34",), 28, 56),
+        ("bi10-example", ("1", "7"), 4, 16),
+        ("d3n11", ("23",), 24, 48),
+        ("d3n5", ("7",), 12, 24),
+        ("d3n3", ("6",), 4, 16),
+        ("d1n3", ("4",), 4, 8),
+        ("bi1-cluster3", ("3",), 4, 4),
+    ],
+)
+def test_reached_slot_counts(entry_id, labels, reached, slots):
+    # the slots besides the den that a packing's loop runs on, of the
+    # (n+2)*d of a full key; d3n13 {34}'s orbit fills only 16 of its 28
+    cluster, cocluster, _, _ = catalog.get_builtin(entry_id).configuration.split(labels)
+    field, got = reached_slots(cluster, cocluster)
+    width = len(field.encode(cluster[0]))
+    assert (len(got) - 1, width - 1) == (reached, slots)
+    assert got == sorted(got) and got[-1] == width - 1
+
+
+def test_an_orbit_with_no_bend_slot_reached_is_not_screened():
+    # the line x = 0 under the unit circle about the origin and the line
+    # y = 0, both orthogonal to it: neither functional reads the line's
+    # one nonzero slot, so no bend slot is reached, every orbit bend is 0
+    # and no kernel may screen (one that did would test an empty bend);
+    # the orbit is the one line
+    cluster = (qv(0, 0, 1, 0),)
+    cocluster = (qv(-1, 1, 0, 0), qv(0, 0, 0, 1))
+    field, slots = reached_slots(cluster, cocluster)
+    assert slots == [2 * field.d, len(field.encode(cluster[0])) - 1]
+    for max_bend in (None, 0, 5, R2):
+        limits = OrbitLimits(max_generation=3, max_bend=max_bend)
+        for generate in (generate_packing, generate_superpacking):
+            assert export_tsv(generate(cluster, cocluster, limits)) == "0\t1\t(0,0,1,0)\n"
+
+
 @pytest.mark.parametrize(
     "entry_id,labels,generations,which,reflections",
     [
@@ -403,7 +487,7 @@ def test_commuting_skip_reflection_counts(monkeypatch, entry_id, labels, generat
     calls, settled = [0], [0]
     kernels = orbit._kernels
 
-    def counted(plans, bound):
+    def counted(plans, slots, bound):
         def count(kernel):
             def call(key):
                 image = kernel(key)
@@ -411,7 +495,7 @@ def test_commuting_skip_reflection_counts(monkeypatch, entry_id, labels, generat
                 settled[0] += image is None
                 return image
             return call
-        return [count(kernel) for kernel in kernels(plans, bound)]
+        return [count(kernel) for kernel in kernels(plans, slots, bound)]
 
     monkeypatch.setattr(orbit, "_kernels", counted)
     cluster, cocluster, _, _ = catalog.get_builtin(entry_id).configuration.split(labels)
@@ -429,7 +513,8 @@ def test_compiled_reflection_matches_qnum():
         rows = catalog.get_builtin(entry_id).configuration.rows
         field = orbit._Field(rows)
         plans = [orbit._Mirror(field, j + 1, m) for j, m in enumerate(rows)]
-        for plan, kernel, m in zip(plans, orbit._kernels(plans, None), rows):
+        kernels = orbit._kernels(plans, range(len(plans[0].key)), None)
+        for plan, kernel, m in zip(plans, kernels, rows):
             assert field.decode(plan.key) == m
             for v in rows:
                 key = field.encode(v)
@@ -440,11 +525,12 @@ def test_compiled_reflection_matches_qnum():
 
 @functools.cache
 def builtin_kernels(entry_id):
-    # (field, plans, unscreened kernels) of every row of a builtin entry
+    # (field, plans, unscreened kernels over full keys) of every row of a
+    # builtin entry
     rows = catalog.get_builtin(entry_id).configuration.rows
     field = orbit._Field(rows)
     plans = [orbit._Mirror(field, j + 1, m) for j, m in enumerate(rows)]
-    return field, plans, orbit._kernels(plans, None)
+    return field, plans, orbit._kernels(plans, range(len(plans[0].key)), None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -476,7 +562,7 @@ def test_kernel_branches_on_the_builtins():
     for entry_id in catalog.list_builtin():
         field, plans, _ = builtin_kernels(entry_id)
         for plan in plans:
-            source = plan.source("kernel", False)
+            source = plan.source("kernel", range(len(plan.key)), None)
             assert ("gcd" in source) == (plan.scale != 1)
         kinds[entry_id] = sorted((plan.scale, plan.key[-1]) for plan in plans)
     # every bi10-example row has E = 1
@@ -490,9 +576,11 @@ def test_kernel_branches_on_the_builtins():
 def test_kernel_settles_the_bound_as_the_full_image_would(data):
     # a builtin row reflected in a builtin row, against bounds at the
     # image's own bend (an exact tie), a (3 - 2 sqrt2)^30 step either side
-    # of it (only the exact comparison can tell) and a random integer: the
-    # kernel gives None exactly when exceeds holds on the full image, and
-    # a flat mirror's kernel never does
+    # of it (only the exact comparison can tell), a (3 - 2 sqrt2)^13 step,
+    # irrational and below 2**-32, either side of it (at the edge of the
+    # kernel's inline test) and a random integer: the kernel gives None
+    # exactly when exceeds holds on the full image, and a flat mirror's
+    # kernel never does
     entry_id = data.draw(st.sampled_from(catalog.list_builtin()))
     rows = catalog.get_builtin(entry_id).configuration.rows
     m, v = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
@@ -502,13 +590,14 @@ def test_kernel_settles_the_bound_as_the_full_image_would(data):
     full = table_reflect(field, plan.key, key)
     d = field.d
     bend = abs(field.number(full[d:2 * d], full[-1]))
-    tiny = (3 - 2 * R2) ** 30
-    bounds = [bend, bend + tiny, data.draw(st.integers(0, 100))]
+    tiny, near = (3 - 2 * R2) ** 30, (3 - 2 * R2) ** 13
+    assert 0 < near < Fraction(1, 2 ** 32)
+    bounds = [bend, bend + tiny, bend + near, data.draw(st.integers(0, 100))]
     if bend:
-        bounds.append(bend - tiny)
+        bounds += [bend - tiny, bend - near]
     for max_bend in bounds:
-        bound = orbit._BendBound(field, max_bend)
-        (kernel,) = orbit._kernels([plan], bound)
+        bound = orbit._BendBound(field, max_bend, range(d, 2 * d))
+        (kernel,) = orbit._kernels([plan], range(len(key)), bound)
         past = bound.exceeds(full[d:2 * d], full[-1])
         assert past == (bend > max_bend)
         if plan.flat:
@@ -560,7 +649,7 @@ def bend_row(bend):
 
 def bend_test(bend, max_bend):
     field = orbit._Field([bend_row(bend)])
-    bound = orbit._BendBound(field, max_bend)
+    bound = orbit._BendBound(field, max_bend, range(field.d, 2 * field.d))
     key = field.encode(bend_row(bend))
     coeffs, den = key[field.d:2 * field.d], key[-1]
     return bound.screen(coeffs, den), bound.exceeds(coeffs, den)
@@ -639,6 +728,44 @@ def test_bend_screen_agrees_with_exact_comparison(coeffs, max_bend):
     assert decided in (None, exceeds)
     if abs(bend) == max_bend:
         assert decided is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_inline_bound_test_is_sufficient(data):
+    # the kernels' inline test sum_k U_k |v_k| <= L D on any nonempty set
+    # of bend slots of Q(sqrt2, sqrt5): U_k is ceil(sqrt(r_k) * 2**32),
+    # L <= max_bend * 2**32 (the floor for a rational bound), and where
+    # the test holds abs(bend) <= max_bend.  The bounds are the bend itself
+    # (an exact tie), a (3 - 2 sqrt2)^13 step either side of it (irrational
+    # and below 2**-32) and a random Fraction
+    field = orbit._Field.over([2, 5])
+    d = field.d
+    slots = data.draw(st.lists(st.sampled_from(range(d, 2 * d)), min_size=1, unique=True))
+    slots.sort()
+    coeffs = [data.draw(st.integers(-10 ** 6, 10 ** 6)) for _ in slots]
+    den = data.draw(st.integers(1, 10 ** 4))
+    full = [0] * d
+    for s, c in zip(slots, coeffs):
+        full[s - d] = c
+    bend = abs(field.number(tuple(full), den))
+    near = (3 - 2 * R2) ** 13
+    bounds = [bend, bend + near, data.draw(st.fractions(0, 10 ** 3))]
+    if bend > near:
+        bounds.append(bend - near)
+    for max_bend in bounds:
+        bound = orbit._BendBound(field, max_bend, slots)
+        assert bound.radicands == tuple(field.radicands[s - d] for s in slots)
+        for k, u in zip(bound.radicands, bound.units):
+            assert (u - 1) ** 2 < k << 64 <= u ** 2
+        assert bound.limit <= max_bend * 2 ** 32
+        q = QNum(max_bend)
+        if q.is_rational():
+            assert bound.limit == math.floor(q.as_fraction() * 2 ** 32)
+        inline = sum(u * abs(c) for u, c in zip(bound.units, coeffs)) <= bound.limit * den
+        if inline:
+            assert not bend > max_bend
+        assert bound.exceeds(coeffs, den) == (bend > max_bend)
 
 
 def test_disjoint_interiors_exact():
