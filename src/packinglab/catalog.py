@@ -23,13 +23,13 @@ indent), so save(load(f)) is byte-identical on canonical files.
 PACKINGLAB_CATALOG overrides the builtin data directory.
 """
 
-import dataclasses
 import json
 import os
 from importlib import resources
 from pathlib import Path
 
 from . import coxeter
+from ._record import Record
 from .exactnum import QNum
 from .groupwords import Configuration
 
@@ -76,8 +76,7 @@ def _gram_mismatch(computed, stored):
     return None
 
 
-@dataclasses.dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     id: str
     configuration: Configuration
     gram: tuple | None = None
@@ -247,16 +246,14 @@ def get_builtin(entry_id: str) -> CatalogEntry:
     return from_json(_data_dir().joinpath(entry_id + ".json").read_text(encoding="utf-8"))
 
 
-@dataclasses.dataclass(frozen=True)
-class CatalogCheck:
+class CatalogCheck(Record):
     kind: str
     subject: str
     ok: bool
     detail: str
 
 
-@dataclasses.dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(Record):
     entry_id: str
     checks: tuple
 

@@ -84,14 +84,27 @@ def _limits(args):
 
 
 def _wall_position(config, text):
+    # a row label, or else ASCII digits without a leading zero: int() would
+    # also take "+3", " 3", "3_0" and "03", and the new entry's id and source
+    # would carry that spelling
     try:
         return config.position(text) + 1
     except KeyError:
         pass
-    try:
-        return int(text)
-    except ValueError:
-        raise KeyError("no row labeled %r" % (text,)) from None
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+        raise ValueError("wall must be a row label or a 1-based row index, got %r" % (text,))
+    return int(text)
+
+
+def _face_index(option, text):
+    # ASCII digits after an optional minus: int() would also take "+0", " 0",
+    # "0_0" and "-0"; a negative index is left to glue_face, which names the
+    # faces
+    negative = text.startswith("-")
+    digits = text[1:] if negative else text
+    if not (digits.isascii() and digits.isdigit()) or (negative and int(digits) == 0):
+        raise ValueError("%s must be a face index in ASCII digits, got %r" % (option, text))
+    return int(text)
 
 
 # -- subcommands ------------------------------------------------------
@@ -283,7 +296,7 @@ def _cmd_glue(args):
     a = _load_polyhedron(args.a)
     b = _load_polyhedron(args.b)
     if args.kind == "face":
-        fa, fb = int(args.at_a), int(args.at_b)
+        fa, fb = _face_index("--at-a", args.at_a), _face_index("--at-b", args.at_b)
         matching = args.matching or polygraph.face_equivalent(a, fa, b, fb)
         if matching is None:
             raise ValueError("faces are not equivalent; no matching exists")

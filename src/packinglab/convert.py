@@ -19,11 +19,11 @@ patch table (data/mcleod_patches.json) fixes them up during ingestion, keyed
 by the source table and vector name.
 """
 
-import dataclasses
 import json
 from fractions import Fraction
 from importlib import resources
 
+from ._record import Record
 from .exactnum import QNum, sqrt, squarefree_decompose
 
 
@@ -42,8 +42,7 @@ def _fractions(x):
     return tuple(Fraction(c) for c in x)
 
 
-@dataclasses.dataclass(frozen=True)
-class BianchiRoot:
+class BianchiRoot(Record):
     """A space-like root of the rank-4 Bianchi quadratic form."""
 
     m: int
@@ -69,8 +68,7 @@ class BianchiRoot:
         return -2 * x1 * x2 + 2 * x3 * x3 + 2 * self.m * x4 * x4
 
 
-@dataclasses.dataclass(frozen=True)
-class VinbergVector:
+class VinbergVector(Record):
     """A positive-norm vector of -d*x0**2 + sum(xi**2)."""
 
     d: int

@@ -30,9 +30,9 @@ cuts the search to cliques among angle-free vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .exactnum import QNum, sqrt
 
 __all__ = [
@@ -50,24 +50,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Orthogonal:
+class Orthogonal(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Tangent:
+class Tangent(Record):
     sign: int = 1
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(Record):
     order: int
     sign: int = 1
 
 
-@dataclass(frozen=True)
-class Disjoint:
+class Disjoint(Record):
     separation: QNum  # the signed exact entry; |separation| = cosh(distance)
 
 
@@ -106,8 +102,7 @@ def classify_entry(g: QNum):
     raise ValueError(f"unclassifiable Gram entry {g}: 0 < |g| < 1 but no cos(pi/n) matches")
 
 
-@dataclass(frozen=True)
-class CoxeterDiagram:
+class CoxeterDiagram(Record):
     nodes: int
     edges: dict  # (i, j) with i < j -> kind, every off-diagonal pair
 
@@ -181,8 +176,7 @@ def enumerate_clusters(gram, max_size: int | None = None):
     return out
 
 
-@dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(Record):
     cluster: tuple
     cocluster: tuple
     checks: tuple  # (rule, i, j, entry, ok) records

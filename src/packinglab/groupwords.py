@@ -22,15 +22,13 @@ superset of the plain grammar and flattens it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import coxeter, geometry
+from ._record import Record
 
 __all__ = ["Word", "Configuration", "parse_word", "eval_word", "double"]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     atoms: tuple  # of (index, reversed) pairs, indices 1-based
 
     def __str__(self) -> str:
@@ -134,14 +132,14 @@ def eval_word(word, base) -> tuple:
     return x
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """Named, ordered collection of norm -1 vectors.
 
     form_d is the quadratic-form context the data came from (metadata
     only); defining_words are the def'd-as provenance strings over an
     external generator base, also metadata.  The Gram matrix is computed
-    once, on construction, and its diagonal holds the row norms.
+    once, on construction, and its diagonal holds the row norms; it is
+    kept beside the fields, outside equality, hashing and repr.
     """
 
     name: str
@@ -149,7 +147,6 @@ class Configuration:
     labels: tuple
     form_d: int | None = None
     defining_words: tuple | None = None
-    _gram: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(geometry.as_vector(r) for r in self.rows))

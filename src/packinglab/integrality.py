@@ -25,9 +25,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 
 from ._matrix import as_matrix, mat_inverse, mat_mul, rref, transpose
+from ._record import Record
 from .exactnum import QNum, sqrt
 from .geometry import bend_matrices, reflection_matrix
 from .orbit import _check_seed, _checked_rows, _word
@@ -35,8 +35,7 @@ from .orbit import _check_seed, _checked_rows, _word
 VERDICTS = ("integral-proven", "nonintegral-proven", "growth-evidence", "inconclusive")
 
 
-@dataclass(frozen=True)
-class IntegralityCertificate:
+class IntegralityCertificate(Record):
     verdict: str
     rescale_factor: QNum | None
     witnesses: tuple
@@ -206,8 +205,7 @@ def denominator_growth_probe(bend_matrices, word, iterations=12):
     )
 
 
-@dataclass(frozen=True)
-class BoundedRationalReport:
+class BoundedRationalReport(Record):
     derived_bound: int
     observed_max_denominator: int
     word_count: int

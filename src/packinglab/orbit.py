@@ -126,10 +126,10 @@ keeps the file's own text, so a canonical file is not formatted again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
+from ._record import Record
 from .coxeter import validate_cluster
 from .exactnum import QNum, _enclose, _Field, _format, _lowest, _scan
 from .geometry import MINUS_ONE, as_vector, form_functional, gram, interior_contains
@@ -159,8 +159,7 @@ def _check_seed(seed):
         raise ValueError("seed must be in 0 <= seed < 2**64, got %d" % seed)
 
 
-@dataclass(frozen=True)
-class OrbitLimits:
+class OrbitLimits(Record):
     """Termination bounds for orbit generation.
 
     A generation bound is always required: an exact-arithmetic orbit
@@ -266,8 +265,7 @@ class OrbitCircle:
         )
 
 
-@dataclass(frozen=True)
-class PackingOrbit:
+class PackingOrbit(Record):
     circles: tuple
     limits: OrbitLimits
     mode: str  # "packing" | "superpacking"
@@ -644,8 +642,7 @@ def bends(orbit):
     return [c.vector[1] for c in orbit.circles]
 
 
-@dataclass(frozen=True)
-class OrbitStats:
+class OrbitStats(Record):
     generation_counts: tuple
     circle_count: int
     min_bend: QNum | None
@@ -749,8 +746,7 @@ def parse_tsv(text):
     )
 
 
-@dataclass(frozen=True)
-class EmptyInteriorReport:
+class EmptyInteriorReport(Record):
     verdict: bool  # True: no sampled point lay inside every wall
     sample_count: int
     seed: int

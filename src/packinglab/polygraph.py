@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from importlib import resources
+
+from ._record import Record
 
 
 def _edge_key(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class PlanarPolyhedron:
+class PlanarPolyhedron(Record):
     name: str
     vertices: tuple
     faces: tuple

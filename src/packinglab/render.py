@@ -47,9 +47,9 @@ zero as a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .exactnum import _enclose, _Field, _float, _format, _sign
 from .orbit import OrbitCircle, PackingOrbit, generate_packing
 
@@ -60,8 +60,7 @@ LABEL_COLOR = "#111111"
 LABEL_MODES = ("none", "bends", "labels")
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(Record):
     """Presentation knobs; everything defaulted is derived from content.
 
     viewport is an exact rational box ((xlo, xhi), (ylo, yhi)); None

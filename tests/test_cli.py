@@ -196,6 +196,30 @@ def test_cli_import_leaves_mpmath_to_the_quadrature():
     assert abs(float(series) - float(quadrature)) < 2e-9
 
 
+# the value classes are _record.Record subclasses: @dataclass made each
+# class with exec, and its import pulled in inspect, ast, dis and tokenize.
+# From 3.12 importlib.resources imports inspect itself, so inspect is only
+# pinned before that.
+COLD_START = """
+import sys
+import packinglab.cli
+from packinglab import catalog
+catalog.get_builtin("d3n13")
+pinned = ("dataclasses", "inspect") if sys.version_info < (3, 12) else ("dataclasses",)
+print(sorted(m for m in pinned if m in sys.modules))
+"""
+
+
+def test_cli_start_imports_neither_dataclasses_nor_inspect():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    got = subprocess.run(
+        [sys.executable, "-c", COLD_START],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    ).stdout
+    assert got == "[]\n"
+
+
 def test_removed_threads_option_is_a_usage_error(capsys):
     assert cli.run(["pack"] + BI1_ARGS + ["--threads", "2"]) == 2
     assert capsys.readouterr().out == ""
@@ -431,6 +455,36 @@ def test_double_matches_library(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == want
 
 
+def test_double_wall_by_position_matches_library(capsys):
+    # d1n3 has no row labeled 5, so --wall 5 is the 1-based position of '3.4'
+    config = catalog.get_builtin("d1n3").configuration
+    assert "5" not in config.labels
+    doubled = double(config, 5)
+    want = catalog.CatalogEntry(
+        id="d1n3-doubled-5",
+        configuration=doubled,
+        gram=doubled.gram(),
+        clusters=(),
+        source="doubled across wall 5 of d1n3",
+    )
+    assert cli.run(["double", "--config", "builtin:d1n3", "--wall", "5"]) == 0
+    assert capsys.readouterr().out == catalog.to_json(want)
+
+
+# int() takes the first four as positions 5, 5, 50 and 5, and the spelling
+# would land in the new entry's id and source
+@pytest.mark.parametrize("wall", ["+5", " 5", "5_0", "05", "-1", "x", "\u0665", ""])
+def test_double_wall_neither_label_nor_digits_is_a_domain_error(capsys, wall):
+    assert cli.run(["double", "--config", "builtin:d1n3", "--wall", wall]) == 1
+    assert one_json_error(capsys) == (
+        {
+            "kind": "ValueError",
+            "error": "wall must be a row label or a 1-based row index, got %r" % (wall,),
+        },
+        "",
+    )
+
+
 @pytest.mark.parametrize(
     "kind, a, at_a, b, at_b",
     [
@@ -655,6 +709,33 @@ def test_glue_face_index_outside_the_faces_is_a_domain_error(capsys, a, b, at, m
     argv = ["glue", "--kind", "face", "--a", "builtin:" + a, "--b", "builtin:" + b]
     assert cli.run(argv + at) == 1
     assert one_json_error(capsys) == ({"kind": "ValueError", "error": message}, "")
+
+
+# int() takes "+0", " 0" and "0_0" as face 0, and "x" failed with int()'s
+# own message, which named neither the option nor the expected form
+@pytest.mark.parametrize(
+    "at, option, text",
+    [
+        (["--at-a", "+0", "--at-b", "0"], "--at-a", "+0"),
+        (["--at-a", " 0", "--at-b", "0"], "--at-a", " 0"),
+        (["--at-a", "0_0", "--at-b", "0"], "--at-a", "0_0"),
+        (["--at-a", "x", "--at-b", "0"], "--at-a", "x"),
+        (["--at-a", "0", "--at-b", "\u0661"], "--at-b", "\u0661"),
+        (["--at-a", "0", "--at-b=-"], "--at-b", "-"),
+        (["--at-a=-0", "--at-b", "0"], "--at-a", "-0"),
+        (["--at-a=-00", "--at-b", "0"], "--at-a", "-00"),
+    ],
+)
+def test_glue_face_index_not_in_ascii_digits_is_a_domain_error(capsys, at, option, text):
+    argv = ["glue", "--kind", "face", "--a", "builtin:tetrahedron", "--b", "builtin:tetrahedron"]
+    assert cli.run(argv + at) == 1
+    assert one_json_error(capsys) == (
+        {
+            "kind": "ValueError",
+            "error": "%s must be a face index in ASCII digits, got %r" % (option, text),
+        },
+        "",
+    )
 
 
 def test_glue_unknown_vertex_label_is_a_domain_error(capsys):
